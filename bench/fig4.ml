@@ -55,10 +55,15 @@ let run_b ctx =
       inputs.Inputs.sites.(i).Cisp_data.City.name
       inputs.Inputs.sites.(j).Cisp_data.City.name geo fiber_stretch;
     let rounds = if ctx.Ctx.quick then 8 else 20 in
-    let paths =
-      Cisp_graph.Disjoint.successive hops.Hops.graph ~src:i ~dst:j ~rounds
-        ~protected:(fun v -> not (Hops.is_tower_node hops v))
+    (* Each round deletes the towers the found path used; sites (the
+       two ends among them) stay. *)
+    let remove work (_, path) =
+      let used = Hashtbl.create 64 in
+      List.iter (fun v -> if Hops.is_tower_node hops v then Hashtbl.replace used v ()) path;
+      Cisp_graph.Graph.remove_edges work (fun u e ->
+          not (Hashtbl.mem used u || Hashtbl.mem used e.Cisp_graph.Graph.dst))
     in
+    let paths = Cisp_graph.Multipath.successive hops.Hops.graph ~src:i ~dst:j ~k:rounds ~remove in
     Printf.printf "%-8s %-12s %-10s\n" "round" "length km" "stretch";
     List.iteri
       (fun k (d, _) -> Printf.printf "%-8d %-12.0f %-10.3f\n" (k + 1) d (d /. geo))

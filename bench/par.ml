@@ -11,10 +11,6 @@ module Topology = Cisp_design.Topology
 module Greedy = Cisp_design.Greedy
 module Hops = Cisp_towers.Hops
 module Year = Cisp_weather.Year
-module Graph = Cisp_graph.Graph
-module Dijkstra = Cisp_graph.Dijkstra
-module Ch = Cisp_graph.Ch
-module Query = Cisp_graph.Query
 
 let bench_json_path = "BENCH.json"
 
@@ -175,33 +171,6 @@ let kernel ?(min_speedup = []) ctx ~name ~widths ~equal run =
         ~min_speedup:(List.assoc_opt jobs min_speedup))
     widths
 
-(* Engine-vs-baseline comparison.  Unlike [kernel] (sequential vs the
-   width curve of the same function), both sides here run at the same
-   pool width [jobs] — the question is the algorithm, not the pool.
-   Recorded with the baseline in the [seq_s] slot and the engine in
-   [par_s], so "speedup" in BENCH.json reads as engine-over-baseline;
-   [min_speedup] gates that ratio under enforcement exactly like the
-   width kernels', and bit-identity between the two sides is the
-   correctness check. *)
-let engine_kernel ctx ~name ~jobs ?min_speedup ~equal ~baseline ~engine () =
-  let reps = if ctx.Ctx.quick && not enforce_env then 1 else 2 in
-  let base_r, base_s = Pool.with_default_jobs jobs (fun () -> timed reps baseline) in
-  let eng_r, eng_s = Pool.with_default_jobs jobs (fun () -> timed reps engine) in
-  let identical = equal base_r eng_r in
-  if not identical then begin
-    Printf.eprintf
-      "par bench: BIT-IDENTITY VIOLATION in %s: engine and baseline disagree at %d \
-       domains\n\
-       %!"
-      name jobs;
-    mismatches := Printf.sprintf "%s: engine vs baseline at %d domains" name jobs :: !mismatches
-  end;
-  Ctx.note "%-24s dijkstra %8.3fs   engine %8.3fs   speedup %.2fx   (%s)" name base_s
-    eng_s
-    (if eng_s > 0.0 then base_s /. eng_s else 0.0)
-    (if identical then "bit-identical" else "MISMATCH");
-  record ~kernel:name ~jobs ~seq_s:base_s ~par_s:eng_s ~min_speedup
-
 let scores_equal a b =
   Array.length a = Array.length b
   && Array.for_all2
@@ -295,59 +264,6 @@ let run ctx =
     (fun () ->
       Year.run ~intervals ~climate:Cisp_weather.Rainfield.us_climate
         ~hops:a.Cisp_design.Scenario.hops inputs topo);
-  (* 5. CH preprocessing of the full tower graph.  The contraction
-     loop is inherently sequential (only the winner's witness rows fan
-     out on the pool), so no speedup floor; what the harness's equal
-     check buys is the pool contract at bench scale — contraction
-     ranks and shortcut count bit-identical at every width.  Measured
-     at the top width only: the rest of the curve adds wall-clock
-     without information. *)
-  let g = a.Cisp_design.Scenario.hops.Hops.graph in
-  let gn = Graph.node_count g in
-  let top_width = List.fold_left max 1 widths in
-  kernel ctx ~name:"ch_build" ~widths:[ top_width ]
-    ~equal:(fun (x : int array * int) y -> x = y)
-    (fun () ->
-      let ch = Ch.build g in
-      (Array.init gn (Ch.rank ch), Ch.shortcut_count ch));
-  (* 6-7. The hierarchical engine against the per-source Dijkstras the
-     call sites ran before it existed, on the same tower graph.  Forced
-     to CH so the kernel keeps measuring the hierarchy even if the Auto
-     density policy later re-classifies this graph; the (amortized)
-     preprocessing is paid outside the timed region, matching how
-     [Hops] caches its engine across calls. *)
-  let q = Query.prepare ~mode:Query.Force_ch g in
-  let rng = Cisp_util.Rng.create 1215 in
-  let pairs =
-    Array.init 64 (fun _ -> (Cisp_util.Rng.int rng gn, Cisp_util.Rng.int rng gn))
-  in
-  let floats_equal x y =
-    Array.length x = Array.length y && Array.for_all2 Float.equal x y
-  in
-  engine_kernel ctx ~name:"ch_query" ~jobs:top_width ~min_speedup:3.0
-    ~equal:floats_equal
-    ~baseline:(fun () ->
-      Array.map (fun (s, t) -> (Dijkstra.run g ~src:s).Dijkstra.dist.(t)) pairs)
-    ~engine:(fun () ->
-      Array.map
-        (fun (s, t) ->
-          match Query.distance q ~src:s ~dst:t with Some d -> d | None -> infinity)
-        pairs)
-    ();
-  (* The paper's APSP shape: site-to-site distances over the tower
-     graph (the [Inputs.mw_km] build).  The >= 5x floor is the PR's
-     headline gate: bucket-based many-to-many on the prepared
-     hierarchy must beat the pool-parallel per-source Dijkstra sweep
-     by at least that much, bit-identically. *)
-  let sites = Array.init a.Cisp_design.Scenario.hops.Hops.n_sites Fun.id in
-  engine_kernel ctx ~name:"many_to_many" ~jobs:top_width ~min_speedup:5.0
-    ~equal:(fun x y -> Array.length x = Array.length y && Array.for_all2 floats_equal x y)
-    ~baseline:(fun () ->
-      Array.map
-        (fun (r : Dijkstra.result) -> Array.map (fun t -> r.Dijkstra.dist.(t)) sites)
-        (Dijkstra.all_pairs_results g ~sources:sites))
-    ~engine:(fun () -> Query.many_to_many q ~sources:sites ~targets:sites)
-    ();
   record_summary ~widths;
   Ctx.note "wall-clock records appended to %s (run %s, rev %s)" bench_json_path run_id
     git_rev;

@@ -1,7 +1,7 @@
 module Hops = Cisp_towers.Hops
 module Capacity_rf = Cisp_rf.Capacity
 module Graph = Cisp_graph.Graph
-module Query = Cisp_graph.Query
+module Dijkstra = Cisp_graph.Dijkstra
 
 type link_plan = { link : int * int; load_gbps : float; series : int; hops : int }
 
@@ -46,34 +46,23 @@ let mw_step inputs (topo : Topology.t) g u v =
   Topology.is_built topo u v
   && Float.abs (min_edge_weight g u v -. inputs.Inputs.mw_km.(u).(v)) < 1e-6
 
-(* Route every positive-demand commodity through the query facade (one
-   many-to-many over the demand support: plain Dijkstra rows below the
-   engine threshold, CH buckets above — identical paths either way)
-   and hand each (s, t, demand, node path) to [f]. *)
+(* Route every positive-demand commodity over its shortest path (one
+   pool-parallel Dijkstra per source with demand) and hand each
+   (s, t, demand, node path) to [f]. *)
 let iter_demand_routes g ~demands ~f =
   let n = Array.length demands in
-  let has_out = Array.make n false and has_in = Array.make n false in
-  for s = 0 to n - 1 do
-    for t = 0 to n - 1 do
-      if t <> s && demands.(s).(t) > 0.0 then begin
-        has_out.(s) <- true;
-        has_in.(t) <- true
-      end
-    done
-  done;
-  let collect flags = Array.of_list (List.filter (Array.get flags) (List.init n Fun.id)) in
-  let sources = collect has_out and targets = collect has_in in
-  let q = Query.prepare g in
-  let routes = Query.many_to_many_paths q ~sources ~targets in
+  let demand s t = t <> s && demands.(s).(t) > 0.0 in
+  let has_demand s = List.exists (demand s) (List.init n Fun.id) in
+  let sources = Array.of_list (List.filter has_demand (List.init n Fun.id)) in
+  let rows = Dijkstra.all_pairs_results g ~sources in
   Array.iteri
-    (fun si s ->
-      Array.iteri
-        (fun ti t ->
-          let h = demands.(s).(t) in
-          if t <> s && h > 0.0 then begin
-            match routes.(si).(ti) with None -> () | Some (_, path) -> f s t h path
-          end)
-        targets)
+    (fun k s ->
+      for t = 0 to n - 1 do
+        if demand s t then
+          match Dijkstra.path rows.(k) ~dst:t with
+          | [] -> ()
+          | path -> f s t demands.(s).(t) path
+      done)
     sources
 
 let rec iter_steps f = function

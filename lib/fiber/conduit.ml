@@ -1,7 +1,7 @@
 module Rng = Cisp_util.Rng
 module Geodesy = Cisp_geo.Geodesy
 module Graph = Cisp_graph.Graph
-module Query = Cisp_graph.Query
+module Dijkstra = Cisp_graph.Dijkstra
 module City = Cisp_data.City
 
 type mode =
@@ -95,7 +95,7 @@ let build ?(mode = default_mode) ~sites () =
     in
     let g = Graph.create n in
     List.iter (fun (i, j, w) -> Graph.add_undirected g i j w) edge_list;
-    let route = Query.all_pairs (Query.prepare g) in
+    let route = Dijkstra.all_pairs g in
     { n; geodesic; route; edge_list }
 
 let route_km t i j = t.route.(i).(j)

@@ -1,9 +1,8 @@
 (* Monomorphic min-heap over (float key, int payload).  Same sift
    logic as {!Heap} — pop order for any key sequence is identical —
    but both columns are flat unboxed arrays, so push/pop touch no heap
-   blocks at all.  This is the priority queue of the shortest-path
-   inner loops (Dijkstra relaxation, CH witness searches and upward
-   queries), which run under the zero-alloc contract (L10). *)
+   blocks at all.  This is the priority queue of Dijkstra's
+   relaxation loop, which runs under the zero-alloc contract (L10). *)
 
 type t = {
   mutable keys : float array;
@@ -11,16 +10,8 @@ type t = {
   mutable size : int;
 }
 
-(* [?capacity] without default sugar: a `?(capacity = 64)` default is
-   desugared to a let binding between the parameter lambdas, so every
-   call would allocate a closure for the remaining `()` parameter. *)
-let create ?capacity () =
-  let capacity = match capacity with Some c -> max 1 c | None -> 64 in
-  { keys = Array.make capacity 0.0; vals = Array.make capacity 0; size = 0 }
-
+let create () = { keys = Array.make 64 0.0; vals = Array.make 64 0; size = 0 }
 let length h = h.size
-let is_empty h = h.size = 0
-let clear h = h.size <- 0
 
 let[@cisp.alloc_ok "amortized: doubling growth of the preallocated key/payload columns"] grow
     h =

@@ -2,16 +2,12 @@
     columns.  Pop order for any key sequence is bit-identical to
     {!Heap} (same sift logic); unlike {!Heap} every operation except
     amortized growth is allocation-free, so it is the priority queue
-    of the zero-alloc shortest-path inner loops (Dijkstra, CH). *)
+    of Dijkstra's zero-alloc relaxation loop. *)
 
 type t
 
-val create : ?capacity:int -> unit -> t
+val create : unit -> t
 val length : t -> int
-val is_empty : t -> bool
-
-val clear : t -> unit
-(** Forget all entries (O(1); the columns are retained for reuse). *)
 
 val push : t -> float -> int -> unit
 

@@ -8,7 +8,7 @@ let constrained_shortest g ~src ~dst ~banned_nodes ~banned_edges =
       (not (Hashtbl.mem banned_nodes u))
       && (not (Hashtbl.mem banned_nodes e.Graph.dst))
       && not (Hashtbl.mem banned_edges (u, e.Graph.dst)));
-  Query.shortest_path_graph g' ~src ~dst
+  Dijkstra.shortest_path g' ~src ~dst
 
 let prefix_length g path =
   (* Sum of edge weights along a node list. *)
@@ -25,69 +25,63 @@ let prefix_length g path =
   in
   loop 0.0 path
 
-(* The spur searches always run plain Dijkstra on constrained working
-   copies (an engine prepared for [g] would answer for edges the spur
-   just banned); only the opening query may use a caller-prepared
-   engine, and only when it was prepared from this very graph. *)
-let initial_query query g ~src ~dst =
-  match query with
-  | Some q when Query.graph q == g -> Query.shortest_path q ~src ~dst
-  | Some _ | None -> Query.shortest_path_graph g ~src ~dst
-
-let yen ?query g ~src ~dst ~k =
-  match initial_query query g ~src ~dst with
-  | None -> []
-  | Some first ->
-    let accepted = ref [ first ] in
-    let candidates : (float * int list) list ref = ref [] in
-    let add_candidate (d, p) =
-      if
-        (not (List.exists (fun (_, q) -> path_equal p q) !candidates))
-        && not (List.exists (fun (_, q) -> path_equal p q) !accepted)
-      then candidates := (d, p) :: !candidates
-    in
-    let rec take_prefix n = function
-      | [] -> []
-      | x :: rest -> if n = 0 then [] else x :: take_prefix (n - 1) rest
-    in
-    let rec rounds i prev_path =
-      if i >= k then ()
-      else begin
-        let prev = Array.of_list prev_path in
-        let len = Array.length prev in
-        (* Spur from every node except the last. *)
-        for spur_idx = 0 to len - 2 do
-          let root = take_prefix (spur_idx + 1) prev_path in
-          let spur_node = prev.(spur_idx) in
-          let banned_edges = Hashtbl.create 8 in
-          List.iter
-            (fun (_, p) ->
-              match (List.nth_opt p spur_idx, List.nth_opt p (spur_idx + 1)) with
-              | Some u, Some v when path_equal (take_prefix (spur_idx + 1) p) root ->
-                  Hashtbl.replace banned_edges (u, v) ()
-              | _ -> ())
-            !accepted;
-          let banned_nodes = Hashtbl.create 8 in
-          List.iteri
-            (fun j v -> if j < spur_idx then Hashtbl.replace banned_nodes v ())
-            prev_path;
-          match constrained_shortest g ~src:spur_node ~dst ~banned_nodes ~banned_edges with
-          | None -> ()
-          | Some (_, spur_path) ->
-            let root_without_spur = take_prefix spur_idx prev_path in
-            let total_path = root_without_spur @ spur_path in
-            (* Price the whole spliced path in one pass — cheaper to
-               get exactly right than summing the root and spur parts. *)
-            let exact = prefix_length g total_path in
-            if exact < infinity then add_candidate (exact, total_path)
-        done;
-        match List.sort (fun (a, _) (b, _) -> Float.compare a b) !candidates with
-        | [] -> ()
-        | best :: rest ->
-          candidates := rest;
-          accepted := !accepted @ [ best ];
-          rounds (i + 1) (snd best)
-      end
-    in
-    rounds 1 (snd first);
-    !accepted
+let yen g ~src ~dst ~k =
+  if k < 0 then invalid_arg "Kshortest.yen: k < 0";
+  if k = 0 then []
+  else
+    match Dijkstra.shortest_path g ~src ~dst with
+    | None -> []
+    | Some first ->
+      let accepted = ref [ first ] in
+      let candidates : (float * int list) list ref = ref [] in
+      let add_candidate (d, p) =
+        if
+          (not (List.exists (fun (_, q) -> path_equal p q) !candidates))
+          && not (List.exists (fun (_, q) -> path_equal p q) !accepted)
+        then candidates := (d, p) :: !candidates
+      in
+      let rec take_prefix n = function
+        | [] -> []
+        | x :: rest -> if n = 0 then [] else x :: take_prefix (n - 1) rest
+      in
+      let rec rounds i prev_path =
+        if i >= k then ()
+        else begin
+          let prev = Array.of_list prev_path in
+          let len = Array.length prev in
+          (* Spur from every node except the last. *)
+          for spur_idx = 0 to len - 2 do
+            let root = take_prefix (spur_idx + 1) prev_path in
+            let spur_node = prev.(spur_idx) in
+            let banned_edges = Hashtbl.create 8 in
+            List.iter
+              (fun (_, p) ->
+                match (List.nth_opt p spur_idx, List.nth_opt p (spur_idx + 1)) with
+                | Some u, Some v when path_equal (take_prefix (spur_idx + 1) p) root ->
+                    Hashtbl.replace banned_edges (u, v) ()
+                | _ -> ())
+              !accepted;
+            let banned_nodes = Hashtbl.create 8 in
+            List.iteri
+              (fun j v -> if j < spur_idx then Hashtbl.replace banned_nodes v ())
+              prev_path;
+            match constrained_shortest g ~src:spur_node ~dst ~banned_nodes ~banned_edges with
+            | None -> ()
+            | Some (_, spur_path) ->
+              let root_without_spur = take_prefix spur_idx prev_path in
+              let total_path = root_without_spur @ spur_path in
+              (* Price the whole spliced path in one pass — cheaper to
+                 get exactly right than summing the root and spur parts. *)
+              let exact = prefix_length g total_path in
+              if exact < infinity then add_candidate (exact, total_path)
+          done;
+          match List.sort (fun (a, _) (b, _) -> Float.compare a b) !candidates with
+          | [] -> ()
+          | best :: rest ->
+            candidates := rest;
+            accepted := !accepted @ [ best ];
+            rounds (i + 1) (snd best)
+        end
+      in
+      rounds 1 (snd first);
+      !accepted

@@ -3,10 +3,7 @@
     Used by the alternative routing schemes (§5) to generate path
     choices per commodity beyond the shortest path. *)
 
-val yen : ?query:Query.t -> Graph.t -> src:int -> dst:int -> k:int -> (float * int list) list
+val yen : Graph.t -> src:int -> dst:int -> k:int -> (float * int list) list
 (** Up to [k] loopless paths in nondecreasing length order.  Returns
-    fewer when the graph has fewer distinct paths.  [query] (if
-    prepared from this very graph) accelerates the opening
-    shortest-path query; spur searches always run plain Dijkstra on
-    their constrained working copies.  Results are bit-identical with
-    or without [query]. *)
+    fewer when the graph has fewer distinct paths, and [[]] when
+    [k = 0].  Raises [Invalid_argument] if [k < 0]. *)

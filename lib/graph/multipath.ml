@@ -1,20 +1,12 @@
 type disjointness = Edge_disjoint | Node_disjoint
 
-let successive ?query g ~src ~dst ~k ~remove =
+let successive g ~src ~dst ~k ~remove =
   if k < 0 then invalid_arg "Multipath.successive: k < 0";
   let work = Graph.copy g in
-  (* Only the first round sees the unmutated graph, so only it may be
-     answered by a caller-prepared engine (and only one prepared from
-     [g] itself); later rounds query the working copy directly. *)
-  let round_query remaining =
-    match query with
-    | Some q when remaining = k && Query.graph q == g -> Query.shortest_path q ~src ~dst
-    | _ -> Query.shortest_path_graph work ~src ~dst
-  in
   let rec loop remaining acc =
     if remaining = 0 then List.rev acc
     else begin
-      match round_query remaining with
+      match Dijkstra.shortest_path work ~src ~dst with
       | None -> List.rev acc
       | Some found ->
         remove work found;
@@ -44,20 +36,20 @@ let remove_for_mode mode ~src ~dst work (_, path) =
       && (not (Hashtbl.mem dead_nodes u))
       && not (Hashtbl.mem dead_nodes e.Graph.dst))
 
-let k_disjoint ?(disjointness = Edge_disjoint) ?query g ~src ~dst ~k =
-  successive ?query g ~src ~dst ~k ~remove:(remove_for_mode disjointness ~src ~dst)
+let k_disjoint ?(disjointness = Edge_disjoint) g ~src ~dst ~k =
+  successive g ~src ~dst ~k ~remove:(remove_for_mode disjointness ~src ~dst)
 
 let rec take n = function
   | [] -> []
   | x :: rest -> if n <= 0 then [] else x :: take (n - 1) rest
 
-let k_paths ?(disjointness = Edge_disjoint) ?query g ~src ~dst ~k =
-  let disjoint = k_disjoint ~disjointness ?query g ~src ~dst ~k in
+let k_paths ?(disjointness = Edge_disjoint) g ~src ~dst ~k =
+  let disjoint = k_disjoint ~disjointness g ~src ~dst ~k in
   let have = List.length disjoint in
   if have >= k then disjoint
   else begin
     let seen = List.map snd disjoint in
     let fresh (_, p) = not (List.exists (fun q -> List.equal Int.equal p q) seen) in
-    let extra = List.filter fresh (Kshortest.yen ?query g ~src ~dst ~k) in
+    let extra = List.filter fresh (Kshortest.yen g ~src ~dst ~k) in
     disjoint @ take (k - have) extra
   end

@@ -1,7 +1,7 @@
 (** k-disjoint shortest paths for multipath routing and fast failover.
 
-    Generalizes the remove-and-repeat greedy of {!Disjoint.successive}
-    to a pluggable removal policy: after each shortest-path round a
+    The remove-and-repeat greedy behind paper Fig 4(b), with a
+    pluggable removal policy: after each shortest-path round a
     caller-chosen piece of the found path is deleted from a working
     copy and the search repeats.  Edge- and node-disjoint modes cover
     the two classic notions; {!k_paths} tops the disjoint set up with
@@ -10,12 +10,7 @@
     graph allows [k] distinct simple paths at all.
 
     Every function leaves the input graph unmodified and is
-    deterministic (pure function of the graph and arguments).  Each
-    accepts an optional prepared {!Query.t}: when it was prepared from
-    the input graph itself, the first round (the only one that sees
-    the unmutated graph) is answered by the engine; later rounds
-    always run plain Dijkstra on the working copy.  Results are
-    bit-identical with or without the engine. *)
+    deterministic (pure function of the graph and arguments). *)
 
 type disjointness =
   | Edge_disjoint
@@ -25,7 +20,6 @@ type disjointness =
       (** successive paths additionally share no interior node *)
 
 val successive :
-  ?query:Query.t ->
   Graph.t -> src:int -> dst:int -> k:int ->
   remove:(Graph.t -> float * int list -> unit) ->
   (float * int list) list
@@ -39,7 +33,6 @@ val successive :
 
 val k_disjoint :
   ?disjointness:disjointness ->
-  ?query:Query.t ->
   Graph.t -> src:int -> dst:int -> k:int ->
   (float * int list) list
 (** Up to [k] pairwise disjoint shortest paths, greedily shortest
@@ -51,7 +44,6 @@ val k_disjoint :
 
 val k_paths :
   ?disjointness:disjointness ->
-  ?query:Query.t ->
   Graph.t -> src:int -> dst:int -> k:int ->
   (float * int list) list
 (** {!k_disjoint} results first (the disjoint prefix is the failover

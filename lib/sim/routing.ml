@@ -1,7 +1,7 @@
 module Inputs = Cisp_design.Inputs
 module Topology = Cisp_design.Topology
 module Graph = Cisp_graph.Graph
-module Query = Cisp_graph.Query
+module Dijkstra = Cisp_graph.Dijkstra
 module Multipath = Cisp_graph.Multipath
 
 type scheme =
@@ -82,38 +82,23 @@ let paths ?(mw_ok = all_alive) m scheme ~demands_gbps =
   let table : (int * int, int array) Hashtbl.t = Hashtbl.create 1024 in
   (match scheme with
   | Shortest_path | K_disjoint_split _ | K_disjoint_failover _ ->
-    (* Static latency costs: a many-to-many workload over the demand
-       support, routed through the query facade (plain Dijkstra rows
-       below the engine threshold, CH buckets above it — identical
-       paths either way).  The multipath schemes route their primary
-       (= shortest) path here; the full precomputed path sets live in
-       {!multipath_table}. *)
+    (* One Dijkstra per source with demand over static latency costs
+       (parallel on the pool).  The multipath schemes route their
+       primary (= shortest) path here; the full precomputed path sets
+       live in {!multipath_table}. *)
     let g = build_graph n edges (fun e -> e.latency_km) in
-    let has_out = Array.make n false and has_in = Array.make n false in
-    for s = 0 to n - 1 do
-      for t = 0 to n - 1 do
-        if t <> s && demands_gbps.(s).(t) > 0.0 then begin
-          has_out.(s) <- true;
-          has_in.(t) <- true
-        end
-      done
-    done;
-    let collect flags =
-      Array.of_list (List.filter (Array.get flags) (List.init n Fun.id))
-    in
-    let sources = collect has_out and targets = collect has_in in
-    let q = Query.prepare g in
-    let routes = Query.many_to_many_paths q ~sources ~targets in
+    let demand s t = t <> s && demands_gbps.(s).(t) > 0.0 in
+    let has_demand s = List.exists (demand s) (List.init n Fun.id) in
+    let sources = Array.of_list (List.filter has_demand (List.init n Fun.id)) in
+    let rows = Dijkstra.all_pairs_results g ~sources in
     Array.iteri
-      (fun si s ->
-        Array.iteri
-          (fun ti t ->
-            if t <> s && demands_gbps.(s).(t) > 0.0 then begin
-              match routes.(si).(ti) with
-              | None -> ()
-              | Some (_, p) -> Hashtbl.replace table (s, t) (Array.of_list p)
-            end)
-          targets)
+      (fun k s ->
+        for t = 0 to n - 1 do
+          if demand s t then
+            match Dijkstra.path rows.(k) ~dst:t with
+            | [] -> ()
+            | p -> Hashtbl.replace table (s, t) (Array.of_list p)
+        done)
       sources
   | Min_max_utilization | Throughput_optimal | Bounded_stretch _ ->
     (* Sequential congestion-aware assignment, big demands first. *)
@@ -137,9 +122,7 @@ let paths ?(mw_ok = all_alive) m scheme ~demands_gbps =
     (* Rebuilding the cost graph per commodity is wasteful; costs only
        drift as load accumulates, so refresh periodically. *)
     let g = ref (build_graph n edges (edge_cost scheme)) in
-    (* The static graph never mutates, so it gets a prepared engine;
-       the drifting cost graph goes through the plain fallback. *)
-    let static_q = lazy (Query.prepare (build_graph n edges (fun e -> e.latency_km))) in
+    let static_g = lazy (build_graph n edges (fun e -> e.latency_km)) in
     let since_refresh = ref 0 in
     List.iter
       (fun (demand, s, t) ->
@@ -157,7 +140,7 @@ let paths ?(mw_ok = all_alive) m scheme ~demands_gbps =
           done;
           !acc
         in
-        match Query.shortest_path_graph !g ~src:s ~dst:t with
+        match Dijkstra.shortest_path !g ~src:s ~dst:t with
         | None -> ()
         | Some (_, p) ->
           let arr = Array.of_list p in
@@ -166,7 +149,7 @@ let paths ?(mw_ok = all_alive) m scheme ~demands_gbps =
             | Bounded_stretch bound -> begin
               (* Fall back to the pure shortest path when the spread
                  route violates the commodity's latency budget. *)
-              match Query.shortest_path (Lazy.force static_q) ~src:s ~dst:t with
+              match Dijkstra.shortest_path (Lazy.force static_g) ~src:s ~dst:t with
               | Some (l0, p0) when latency_of arr > bound *. l0 -> Array.of_list p0
               | Some _ | None -> arr
             end
@@ -271,7 +254,7 @@ let mp_of_nodes ~mw ~fib ~killed n nodes =
    commodity: each round reports the shortest surviving route, then
    consumes exactly the parallel edges (pair, medium) it used — a
    backup may take the fiber pair under a consumed MW edge. *)
-let disjoint_routes ?query ~k ~src ~dst base n ~mw ~fib =
+let disjoint_routes ~k ~src ~dst base n ~mw ~fib =
   let killed : (int, unit) Hashtbl.t = Hashtbl.create 16 in
   let acc = ref [] in
   let remove work (_, path) =
@@ -287,7 +270,7 @@ let disjoint_routes ?query ~k ~src ~dst base n ~mw ~fib =
       mp.media;
     Graph.remove_edges work (fun _ e -> not (Hashtbl.mem killed e.Graph.tag))
   in
-  ignore (Multipath.successive ?query base ~src ~dst ~k ~remove);
+  ignore (Multipath.successive base ~src ~dst ~k ~remove);
   Array.of_list (List.rev !acc)
 
 let multipath_table m scheme ~demands_gbps =
@@ -298,13 +281,10 @@ let multipath_table m scheme ~demands_gbps =
   | K_disjoint_split k | K_disjoint_failover k ->
     if k <= 0 then invalid_arg "Routing.multipath_table: k <= 0";
     let base = multigraph n ~mw ~fib in
-    (* Every commodity's first round queries the same static
-       multigraph: one prepared engine serves them all. *)
-    let query = Query.prepare base in
     for s = 0 to n - 1 do
       for t = 0 to n - 1 do
         if t <> s && demands_gbps.(s).(t) > 0.0 then begin
-          let routes = disjoint_routes ~query ~k ~src:s ~dst:t base n ~mw ~fib in
+          let routes = disjoint_routes ~k ~src:s ~dst:t base n ~mw ~fib in
           if Array.length routes > 0 then begin
             let split =
               match scheme with

@@ -24,13 +24,6 @@ type t = {
       (** node ids: [0 .. n_sites-1] are sites, [n_sites + k] is tower [k] *)
   n_sites : int;
   feasible_hops : int;          (** tower-tower edges that passed the check *)
-  mutable engine : Cisp_graph.Query.t option;
-      (** lazily-built query engine over the tower graph (a contraction
-          hierarchy on realistic instances, per-source Dijkstra on tiny
-          or degenerately dense ones — {!Cisp_graph.Query.prepare}'s
-          Auto policy); built by the first {!all_links} (or
-          {!shortest_link} after it) and reused for every later
-          distance query *)
 }
 
 val build :
@@ -61,14 +54,10 @@ val hops_of_link : link -> (int * int) list
 (** Consecutive node pairs along the path (physical hops). *)
 
 val shortest_link : t -> src:int -> dst:int -> link option
-(** Single-pair shortest MW link, if the tower graph connects them.
-    Served by the prepared engine once one exists (same bits as
-    Dijkstra); plain Dijkstra before that. *)
+(** Single-pair shortest MW link, if the tower graph connects them
+    (one early-exit Dijkstra). *)
 
 val all_links : t -> link option array array
 (** [all_links t].(i).(j) for all site pairs (symmetric up to path
-    direction, diagonal [None]).  Runs the query engine's many-to-many
-    over the site nodes (building the engine on first call — CH's
-    bucket algorithm on realistic tower graphs); distances and paths
-    are bit-identical to the one-Dijkstra-per-site sweep it
-    replaces. *)
+    direction, diagonal [None]).  One Dijkstra per site over the
+    tower graph, run on the domain pool. *)

@@ -26,20 +26,49 @@ let run_design width =
          APSP that builds [Inputs.mw_km]. *)
       let inputs = Scenario.population_inputs a in
       let topo = Scenario.design inputs ~budget in
-      (topo, Topology.stretch_of topo, Export.topology_geojson inputs topo))
+      let spare = Capacity.spare_from_registry a.Scenario.hops in
+      let plan = Capacity.plan ~spare_series_at_hop:spare inputs topo ~aggregate_gbps:100.0 in
+      (topo, Topology.stretch_of topo, Export.topology_geojson inputs topo, plan))
+
+(* MD5 over everything [run_design] produces, floats by their bits. *)
+let design_fingerprint (topo, stretch, geojson, (plan : Capacity.plan)) =
+  let b = Buffer.create 65536 in
+  List.iter (fun (i, j) -> Printf.bprintf b "built %d %d\n" i j) topo.Topology.built;
+  Printf.bprintf b "cost %d\nstretch %Ld\n%s\n" topo.Topology.cost (bits stretch) geojson;
+  List.iter
+    (fun (l : Capacity.link_plan) ->
+      let i, j = l.Capacity.link in
+      Printf.bprintf b "plan %d %d %Ld %d %d\n" i j (bits l.Capacity.load_gbps)
+        l.Capacity.series l.Capacity.hops)
+    plan.Capacity.links;
+  List.iter (fun (c, h) -> Printf.bprintf b "class %d %d\n" c h) plan.Capacity.hop_classes;
+  Printf.bprintf b "mw %Ld hops %d radios %d new %d rented %d\n"
+    (bits plan.Capacity.mw_carried_fraction)
+    plan.Capacity.hops_total plan.Capacity.radios plan.Capacity.new_towers
+    plan.Capacity.rented_towers;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Checked-in fingerprint of the 8-site Europe fixture's design at
+   jobs=1: a change anywhere between the hop graph and the capacity
+   plan that moves one bit shows up here. *)
+let golden_design_fingerprint = "e17a4f1913d10bcfa35f0fc547e33fbe"
 
 let test_design_width_invariant () =
-  let t1, s1, g1 = run_design 1 in
+  let ((t1, s1, g1, _) as r1) = run_design 1 in
+  let fp1 = design_fingerprint r1 in
+  Alcotest.(check string) "golden design fingerprint (jobs=1)" golden_design_fingerprint fp1;
   List.iter
     (fun width ->
-      let tw, sw, gw = run_design width in
+      let ((tw, sw, gw, _) as rw) = run_design width in
       let label fmt = Printf.sprintf fmt width in
       Alcotest.(check (list (pair int int)))
         (label "built links, jobs=1 vs %d")
         t1.Topology.built tw.Topology.built;
       Alcotest.(check int) (label "tower cost, jobs=1 vs %d") t1.Topology.cost tw.Topology.cost;
       Alcotest.(check int64) (label "stretch bitwise, jobs=1 vs %d") (bits s1) (bits sw);
-      Alcotest.(check string) (label "exported GeoJSON, jobs=1 vs %d") g1 gw)
+      Alcotest.(check string) (label "exported GeoJSON, jobs=1 vs %d") g1 gw;
+      Alcotest.(check string) (label "design fingerprint, jobs=1 vs %d") fp1
+        (design_fingerprint rw))
     [ 2; 4; 8 ]
 
 let test_apsp_width_invariant () =
@@ -82,8 +111,8 @@ let test_weather_width_invariant () =
 let test_telemetry_bit_identity () =
   (* The telemetry layer's core contract: enabling it changes nothing.
      Same design run with telemetry off and on, at jobs 1 and 4 — the
-     topology, stretch and GeoJSON must be byte-identical (and the
-     instrumented phases must actually have recorded). *)
+     topology, stretch, GeoJSON and capacity plan must be byte-identical
+     (and the instrumented phases must actually have recorded). *)
   let module Telemetry = Cisp_util.Telemetry in
   Telemetry.reset ();
   Fun.protect ~finally:Telemetry.reset (fun () ->
@@ -91,11 +120,13 @@ let test_telemetry_bit_identity () =
       Telemetry.enable_metrics ();
       let on1 = run_design 1 and on4 = run_design 4 in
       List.iter
-        (fun (label, (t_off, s_off, g_off), (t_on, s_on, g_on)) ->
+        (fun (label, ((t_off, s_off, g_off, _) as off), ((t_on, s_on, g_on, _) as on)) ->
           Alcotest.(check (list (pair int int)))
             (label ^ ": built links identical") t_off.Topology.built t_on.Topology.built;
           Alcotest.(check int64) (label ^ ": stretch bitwise") (bits s_off) (bits s_on);
-          Alcotest.(check string) (label ^ ": GeoJSON identical") g_off g_on)
+          Alcotest.(check string) (label ^ ": GeoJSON identical") g_off g_on;
+          Alcotest.(check string) (label ^ ": design fingerprint identical")
+            (design_fingerprint off) (design_fingerprint on))
         [ ("jobs=1", off1, on1); ("jobs=4", off4, on4) ];
       List.iter
         (fun span ->
@@ -104,9 +135,9 @@ let test_telemetry_bit_identity () =
             true
             (Telemetry.span_calls span > 0 && Telemetry.span_total_s span > 0.0))
         (* [run_design] reuses memoized artifacts, so only the per-call
-           phases appear here; hops.build / capacity.plan are covered by
-           the CLI smoke run in CI. *)
-        [ "hops.all_links"; "apsp"; "greedy.score"; "greedy.design" ])
+           phases appear here; hops.build is covered by the CLI smoke
+           run in CI. *)
+        [ "hops.all_links"; "apsp"; "greedy.score"; "greedy.design"; "capacity.plan" ])
 
 (* ---------- failure-scenario golden suite ---------- *)
 
@@ -227,56 +258,6 @@ let test_los_sweep_width_invariant () =
       Alcotest.(check bool) (Printf.sprintf "ground cells, jobs=1 vs %d" w) true (g1 = gw))
     [ 2; 4; 8 ]
 
-let test_ch_preprocessing_width_invariant () =
-  (* Contraction-hierarchy preprocessing runs its witness searches on
-     the pool: the contraction order (hence ranks, shortcuts and every
-     query answer) must be a pure function of the graph, not of how
-     rows were chunked across domains.  A geometric multigraph large
-     enough that the pooled path actually engages, built at widths 1,
-     2 and 8, must yield identical rank arrays and bitwise-identical
-     many-to-many distance blocks. *)
-  let module Graph = Cisp_graph.Graph in
-  let module Ch = Cisp_graph.Ch in
-  let n = 260 in
-  let g =
-    let rng = Cisp_util.Rng.create 97 in
-    let xs = Array.init n (fun _ -> Cisp_util.Rng.uniform rng 0.0 1.0) in
-    let ys = Array.init n (fun _ -> Cisp_util.Rng.uniform rng 0.0 1.0) in
-    let g = Graph.create n in
-    for u = 0 to n - 1 do
-      for v = u + 1 to n - 1 do
-        let dx = xs.(u) -. xs.(v) and dy = ys.(u) -. ys.(v) in
-        let d = sqrt ((dx *. dx) +. (dy *. dy)) in
-        if d <= 0.14 then Graph.add_undirected g u v d
-      done
-    done;
-    g
-  in
-  let sources = Array.init 12 (fun k -> (k * 37) mod n) in
-  let targets = Array.init 12 (fun k -> (k * 53) mod n) in
-  let run w =
-    Pool.with_default_jobs w (fun () ->
-        let ch = Cisp_graph.Ch.build g in
-        (Array.init n (Ch.rank ch), Ch.many_to_many ch ~sources ~targets))
-  in
-  let ranks1, dist1 = run 1 in
-  List.iter
-    (fun w ->
-      let ranksw, distw = run w in
-      Alcotest.(check (array int))
-        (Printf.sprintf "contraction ranks, jobs=1 vs %d" w)
-        ranks1 ranksw;
-      Array.iteri
-        (fun r row1 ->
-          Array.iteri
-            (fun c d1 ->
-              Alcotest.(check int64)
-                (Printf.sprintf "m2m distance [%d][%d] bitwise, jobs=1 vs %d" r c w)
-                (bits d1) (bits distw.(r).(c)))
-            row1)
-        dist1)
-    [ 2; 8 ]
-
 let suites =
   [
     ( "determinism.parallel",
@@ -287,8 +268,6 @@ let suites =
         Alcotest.test_case "weather year at jobs 1/2/4/8" `Slow test_weather_width_invariant;
         Alcotest.test_case "scenario suite golden at jobs 1/2/4/8" `Slow test_scenario_suite_golden;
         Alcotest.test_case "LOS sweep on a cold cache" `Slow test_los_sweep_width_invariant;
-        Alcotest.test_case "CH preprocessing at jobs 1/2/8" `Slow
-          test_ch_preprocessing_width_invariant;
         Alcotest.test_case "telemetry on/off bit-identity" `Slow test_telemetry_bit_identity;
       ] );
   ]

@@ -154,17 +154,34 @@ let test_yen_sorted_distinct () =
   Alcotest.(check int) "distinct" (List.length ps)
     (List.length (List.sort_uniq compare ps))
 
-(* ---------- Disjoint ---------- *)
+let test_yen_k_zero () =
+  Alcotest.(check int) "no paths" 0 (List.length (Kshortest.yen (diamond ()) ~src:0 ~dst:2 ~k:0))
+
+let test_yen_negative_k () =
+  Alcotest.check_raises "negative k" (Invalid_argument "Kshortest.yen: k < 0") (fun () ->
+      ignore (Kshortest.yen (diamond ()) ~src:0 ~dst:2 ~k:(-1)))
+
+(* ---------- Successive disjoint paths (Fig 4b) ---------- *)
+
+(* Fig 4(b)'s removal policy: each round drops the found path's
+   interior nodes that are not [protected]. *)
+let successive g ~src ~dst ~rounds ~protected =
+  let remove work (_, path) =
+    let dead v = v <> src && v <> dst && (not (protected v)) && List.mem v path in
+    Graph.remove_edges work (fun u e -> not (dead u || dead e.Graph.dst))
+  in
+  Multipath.successive g ~src ~dst ~k:rounds ~remove
 
 let test_disjoint_successive () =
-  (* Two parallel 2-hop routes plus one direct expensive edge. *)
+  (* Two parallel 2-hop routes plus one direct expensive edge, which
+     node-disjoint removal consumes with its round. *)
   let g = Graph.create 6 in
   Graph.add_undirected g 0 1 1.0;
   Graph.add_undirected g 1 5 1.0;
   Graph.add_undirected g 0 2 2.0;
   Graph.add_undirected g 2 5 2.0;
   Graph.add_undirected g 0 5 10.0;
-  let rounds = Disjoint.successive g ~src:0 ~dst:5 ~rounds:5 ~protected:(fun _ -> false) in
+  let rounds = Multipath.k_disjoint ~disjointness:Multipath.Node_disjoint g ~src:0 ~dst:5 ~k:5 in
   Alcotest.(check int) "three rounds" 3 (List.length rounds);
   let ds = List.map fst rounds in
   Alcotest.(check (list (float 1e-9))) "lengths grow" [ 2.0; 4.0; 10.0 ] ds
@@ -176,14 +193,14 @@ let test_disjoint_protected () =
   Graph.add_undirected g 0 2 5.0;
   Graph.add_undirected g 2 3 5.0;
   (* protecting node 1 keeps the cheap route available forever *)
-  let rounds = Disjoint.successive g ~src:0 ~dst:3 ~rounds:3 ~protected:(fun v -> v = 1) in
+  let rounds = successive g ~src:0 ~dst:3 ~rounds:3 ~protected:(fun v -> v = 1) in
   Alcotest.(check int) "all rounds available" 3 (List.length rounds);
   List.iter (fun (d, _) -> check_float 1e-9 "always cheap" 2.0 d) rounds
 
 let test_disjoint_preserves_input () =
   let g = diamond () in
   let before = Graph.edge_count g in
-  ignore (Disjoint.successive g ~src:0 ~dst:2 ~rounds:3 ~protected:(fun _ -> false));
+  ignore (successive g ~src:0 ~dst:2 ~rounds:3 ~protected:(fun _ -> false));
   Alcotest.(check int) "input untouched" before (Graph.edge_count g)
 
 let suites =
@@ -208,6 +225,8 @@ let suites =
       [
         Alcotest.test_case "diamond" `Quick test_yen_basic;
         Alcotest.test_case "sorted distinct" `Quick test_yen_sorted_distinct;
+        Alcotest.test_case "k = 0" `Quick test_yen_k_zero;
+        Alcotest.test_case "negative k" `Quick test_yen_negative_k;
       ] );
     ( "graph.disjoint",
       [
@@ -275,7 +294,7 @@ let prop_disjoint_lengths_nondecreasing =
     QCheck.small_int
     (fun seed ->
       let g = random_graph (seed + 2000) ~n:10 ~edges:24 in
-      let rounds = Disjoint.successive g ~src:0 ~dst:9 ~rounds:6 ~protected:(fun _ -> false) in
+      let rounds = successive g ~src:0 ~dst:9 ~rounds:6 ~protected:(fun _ -> false) in
       let ds = List.map fst rounds in
       List.sort Float.compare ds = ds)
 
@@ -288,14 +307,14 @@ let prop_disjoint_paths_simple =
   QCheck.Test.make ~name:"successive disjoint paths are simple" ~count:100 QCheck.small_int
     (fun seed ->
       let g = random_graph (seed + 4000) ~n:10 ~edges:24 in
-      let rounds = Disjoint.successive g ~src:0 ~dst:9 ~rounds:6 ~protected:(fun _ -> false) in
+      let rounds = successive g ~src:0 ~dst:9 ~rounds:6 ~protected:(fun _ -> false) in
       List.for_all (fun (_, p) -> is_simple p) rounds)
 
 let prop_disjoint_interiors_disjoint =
   QCheck.Test.make ~name:"successive paths share no interior node" ~count:100 QCheck.small_int
     (fun seed ->
       let g = random_graph (seed + 5000) ~n:10 ~edges:24 in
-      let rounds = Disjoint.successive g ~src:0 ~dst:9 ~rounds:6 ~protected:(fun _ -> false) in
+      let rounds = successive g ~src:0 ~dst:9 ~rounds:6 ~protected:(fun _ -> false) in
       let interiors = List.map (fun (_, p) -> interior p) rounds in
       let rec pairwise = function
         | [] -> true
@@ -316,7 +335,7 @@ let prop_searches_preserve_input =
       in
       let before = snapshot g in
       ignore (Kshortest.yen g ~src:0 ~dst:8 ~k:4);
-      ignore (Disjoint.successive g ~src:0 ~dst:8 ~rounds:4 ~protected:(fun _ -> false));
+      ignore (successive g ~src:0 ~dst:8 ~rounds:4 ~protected:(fun _ -> false));
       ignore (Multipath.k_disjoint g ~src:0 ~dst:8 ~k:4);
       ignore (Multipath.k_paths ~disjointness:Multipath.Node_disjoint g ~src:0 ~dst:8 ~k:4);
       snapshot g = before)

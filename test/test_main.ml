@@ -9,7 +9,6 @@ let () =
          Test_terrain.suites;
          Test_rf.suites;
          Test_graph.suites;
-         Test_query.suites;
          Test_lp.suites;
          Test_data.suites;
          Test_towers.suites;
