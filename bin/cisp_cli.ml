@@ -96,26 +96,23 @@ let design_cmd =
     let config = config_of region sites range height in
     Printf.printf "building artifacts...\n%!";
     let a = Design.Scenario.artifacts ~config () in
-    let inputs = Design.Scenario.population_inputs a in
     let budget = effective_budget budget a.Design.Scenario.sites in
     Printf.printf "designing (%d sites, %d-tower budget)...\n%!"
       (Array.length a.Design.Scenario.sites) budget;
-    let topo = Design.Scenario.design inputs ~budget in
+    let r = Design.Scenario.full_run ~config ~budget ~aggregate_gbps:gbps () in
+    let topo = r.Design.Scenario.topology and plan = r.Design.Scenario.plan in
     Printf.printf "links: %d   towers: %d   stretch: %.3f\n"
       (List.length topo.Design.Topology.built)
-      topo.Design.Topology.cost
-      (Design.Topology.stretch_of topo);
-    let spare = Design.Capacity.spare_from_registry a.Design.Scenario.hops in
-    let plan = Design.Capacity.plan ~spare_series_at_hop:spare inputs topo ~aggregate_gbps:gbps in
+      topo.Design.Topology.cost r.Design.Scenario.stretch;
     Printf.printf "provisioned %.0f Gbps: %d hops, %d radios, %d new towers\n" gbps
       plan.Design.Capacity.hops_total plan.Design.Capacity.radios plan.Design.Capacity.new_towers;
-    Printf.printf "cost per GB: $%.2f\n"
-      (Design.Capacity.cost_per_gb Design.Cost.default plan ~aggregate_gbps:gbps);
+    Printf.printf "cost per GB: $%.2f\n" r.Design.Scenario.cost_per_gb;
     (match geojson with
     | None -> ()
     | Some file ->
       let oc = open_out file in
-      output_string oc (Design.Export.topology_with_plan_geojson inputs topo plan);
+      output_string oc
+        (Design.Export.topology_with_plan_geojson topo.Design.Topology.inputs topo plan);
       close_out oc;
       Printf.printf "wrote %s\n" file);
     finish_telemetry ()

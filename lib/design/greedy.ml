@@ -67,24 +67,23 @@ let design_ordered ?(rule = Per_cost) (inputs : Inputs.t) ~budget =
   let w = weight_matrix inputs in
   let d = ref (Topology.fiber_baseline inputs) in
   let topo = ref (Topology.empty inputs) in
-  (* Lazy greedy: heap keyed by negated (possibly stale) score.  The
-     scores come from the parallel pass; pushing in candidate order
-     keeps the heap bit-identical to a sequential build. *)
+  (* Lazy greedy: heap of candidate indices keyed by negated (possibly
+     stale) score.  The scores come from the parallel pass; pushing in
+     candidate order keeps the heap bit-identical to a sequential
+     build. *)
   let heap = Cisp_graph.Heap.create () in
   Array.iteri
     (fun idx scored ->
       match scored with
       | None -> ()
-      | Some (c, b) ->
-        let i, j = cands.(idx) in
-        Cisp_graph.Heap.push heap (-.score rule c b) ((i, j), b))
+      | Some (c, b) -> Cisp_graph.Heap.push heap (-.score rule c b) idx)
     (score_candidates inputs w !d ~budget cands);
   let spent = ref 0 in
   let order = ref [] in
   let rec step () =
-    match Cisp_graph.Heap.pop heap with
-    | None -> ()
-    | Some (neg_stale, ((i, j), _)) ->
+    if Cisp_graph.Heap.length heap > 0 then begin
+      let idx = Cisp_graph.Heap.pop_min heap in
+      let i, j = cands.(idx) in
       let c = Topology.link_cost inputs i j in
       if !spent + c > budget then step () (* cannot afford; try others *)
       else begin
@@ -93,7 +92,8 @@ let design_ordered ?(rule = Per_cost) (inputs : Inputs.t) ~budget =
         else begin
           let s = score rule c b in
           let next_best =
-            match Cisp_graph.Heap.peek heap with Some (k, _) -> -.k | None -> neg_infinity
+            if Cisp_graph.Heap.length heap > 0 then -.Cisp_graph.Heap.min_key heap
+            else neg_infinity
           in
           if s >= next_best -. 1e-15 then begin
             (* Fresh score still wins: take it. *)
@@ -104,12 +104,12 @@ let design_ordered ?(rule = Per_cost) (inputs : Inputs.t) ~budget =
             step ()
           end
           else begin
-            ignore neg_stale;
-            Cisp_graph.Heap.push heap (-.s) ((i, j), b);
+            Cisp_graph.Heap.push heap (-.s) idx;
             step ()
           end
         end
       end
+    end
   in
   step ();
   if Cisp_util.Telemetry.enabled () then

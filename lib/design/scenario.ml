@@ -125,10 +125,9 @@ let design ?(method_ = Heuristic) ?limits (inputs : Inputs.t) ~budget =
 type report = {
   topology : Topology.t;
   stretch : float;
-  plan : plan_or_nothing;
+  plan : Capacity.plan;
   cost_per_gb : float;
 }
-and plan_or_nothing = Capacity.plan option
 
 let full_run ?(config = default_config) ?(cost = Cost.default) ~budget ~aggregate_gbps () =
   let a = artifacts ~config () in
@@ -138,4 +137,4 @@ let full_run ?(config = default_config) ?(cost = Cost.default) ~budget ~aggregat
   let spare = Capacity.spare_from_registry a.hops in
   let plan = Capacity.plan ~spare_series_at_hop:spare inp topo ~aggregate_gbps in
   let cpg = Capacity.cost_per_gb cost plan ~aggregate_gbps in
-  { topology = topo; stretch; plan = Some plan; cost_per_gb = cpg }
+  { topology = topo; stretch; plan; cost_per_gb = cpg }

@@ -60,10 +60,9 @@ val design :
 type report = {
   topology : Topology.t;
   stretch : float;
-  plan : plan_or_nothing;
+  plan : Capacity.plan;
   cost_per_gb : float;
 }
-and plan_or_nothing = Capacity.plan option
 
 val full_run :
   ?config:config -> ?cost:Cost.t -> budget:int -> aggregate_gbps:float -> unit -> report

@@ -12,26 +12,24 @@ let rec relax heap dist prev d u = function
     if nd < dist.(e.Graph.dst) then begin
       dist.(e.Graph.dst) <- nd;
       prev.(e.Graph.dst) <- u;
-      Iheap.push heap nd e.Graph.dst
+      Heap.push heap nd e.Graph.dst
     end;
     relax heap dist prev d u rest
 
-(* [stop_at] is a node index, or -1 for a full single-source run: the
-   option wrapper the loop used to re-test per pop is gone along with
-   the allocating [Heap.pop].  The queue is an {!Iheap} — same pop
-   order as {!Heap} for any key sequence, but pushes box nothing. *)
+(* [stop_at] is a node index, or -1 for a full single-source run, so
+   the loop tests no option per pop. *)
 let run_internal g ~src ~stop_at =
   let n = Graph.node_count g in
   let dist = Array.make n infinity in
   let prev = Array.make n (-1) in
   let settled = Array.make n false in
-  let heap = Iheap.create () in
+  let heap = Heap.create () in
   dist.(src) <- 0.0;
-  Iheap.push heap 0.0 src;
+  Heap.push heap 0.0 src;
   let finished = ref false in
-  while (not !finished) && Iheap.length heap > 0 do
-    let d = Iheap.min_key heap in
-    let u = Iheap.pop_min heap in
+  while (not !finished) && Heap.length heap > 0 do
+    let d = Heap.min_key heap in
+    let u = Heap.pop_min heap in
     if not settled.(u) then begin
       settled.(u) <- true;
       if u = stop_at then finished := true

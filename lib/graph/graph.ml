@@ -30,8 +30,3 @@ let remove_edges g keep =
   done
 
 let copy g = { adj = Array.copy g.adj; edges = g.edges }
-
-let of_edges n edges =
-  let g = create n in
-  List.iter (fun (u, v, w) -> add_undirected g u v w) edges;
-  g

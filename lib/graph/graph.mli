@@ -29,6 +29,3 @@ val remove_edges : t -> (int -> edge -> bool) -> unit
     [keep u e = false]. *)
 
 val copy : t -> t
-
-val of_edges : int -> (int * int * float) list -> t
-(** Undirected construction convenience. *)

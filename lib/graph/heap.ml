@@ -1,29 +1,27 @@
-type 'a t = {
+(* Both columns are flat unboxed arrays, so push and pop allocate
+   nothing: Dijkstra's relaxation loop runs under the zero-alloc
+   contract (L10, registered in lint.hotpaths). *)
+
+type t = {
   mutable keys : float array;
-  mutable vals : 'a option array;
+  mutable vals : int array;
   mutable size : int;
 }
 
-(* [?capacity] without default sugar: a `?(capacity = 64)` default is
-   desugared to a let binding between the parameter lambdas, so every
-   call would allocate a closure for the remaining `()` parameter. *)
-let create ?capacity () =
-  let capacity = match capacity with Some c -> c | None -> 64 in
-  { keys = Array.make capacity 0.0; vals = Array.make capacity None; size = 0 }
-
+let create () = { keys = Array.make 64 0.0; vals = Array.make 64 0; size = 0 }
 let length h = h.size
-let is_empty h = h.size = 0
 
-let grow h =
+let[@cisp.alloc_ok "amortized: doubling growth of the preallocated key/payload columns"] grow
+    h =
   let cap = Array.length h.keys in
   let keys = Array.make (cap * 2) 0.0 in
-  let vals = Array.make (cap * 2) None in
+  let vals = Array.make (cap * 2) 0 in
   Array.blit h.keys 0 keys 0 cap;
   Array.blit h.vals 0 vals 0 cap;
   h.keys <- keys;
   h.vals <- vals
 
-let swap h i j =
+let[@inline] swap h i j =
   let k = h.keys.(i) in
   h.keys.(i) <- h.keys.(j);
   h.keys.(j) <- k;
@@ -54,7 +52,7 @@ let rec sift_down h i =
 let push h key v =
   if h.size = Array.length h.keys then grow h;
   h.keys.(h.size) <- key;
-  h.vals.(h.size) <- Some v;
+  h.vals.(h.size) <- v;
   h.size <- h.size + 1;
   sift_up h (h.size - 1)
 
@@ -62,37 +60,11 @@ let[@inline] min_key h =
   if h.size = 0 then invalid_arg "Heap.min_key: empty heap";
   h.keys.(0)
 
-(* Allocation-free pop: callers that must not allocate read the key
-   with [min_key] first, then take the payload here — no option, no
-   key/payload pair. *)
 let pop_min h =
   if h.size = 0 then invalid_arg "Heap.pop_min: empty heap";
   let v = h.vals.(0) in
   h.size <- h.size - 1;
   h.keys.(0) <- h.keys.(h.size);
   h.vals.(0) <- h.vals.(h.size);
-  h.vals.(h.size) <- None;
   if h.size > 0 then sift_down h 0;
-  match v with
-  | Some x -> x
-  | None -> assert false
-
-let pop h =
-  if h.size = 0 then None
-  else begin
-    let key = h.keys.(0) in
-    let v = pop_min h in
-    Some (key, v)
-  end
-
-let peek h =
-  if h.size = 0 then None
-  else begin
-    match h.vals.(0) with
-    | Some x -> Some (h.keys.(0), x)
-    | None -> assert false
-  end
-
-let clear h =
-  Array.fill h.vals 0 h.size None;
-  h.size <- 0
+  v

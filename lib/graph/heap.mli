@@ -1,30 +1,22 @@
-(** Binary min-heap keyed by float priority.
+(** Binary min-heap: float keys, int payloads, flat unboxed columns.
 
-    The workhorse behind Dijkstra and the discrete-event simulator's
-    event queue. *)
+    The pipeline's one priority queue.  A caller with a richer payload
+    keeps it in a side array and pushes its index.  Every operation
+    except amortized growth is allocation-free.  Ties between equal
+    keys are broken by the sift code, not by insertion order. *)
 
-type 'a t
+type t
 
-val create : ?capacity:int -> unit -> 'a t
-val length : 'a t -> int
-val is_empty : 'a t -> bool
+val create : unit -> t
+val length : t -> int
 
-val push : 'a t -> float -> 'a -> unit
-(** [push h priority v]. *)
+val push : t -> float -> int -> unit
+(** [push h key v]. *)
 
-val pop : 'a t -> (float * 'a) option
-(** Remove and return the minimum-priority element. *)
+val min_key : t -> float
+(** Smallest key.  Raises [Invalid_argument] on an empty heap. *)
 
-val min_key : 'a t -> float
-(** Priority of the minimum element.  Raises [Invalid_argument] on an
-    empty heap. *)
-
-val pop_min : 'a t -> 'a
-(** Remove the minimum element and return its payload alone.  Combined
-    with {!min_key} this is the allocation-free form of {!pop}: no
-    option, no key/payload pair.  Raises [Invalid_argument] on an
-    empty heap. *)
-
-val peek : 'a t -> (float * 'a) option
-
-val clear : 'a t -> unit
+val pop_min : t -> int
+(** Remove and return the payload of the smallest key.  Raises
+    [Invalid_argument] on an empty heap.  Read {!min_key} first when
+    the key is needed — no pair is ever built. *)

@@ -101,7 +101,6 @@ let pool_combinators =
     "Cisp_util.Pool.parallel_for";
     "Cisp_util.Pool.parallel_for_default";
     "Cisp_util.Pool.parallel_map_array";
-    "Cisp_util.Pool.reduce";
     "Cisp_util.Pool.fold_range";
   ]
 

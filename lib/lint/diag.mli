@@ -18,7 +18,7 @@
     ({!Callgraph}, {!Effects}, {!Summary}):
 
     - L7: a closure handed to [Cisp_util.Pool.parallel_for] /
-      [parallel_map_array] / [reduce] must not transitively mutate
+      [parallel_map_array] / [fold_range] must not transitively mutate
       shared state that is neither [Atomic] nor mutex-protected.
     - L8: a function exported by a [.mli] must not (transitively)
       raise anything but the documented [Invalid_argument]

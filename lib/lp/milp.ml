@@ -36,9 +36,23 @@ let solve ?(limits = default_limits) model =
   let lp_solves = ref 0 in
   let incumbent = ref None in
   let incumbent_obj = ref infinity in
-  (* Frontier: min-heap on LP bound (best-bound search). Each node is
-     the list of branching rows accumulated so far. *)
+  (* Frontier: min-heap on LP bound (best-bound search) over indices
+     into [nodes].  Each node is the list of branching rows accumulated
+     so far with its LP solution; a popped slot is cleared so the
+     solution can be collected. *)
   let frontier = Cisp_graph.Heap.create () in
+  let nodes = ref [||] in
+  let pushed = ref 0 in
+  let push_node bound node =
+    if !pushed = Array.length !nodes then begin
+      let grown = Array.make (max 16 (2 * !pushed)) None in
+      Array.blit !nodes 0 grown 0 !pushed;
+      nodes := grown
+    end;
+    !nodes.(!pushed) <- Some node;
+    Cisp_graph.Heap.push frontier bound !pushed;
+    incr pushed
+  in
   let solve_node extra =
     incr lp_solves;
     Simplex.solve (Model.to_lp model ~extra)
@@ -58,8 +72,7 @@ let solve ?(limits = default_limits) model =
              trouble and drop. *)
           ()
         | Simplex.Optimal sol ->
-          if sol.objective < !incumbent_obj -. 1e-12 then
-            Cisp_graph.Heap.push frontier sol.objective (branch, sol))
+          if sol.objective < !incumbent_obj -. 1e-12 then push_node sol.objective (branch, sol))
       [ left; right ]
   in
   let time_left () = Sys.time () -. start < limits.max_seconds in
@@ -97,18 +110,21 @@ let solve ?(limits = default_limits) model =
       end
     in
     dive2 [] root 0;
-    Cisp_graph.Heap.push frontier root.objective ([], root);
+    push_node root.objective ([], root);
     let best_bound = ref root.objective in
     let rec loop () =
       if
-        Cisp_graph.Heap.is_empty frontier
+        Cisp_graph.Heap.length frontier = 0
         || !nodes_explored >= limits.max_nodes
         || not (time_left ())
       then ()
       else begin
-        match Cisp_graph.Heap.pop frontier with
-        | None -> ()
-        | Some (bound, (extra, sol)) ->
+        let bound = Cisp_graph.Heap.min_key frontier in
+        let slot = Cisp_graph.Heap.pop_min frontier in
+        match !nodes.(slot) with
+        | None -> assert false
+        | Some (extra, sol) ->
+          !nodes.(slot) <- None;
           best_bound := bound;
           if bound >= !incumbent_obj -. 1e-12 then
             (* Everything left is dominated: best-bound order means we
@@ -137,7 +153,7 @@ let solve ?(limits = default_limits) model =
     loop ();
     (match !incumbent with
     | Some x ->
-      let exhausted = Cisp_graph.Heap.is_empty frontier in
+      let exhausted = Cisp_graph.Heap.length frontier = 0 in
       let gap =
         Float.abs (!incumbent_obj -. !best_bound)
         /. Float.max 1e-9 (Float.abs !incumbent_obj)

@@ -241,10 +241,6 @@ let collapse pool ~merge ~init arr =
     merge init !src.(0)
   end
 
-let reduce pool ~map ~merge ~init arr =
-  if Array.length arr = 0 then init
-  else collapse pool ~merge ~init (parallel_map_array pool map arr)
-
 let fold_range ?(min_chunk = 1) pool ~n ~map ~merge ~init =
   let grain = max 1 min_chunk in
   if n <= 0 then init

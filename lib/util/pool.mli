@@ -6,10 +6,10 @@
     never {e what} is computed.  Every combinator here is
     deterministic — results are bit-identical whatever the pool size,
     including [jobs = 1], which degrades to plain sequential loops
-    with no domains spawned.  {!reduce} guarantees this for float
+    with no domains spawned.  {!fold_range} guarantees this for float
     accumulation by merging partial results in a fixed binary-tree
-    order that depends only on the input length, never on worker
-    scheduling.
+    order that depends only on the range and chunk size, never on
+    worker scheduling.
 
     A pool is a fixed set of long-lived worker domains fed from a
     shared chunk counter (no work stealing, no per-worker deques).
@@ -103,15 +103,6 @@ val parallel_map_array : ?min_chunk:int -> t -> ('a -> 'b) -> 'a array -> 'b arr
     elements evaluated in parallel.  [f] must be pure (or at least
     per-element independent).  [min_chunk] as in {!parallel_for}. *)
 
-val reduce : t -> map:('a -> 'b) -> merge:('b -> 'b -> 'b) -> init:'b -> 'a array -> 'b
-(** [reduce pool ~map ~merge ~init arr] maps every element in
-    parallel, then combines the results pairwise in a fixed
-    left-to-right binary tree whose shape depends only on
-    [Array.length arr]; the final tree value is merged onto [init] as
-    [merge init total].  For non-associative operations (float sums)
-    the result is therefore identical for every pool width.  Returns
-    [init] on the empty array. *)
-
 val fold_range :
   ?min_chunk:int ->
   t ->
@@ -123,13 +114,13 @@ val fold_range :
 (** Per-chunk accumulate, deterministic reduce: the index range
     [0, n) is cut into fixed chunks of [min_chunk] indices (default 1;
     the last chunk may be short), [map ~lo ~hi] builds each chunk's
-    accumulator over \[lo, hi), and the partials are combined in the
-    same fixed binary tree as {!reduce}, finishing with
-    [merge init total].  Chunk boundaries are a pure function of
-    [(n, min_chunk)] — never of the pool width or of which domain
-    claimed which chunk — so the result is bit-identical at any width
-    even for non-associative merges.  This is the required idiom for
-    parallel accumulation (rule L7): accumulate into chunk-private
-    state inside [map] (per-domain buffers via {!Scratch} are fine for
-    workspace), never into state shared across chunks.  Returns [init]
-    when [n <= 0]. *)
+    accumulator over \[lo, hi), and the partials are combined
+    pairwise in a fixed left-to-right binary tree whose shape depends
+    only on the chunk count, finishing with [merge init total].
+    Chunk boundaries are a pure function of [(n, min_chunk)] — never
+    of the pool width or of which domain claimed which chunk — so the
+    result is bit-identical at any width even for non-associative
+    merges.  This is the required idiom for parallel accumulation
+    (rule L7): accumulate into chunk-private state inside [map]
+    (per-domain buffers via {!Scratch} are fine for workspace), never
+    into state shared across chunks.  Returns [init] when [n <= 0]. *)

@@ -130,9 +130,19 @@ let run ?(seed = 99) ?(params = Failure.default_params) ~schemes ~hops
   let intervals = spec_intervals spec in
   if intervals <= 0 then invalid_arg "Scenarios.run: intervals <= 0";
   (match schemes with [] -> invalid_arg "Scenarios.run: no schemes" | _ :: _ -> ());
+  let inputs = model.Routing.inputs in
+  let n = Inputs.n_sites inputs in
+  (* Ordered commodities, matching the routing tables' keys. *)
+  let commodities = ref [] in
+  for s = n - 1 downto 0 do
+    for t = n - 1 downto 0 do
+      if s <> t && demands_gbps.(s).(t) > 0.0 && inputs.Inputs.geodesic_km.(s).(t) > 0.0 then
+        commodities := (s, t) :: !commodities
+    done
+  done;
+  let commodities = Array.of_list !commodities in
+  if Array.length commodities = 0 then invalid_arg "Scenarios.run: no commodities";
   Cisp_util.Telemetry.with_span "scenarios.run" (fun () ->
-      let inputs = model.Routing.inputs in
-      let n = Inputs.n_sites inputs in
       let built = Array.of_list model.Routing.topology.Topology.built in
       let links =
         Array.map (fun (i, j) -> ((i, j), inputs.Inputs.mw_links.(i).(j))) built
@@ -143,15 +153,6 @@ let run ?(seed = 99) ?(params = Failure.default_params) ~schemes ~hops
           Hashtbl.replace built_idx (i, j) b;
           Hashtbl.replace built_idx (j, i) b)
         built;
-      (* Ordered commodities, matching the routing tables' keys. *)
-      let commodities = ref [] in
-      for s = n - 1 downto 0 do
-        for t = n - 1 downto 0 do
-          if s <> t && demands_gbps.(s).(t) > 0.0 && inputs.Inputs.geodesic_km.(s).(t) > 0.0 then
-            commodities := (s, t) :: !commodities
-        done
-      done;
-      let commodities = Array.of_list !commodities in
       let nc = Array.length commodities in
       let n_schemes = List.length schemes in
       (* Precompute the fair-weather multipath tables once; single-path

@@ -89,7 +89,8 @@ val run :
     tower paths of built links (links without hop data are
     approximated by a single 60 km hop at the link midpoint, exactly
     like {!Year.run}).  Raises [Invalid_argument] on a non-positive
-    interval count or an empty scheme list. *)
+    interval count, an empty scheme list, or demands with no
+    commodity (no site pair with positive demand and distance). *)
 
 val frontier_csv : result list -> string
 (** The stretch/availability frontier as CSV

@@ -15,18 +15,22 @@ let sites =
 let config =
   { Scenario.default_config with Scenario.region = Scenario.Custom ("integration", sites) }
 
-let artifacts = Scenario.artifacts ~config ()
-let inputs = Scenario.population_inputs artifacts
+(* Lazy so the pipeline is built inside the first test that needs it,
+   not at module init of every run of the test binary. *)
+let artifacts = lazy (Scenario.artifacts ~config ())
+let inputs = lazy (Scenario.population_inputs (Lazy.force artifacts))
 let budget = 120
-let topo = Scenario.design inputs ~budget
+let topo = lazy (Scenario.design (Lazy.force inputs) ~budget)
 
 let test_artifacts_shape () =
+  let artifacts = Lazy.force artifacts in
   Alcotest.(check int) "four sites" 4 (Array.length artifacts.Scenario.sites);
   Alcotest.(check bool) "towers generated" true (List.length artifacts.Scenario.towers > 100);
   Alcotest.(check bool) "hops found" true
     (artifacts.Scenario.hops.Cisp_towers.Hops.feasible_hops > 100)
 
 let test_inputs_consistent () =
+  let inputs = Lazy.force inputs in
   Alcotest.(check bool) "inputs valid" true (Inputs.validate inputs = Ok ());
   (* MW links exist between all pairs at this scale and are shorter
      than fiber but longer than geodesic. *)
@@ -42,6 +46,7 @@ let test_inputs_consistent () =
   done
 
 let test_design_quality () =
+  let inputs = Lazy.force inputs and topo = Lazy.force topo in
   let stretch = Topology.stretch_of topo in
   Alcotest.(check bool) "within budget" true (topo.Topology.cost <= budget);
   Alcotest.(check bool)
@@ -51,6 +56,8 @@ let test_design_quality () =
     (stretch < Topology.mean_stretch inputs (Topology.fiber_baseline inputs) /. 1.4)
 
 let test_capacity_and_cost () =
+  let artifacts = Lazy.force artifacts and inputs = Lazy.force inputs in
+  let topo = Lazy.force topo in
   let spare = Capacity.spare_from_registry artifacts.Scenario.hops in
   let plan = Capacity.plan ~spare_series_at_hop:spare inputs topo ~aggregate_gbps:50.0 in
   Alcotest.(check bool) "positive hops" true (plan.Capacity.hops_total > 0);
@@ -58,6 +65,8 @@ let test_capacity_and_cost () =
   Alcotest.(check bool) (Printf.sprintf "cost/GB %.2f sane" cpg) true (cpg > 0.01 && cpg < 20.0)
 
 let test_weather_reroute () =
+  let artifacts = Lazy.force artifacts and inputs = Lazy.force inputs in
+  let topo = Lazy.force topo in
   let r =
     Cisp_weather.Year.run ~intervals:12 ~climate:Cisp_weather.Rainfield.us_climate
       ~hops:artifacts.Scenario.hops inputs topo
@@ -71,6 +80,8 @@ let test_weather_reroute () =
     r.Cisp_weather.Year.per_pair
 
 let test_packet_sim_on_designed_network () =
+  let artifacts = Lazy.force artifacts and inputs = Lazy.force inputs in
+  let topo = Lazy.force topo in
   let spare = Capacity.spare_from_registry artifacts.Scenario.hops in
   let plan = Capacity.plan ~spare_series_at_hop:spare inputs topo ~aggregate_gbps:50.0 in
   let eng = Cisp_sim.Engine.create () in
@@ -93,7 +104,8 @@ let test_packet_sim_on_designed_network () =
     (delay > 0.3 && delay < 5.0)
 
 let test_refinement_on_designed_link () =
-  match topo.Topology.built with
+  let artifacts = Lazy.force artifacts in
+  match (Lazy.force topo).Topology.built with
   | [] -> Alcotest.fail "expected links"
   | (i, j) :: _ ->
     let s =

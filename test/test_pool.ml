@@ -85,34 +85,7 @@ let test_map_array () =
       Alcotest.(check (array int)) "empty array" [||]
         (Pool.parallel_map_array pool (fun x -> x) [||]))
 
-(* ---------- reduce ---------- *)
-
-let reduce_sum jobs xs =
-  Pool.with_default_jobs jobs (fun () ->
-      Pool.reduce (Pool.get ()) ~map:Fun.id ~merge:( +. ) ~init:0.0 xs)
-
 let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-
-let test_reduce_edge_cases () =
-  with_pool 4 (fun pool ->
-      Alcotest.(check (float 0.0)) "empty returns init" 7.5
-        (Pool.reduce pool ~map:Fun.id ~merge:( +. ) ~init:7.5 [||]);
-      Alcotest.(check (float 0.0)) "singleton is merge init (map x)" 5.0
-        (Pool.reduce pool ~map:(fun x -> x *. 2.0) ~merge:( +. ) ~init:1.0 [| 2.0 |]))
-
-let test_reduce_bit_identical_across_widths () =
-  (* Float addition is not associative, so this only holds because the
-     merge tree's shape is a pure function of the input length. *)
-  let rng = Rng.create 42 in
-  let xs = Array.init 10_001 (fun _ -> Rng.float rng 2.0 -. 1.0) in
-  let s1 = reduce_sum 1 xs in
-  List.iter
-    (fun jobs ->
-      Alcotest.(check bool)
-        (Printf.sprintf "jobs=1 vs jobs=%d bitwise" jobs)
-        true
-        (bits_equal s1 (reduce_sum jobs xs)))
-    [ 2; 3; 8 ]
 
 (* ---------- fold_range ---------- *)
 
@@ -173,6 +146,20 @@ let fold_sum ~min_chunk jobs xs =
           done;
           !s)
         ~merge:( +. ) ~init:0.0)
+
+let test_fold_range_bit_identical_across_widths () =
+  (* Float addition is not associative, so this only holds because the
+     merge tree's shape is a pure function of the chunk count. *)
+  let rng = Rng.create 42 in
+  let xs = Array.init 10_001 (fun _ -> Rng.float rng 2.0 -. 1.0) in
+  let s1 = fold_sum ~min_chunk:1 1 xs in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs=1 vs jobs=%d bitwise" jobs)
+        true
+        (bits_equal s1 (fold_sum ~min_chunk:1 jobs xs)))
+    [ 2; 3; 8 ]
 
 (* QCheck: per-chunk accumulation reduces to the same bits whatever
    interleaving of chunk claims the pool width produces — float
@@ -276,16 +263,6 @@ let test_scratch_keys_independent () =
   Pool.Scratch.get k1 := 10;
   Alcotest.(check int) "no cross-talk" 2 !(Pool.Scratch.get k2)
 
-(* QCheck: width-invariance of the float-sum reduce over random input
-   sizes (covers the odd-element carry in the pairwise collapse). *)
-let prop_reduce_width_invariant =
-  QCheck.Test.make ~name:"reduce independent of pool width" ~count:50
-    QCheck.(
-      pair
-        (array_of_size Gen.(int_range 0 300) (float_range (-1e3) 1e3))
-        (int_range 2 8))
-    (fun (xs, jobs) -> bits_equal (reduce_sum 1 xs) (reduce_sum jobs xs))
-
 let suites =
   [
     ( "util.pool",
@@ -298,18 +275,16 @@ let suites =
         Alcotest.test_case "for: nested use is safe" `Quick test_for_nested;
         Alcotest.test_case "for: after shutdown" `Quick test_for_after_shutdown;
         Alcotest.test_case "map_array" `Quick test_map_array;
-        Alcotest.test_case "reduce: edge cases" `Quick test_reduce_edge_cases;
-        Alcotest.test_case "reduce: bit-identical across widths" `Quick
-          test_reduce_bit_identical_across_widths;
         Alcotest.test_case "fold_range: edge cases" `Quick test_fold_range_edge_cases;
         Alcotest.test_case "fold_range: chunk boundaries width-independent" `Quick
           test_fold_range_chunk_boundaries;
+        Alcotest.test_case "fold_range: bit-identical across widths" `Quick
+          test_fold_range_bit_identical_across_widths;
         Alcotest.test_case "short-circuit vs parallel telemetry" `Quick
           test_short_circuit_telemetry;
         Alcotest.test_case "with_default_jobs restores" `Quick test_with_default_jobs_restores;
         Alcotest.test_case "scratch: one instance per domain" `Quick test_scratch_per_domain;
         Alcotest.test_case "scratch: keys independent" `Quick test_scratch_keys_independent;
-        QCheck_alcotest.to_alcotest prop_reduce_width_invariant;
         QCheck_alcotest.to_alcotest prop_fold_range_width_invariant;
       ] );
   ]

@@ -37,6 +37,34 @@ let test_engine_cascade () =
   Engine.run eng ~until:100.0;
   Alcotest.(check int) "cascaded events" 5 !count
 
+(* Equal timestamps: 2,000 events on a 50-slot grid, where every 7th
+   schedules a child at the current time and every 11th one at the
+   next slot, from inside its own run.  Which of the tied events runs
+   first is fixed only by the queue's sift code; the digest of the
+   execution order pins it. *)
+let test_engine_tie_order () =
+  let eng = Engine.create () in
+  let rng = Cisp_util.Rng.create 17 in
+  let log = Buffer.create 16_384 in
+  let record id = Buffer.add_string log (string_of_int id ^ ",") in
+  let next_id = ref 2_000 in
+  let child ~after =
+    let id = !next_id in
+    incr next_id;
+    Engine.schedule_in eng ~after (fun () -> record id)
+  in
+  for id = 0 to 1_999 do
+    let at = 0.25 *. float_of_int (Cisp_util.Rng.int rng 50) in
+    Engine.schedule eng ~at (fun () ->
+        record id;
+        if id mod 7 = 0 then child ~after:0.0;
+        if id mod 11 = 0 then child ~after:0.25)
+  done;
+  Engine.run eng ~until:100.0;
+  Alcotest.(check int) "events" (2_000 + 286 + 182) (Engine.events_processed eng);
+  Alcotest.(check string) "execution order" "78a191431a65b4fff48161f2425e28ae"
+    (Digest.to_hex (Digest.string (Buffer.contents log)))
+
 (* ---------- Net ---------- *)
 
 let mk_pkt ?(flow = 1) ?(size = 1000) route =
@@ -372,6 +400,7 @@ let suites =
         Alcotest.test_case "event order" `Quick test_engine_order;
         Alcotest.test_case "until" `Quick test_engine_until;
         Alcotest.test_case "cascade" `Quick test_engine_cascade;
+        Alcotest.test_case "tie order" `Quick test_engine_tie_order;
       ] );
     ( "sim.net",
       [

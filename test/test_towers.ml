@@ -58,15 +58,19 @@ let test_culling_subset () =
       Alcotest.(check bool) "culled is subset" true (List.mem t.id ids))
     culled
 
-let hops = Hops.build ~cache ~sites ~towers:culled ()
+(* Lazy so the LOS sweep runs inside the first test that needs it,
+   not at module init of every run of the test binary. *)
+let hops = lazy (Hops.build ~cache ~sites ~towers:culled ())
 
 let test_hops_graph_shape () =
+  let hops = Lazy.force hops in
   Alcotest.(check int) "site nodes first" 3 hops.n_sites;
   Alcotest.(check bool) "has feasible hops" true (hops.feasible_hops > 0);
   Alcotest.(check int) "graph size" (3 + List.length culled)
     (Cisp_graph.Graph.node_count hops.graph)
 
 let test_hops_link_properties () =
+  let hops = Lazy.force hops in
   match Hops.shortest_link hops ~src:0 ~dst:1 with
   | None -> Alcotest.fail "Alpha-Beta should connect (flat terrain, 255km)"
   | Some l ->
@@ -87,6 +91,7 @@ let test_hops_link_properties () =
       (List.length (Hops.hops_of_link l))
 
 let test_hops_symmetry () =
+  let hops = Lazy.force hops in
   let l01 = Hops.shortest_link hops ~src:0 ~dst:1 in
   let l10 = Hops.shortest_link hops ~src:1 ~dst:0 in
   match (l01, l10) with
@@ -95,7 +100,7 @@ let test_hops_symmetry () =
   | _ -> Alcotest.fail "both directions should exist"
 
 let test_all_links_matrix () =
-  let m = Hops.all_links hops in
+  let m = Hops.all_links (Lazy.force hops) in
   Alcotest.(check bool) "diagonal none" true (m.(0).(0) = None);
   (match m.(0).(1) with
   | Some l -> Alcotest.(check int) "src recorded" 0 l.src
@@ -105,6 +110,7 @@ let test_all_links_matrix () =
   | _ -> Alcotest.fail "missing 0-2"
 
 let test_height_fraction_reduces_feasibility () =
+  let hops = Lazy.force hops in
   let restricted =
     Hops.build
       ~config:{ Hops.default_config with height_fraction = 0.45 }
@@ -117,6 +123,7 @@ let test_height_fraction_reduces_feasibility () =
     (restricted.feasible_hops < hops.feasible_hops)
 
 let test_shorter_range_reduces_feasibility () =
+  let hops = Lazy.force hops in
   let restricted =
     Hops.build
       ~config:
@@ -161,7 +168,7 @@ let suites =
 (* ---------- Refine (paper section 6.5) ---------- *)
 
 let refine_session () =
-  Refine.create ~hops ~src:0 ~dst:1 ~model:Refine.default_model
+  Refine.create ~hops:(Lazy.force hops) ~src:0 ~dst:1 ~model:Refine.default_model
 
 let test_refine_prior_viable () =
   let s = Refine.stats ~samples:60 (refine_session ()) in

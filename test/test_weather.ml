@@ -270,6 +270,12 @@ let test_scenarios_validation () =
     (Invalid_argument "Scenarios.run: no schemes") (fun () ->
       ignore
         (Scenarios.run ~schemes:[] ~hops ~model ~demands_gbps:demands
+           (Scenarios.Uniform_rain { mm_h = 0.0 })));
+  let no_demand = Array.map (Array.map (fun _ -> 0.0)) demands in
+  Alcotest.check_raises "no commodities rejected"
+    (Invalid_argument "Scenarios.run: no commodities") (fun () ->
+      ignore
+        (Scenarios.run ~schemes ~hops ~model ~demands_gbps:no_demand
            (Scenarios.Uniform_rain { mm_h = 0.0 })))
 
 let suites =
