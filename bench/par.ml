@@ -236,10 +236,10 @@ let run ctx =
     ~min_speedup:[ (2, 1.0); (4, 1.1); (8, 1.1) ]
     ~equal:links_equal
     (fun () -> Hops.all_links a.Cisp_design.Scenario.hops);
-  (* 3. LOS + Fresnel hop-feasibility sweep (tower graph build), on a
-     cold DEM cache each run so domains share the miss work.  The hit
-     path is lock-free and the sweep is tile-scheduled, so 4 domains
-     must deliver a real speedup, not just parity. *)
+  (* 3. LOS + Fresnel hop-feasibility sweep (tower graph build) from a
+     fresh DEM view each run.  The view memoizes nothing and takes no
+     lock, so every tower is independent work and 4 domains must
+     deliver a real speedup, not just parity. *)
   kernel ctx ~name:"los_sweep" ~widths
     ~min_speedup:[ (2, 1.0); (4, 1.3); (8, 1.3) ]
     ~equal:(fun (x : int) y -> x = y)

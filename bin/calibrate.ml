@@ -26,8 +26,8 @@ let () =
   let hops = Cisp_towers.Hops.build ~cache ~sites:centers ~towers:culled () in
   Printf.printf "feasible tower-tower hops: %d (%.1fs)\n%!" hops.feasible_hops
     (Unix.gettimeofday () -. t1);
-  let hits, misses = Cisp_terrain.Dem_cache.stats cache in
-  Printf.printf "dem cache: hits=%d misses=%d\n%!" hits misses;
+  let _, evaluations = Cisp_terrain.Dem_cache.stats cache in
+  Printf.printf "dem evaluations: %d\n%!" evaluations;
   (* Pairwise link stats *)
   let t2 = Unix.gettimeofday () in
   let links = Cisp_towers.Hops.all_links hops in

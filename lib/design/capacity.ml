@@ -114,35 +114,20 @@ let link_hop_pairs (inputs : Inputs.t) (i, j) =
   | Some l -> Hops.hops_of_link l
   | None -> List.init (link_hops inputs (i, j)) (fun k -> (-1 - k, -2 - k))
 
-let spare_from_registry =
-  (* Memoize one spatial index per registry shape. *)
-  let grids : (int, int Cisp_geo.Grid.t) Hashtbl.t = Hashtbl.create 4 in
-  fun (h : Hops.t) ->
-    let key = Hashtbl.hash (Array.length h.Hops.towers, h.Hops.n_sites) in
-    let grid =
-      match Hashtbl.find_opt grids key with
-      | Some g -> g
-      | None ->
-        let g = Cisp_geo.Grid.create ~cell_deg:0.25 in
-        Array.iteri (fun k (tw : Cisp_towers.Tower.t) -> Cisp_geo.Grid.add g tw.position k) h.Hops.towers;
-        Cisp_geo.Grid.freeze g;
-        Hashtbl.add grids key g;
-        g
-    in
-    fun u v ->
-      let pos node =
-        if node < h.Hops.n_sites then h.Hops.sites.(node).Cisp_data.City.coord
-        else h.Hops.towers.(node - h.Hops.n_sites).Cisp_towers.Tower.position
-      in
-      if u < 0 || v < 0 then 0
-      else begin
-        let mid = Cisp_geo.Geodesy.midpoint (pos u) (pos v) in
-        let count = ref 0 in
-        Cisp_geo.Grid.iter_nearby grid mid ~radius_km:15.0 (fun _ _ -> incr count);
-        (* Each extra series needs towers at both ends; assume half the
-           nearby towers are usable and two are needed per series. *)
-        min 8 (!count / 4)
-      end
+let spare_from_registry (h : Hops.t) =
+  let grid = Cisp_geo.Grid.create ~cell_deg:0.25 in
+  Array.iteri (fun k (tw : Cisp_towers.Tower.t) -> Cisp_geo.Grid.add grid tw.position k) h.Hops.towers;
+  Cisp_geo.Grid.freeze grid;
+  fun u v ->
+    if u < 0 || v < 0 then 0
+    else begin
+      let mid = Cisp_geo.Geodesy.midpoint (Hops.node_position h u) (Hops.node_position h v) in
+      let count = ref 0 in
+      Cisp_geo.Grid.iter_nearby grid mid ~radius_km:15.0 (fun _ _ -> incr count);
+      (* Each extra series needs towers at both ends; assume half the
+         nearby towers are usable and two are needed per series. *)
+      min 8 (!count / 4)
+    end
 
 let plan ?spare_series_at_hop (inputs : Inputs.t) (topo : Topology.t) ~aggregate_gbps =
   Cisp_util.Telemetry.with_span "capacity.plan" (fun () ->

@@ -41,8 +41,9 @@ val plan :
 
 val spare_from_registry : Cisp_towers.Hops.t -> int -> int -> int
 (** Density-based spare estimate: registry towers within a small
-    radius of the hop, capped.  Builds a spatial index on first use
-    per {!Cisp_towers.Hops.t}; prefer partially applying it. *)
+    radius of the hop, capped.  [spare_from_registry h] builds a
+    spatial index of [h]'s towers; apply it once per plan and reuse
+    the resulting function. *)
 
 val total_cost_usd : Cost.t -> plan -> float
 val cost_per_gb : Cost.t -> plan -> aggregate_gbps:float -> float

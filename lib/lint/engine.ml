@@ -169,15 +169,13 @@ let pipeline_prefixes =
 
 (* The repo's canonical lock order, outermost first (DESIGN.md §7e):
    the pool registry lock wraps pool lifecycle (shutdown joins workers
-   under it), a pool's own mutex is next, the DEM cache locks nest
-   only under those, and the telemetry mutex is innermost — it guards
-   cold read-outs and must never be held across anything else. *)
+   under it), a pool's own mutex is next, and the telemetry mutex is
+   innermost — it guards cold read-outs and must never be held across
+   anything else. *)
 let canonical_lock_order =
   [
     "Cisp_util.Pool.default_lock";
     "Cisp_util.Pool.t.mutex";
-    "Cisp_terrain.Dem_cache.store.reg_lock";
-    "Cisp_terrain.Dem_cache.store.lock";
     "Cisp_util.Telemetry.state.mutex";
   ]
 

@@ -14,7 +14,8 @@
    - {e lock-owner damping}: a node that takes a mutex DIRECTLY
      ([Mutex.lock]/[protect]) is assumed to protect every mutation it
      performs or inherits, so its summary drops them.  This covers
-     [Dem_cache.lookup] and [Telemetry]'s [locked] wrapper.
+     [Telemetry]'s [locked] wrapper and [Pool]'s lock-taking
+     functions.
    - {e guard damping}: a lambda handed to a lock-taking callee
      ([Telemetry.locked (fun () -> ...)], [Mutex.protect]) does not
      leak its mutations into the function that merely creates it;

@@ -234,9 +234,11 @@ let rec scan_cached cache sc ~n ~lo =
    scratch's [acc].  This is the zero-allocation core the hop sweeps
    drive from pool workers; the verdict-shaped wrapper below allocates
    its constructor, the engine itself allocates nothing once the
-   scratch buffers have grown.  The cheap rejection: the midpoint has
-   the deepest curvature bulge and is the likeliest blockage, so it is
-   positioned and sampled alone before paying for the full profile. *)
+   scratch buffers have grown (the DEM evaluations behind
+   [Dem_cache.surface_samples] allocate on their own account).  The
+   cheap rejection: the midpoint has the deepest curvature bulge and
+   is the likeliest blockage, so it is positioned and sampled alone
+   before paying for the full profile. *)
 let[@cisp.zero_alloc] profile_status_cached ~params ~cache a b =
   let sc = Cisp_util.Pool.Scratch.get scratch_key in
   let n = begin_profile sc ~params a b in

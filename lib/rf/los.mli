@@ -7,11 +7,12 @@
     range.
 
     The terrain is abstracted as a surface function so callers can
-    plug in a raw {!Cisp_terrain.Dem}, a memoizing
+    plug in a raw {!Cisp_terrain.Dem}, its ~400 m raster view
     {!Cisp_terrain.Dem_cache}, or a test fixture.  The sweep hot path
     should use {!check_cached}/{!feasible_cached}, which sample the
     profile into per-domain scratch buffers in bulk — no per-sample
-    closure call, coordinate allocation, or lock.
+    closure call or lock, and no allocation outside the DEM
+    evaluations themselves.
 
     All entry points share one profile engine: great-circle positions
     are interpolated with pair-constant trigonometry hoisted out of
@@ -62,9 +63,10 @@ val check_dem :
 val check_cached :
   ?params:params -> cache:Cisp_terrain.Dem_cache.t -> endpoint -> endpoint -> verdict
 (** [check] with the profile sampled in bulk through
-    {!Cisp_terrain.Dem_cache.surface_samples}: the allocation-free,
-    lock-free-on-hit entry used by the tower LOS sweep.  Verdicts are
-    bit-identical to [check ~surface:(Dem_cache.surface_m cache)]. *)
+    {!Cisp_terrain.Dem_cache.surface_samples}: the lock-free entry
+    used by the tower LOS sweep, allocating only inside the DEM
+    evaluations.  Verdicts are bit-identical to
+    [check ~surface:(Dem_cache.surface_m cache)]. *)
 
 val feasible_cached :
   ?params:params -> cache:Cisp_terrain.Dem_cache.t -> endpoint -> endpoint -> bool

@@ -5,220 +5,35 @@ let quantum = 276.0
 
 let[@inline] quantize v = Float.round (v *. quantum)
 
-(* The cell's representative point.  The cached value must be a pure
-   function of the cell — never of whichever query happened to touch
-   the cell first — or parallel sweeps would make cache contents (and
-   thus LOS verdicts) depend on domain scheduling. *)
 let snap p =
   Coord.make
     ~lat:(quantize (Coord.lat p) /. quantum)
     ~lon:(quantize (Coord.lon p) /. quantum)
 
-(* Cell keys pack the two quantized indices into one immediate int:
-   |lat| <= 90 and |lon| <= 180 times [quantum] fit well inside the
-   19/20-bit fields, and every key is non-negative. *)
-let pack qi qj = ((qi + 0x40000) lsl 20) lor (qj + 0x80000)
+type t = { dem : Dem.t; evaluations : int Atomic.t }
 
-(* A sentinel no real cell key can take. *)
-let no_cell = -1
-
-(* Per-domain L1 for one store: a direct-mapped cache of [1 lsl bits]
-   slots held in two unboxed arrays.  Fixed-size by design — probing,
-   filling and evicting are single array accesses, there is no growth
-   or rehash, and the hit path allocates nothing.  Everything here is
-   domain-private — reached only through [Domain.DLS] — so hits take
-   no lock and dirty no shared cache line.  The counters are plain
-   ints for the same reason; [stats] reads them cross-domain as
-   monotone approximations. *)
-type l1 = {
-  mask : int;
-  keys : int array;          (* [no_cell] marks an empty slot *)
-  vals : Float.Array.t;
-  mutable hits : int;
-  mutable misses : int;
-}
-
-let fresh_l1 bits =
-  {
-    mask = (1 lsl bits) - 1;
-    keys = Array.make (1 lsl bits) no_cell;
-    vals = Float.Array.create (1 lsl bits);
-    hits = 0;
-    misses = 0;
-  }
-
-(* Fibonacci-style multiplicative mix, keeping the product's high bits
-   (the well-mixed ones) so nearby cell keys spread over the slot
-   space; pure, so per-domain placement is deterministic. *)
-let[@inline] mix key = (key * 0x2545F4914F6CDD1D) land max_int
-
-let[@inline] slot_of l1 key = (mix key lsr 42) land l1.mask
-
-(* The shared level-2 store: linear-probing open addressing over two
-   unboxed arrays, mutated and read ONLY under the store lock.  A
-   full-scenario sweep inserts millions of cells; compared to a
-   [Hashtbl] this allocates nothing per binding (no boxed floats, no
-   bucket cons cells — the GC never sees the table fill up) and grows
-   by array doubling with at most a handful of reinsertion passes. *)
-type open_tbl = {
-  mutable shift : int; (* 62 - log2 capacity: [mix key lsr shift] indexes *)
-  mutable okeys : int array; (* [no_cell] marks an empty slot *)
-  mutable ovals : Float.Array.t;
-  mutable count : int;
-}
-
-let ot_create bits =
-  {
-    shift = 62 - bits;
-    okeys = Array.make (1 lsl bits) no_cell;
-    ovals = Float.Array.create (1 lsl bits);
-    count = 0;
-  }
-
-(* Slot holding [key], or the empty slot where it would be inserted. *)
-let ot_slot ot key =
-  let mask = Array.length ot.okeys - 1 in
-  let rec go i =
-    let k = Array.unsafe_get ot.okeys i in
-    if k = key || k = no_cell then i else go ((i + 1) land mask)
-  in
-  go (mix key lsr ot.shift)
-
-let rec ot_add ot key v =
-  if 4 * (ot.count + 1) > 3 * Array.length ot.okeys then begin
-    let old_keys = ot.okeys and old_vals = ot.ovals in
-    ot.shift <- ot.shift - 1;
-    ot.okeys <- Array.make (2 * Array.length old_keys) no_cell;
-    ot.ovals <- Float.Array.create (2 * Float.Array.length old_vals);
-    ot.count <- 0;
-    Array.iteri
-      (fun i k -> if k <> no_cell then ot_add ot k (Float.Array.get old_vals i))
-      old_keys
-  end;
-  let i = ot_slot ot key in
-  Array.unsafe_set ot.okeys i key;
-  Float.Array.unsafe_set ot.ovals i v;
-  ot.count <- ot.count + 1
-
-(* One two-level store: the shared exhaustive cell table (level 2,
-   mutex on miss only) and the per-domain direct-mapped L1s.  The
-   shared table holds every cell ever computed — exactly once, and
-   with a value that is a pure function of (DEM, cell) — so its
-   contents are bit-identical at any pool width.  L1 evictions are
-   harmless: an evicted cell is re-fetched from level 2 under the
-   lock, never recomputed twice by the same domain race-free path. *)
-type store = {
-  fn : Dem.t -> Coord.t -> float;
-  lock : Mutex.t;
-  cells : open_tbl; (* under [lock] *)
-  l1_key : l1 Cisp_util.Pool.Scratch.t;
-  reg_lock : Mutex.t;
-  l1s : l1 list ref; (* under [reg_lock]; for [stats] *)
-}
-
-type t = { dem : Dem.t; surface : store; ground : store }
-
-let make_store fn ~l1_bits ~l2_bits =
-  let reg_lock = Mutex.create () in
-  let l1s = ref [] in
-  let l1_key =
-    Cisp_util.Pool.Scratch.create (fun () ->
-        let l1 = fresh_l1 l1_bits in
-        Mutex.protect reg_lock (fun () -> l1s := l1 :: !l1s);
-        l1)
-  in
-  {
-    fn;
-    lock = Mutex.create ();
-    cells = ot_create l2_bits;
-    l1_key;
-    reg_lock;
-    l1s;
-  }
-
-let create dem =
-  {
-    dem;
-    (* A full-scenario LOS sweep touches millions of surface cells:
-       size its L1 at 2^20 slots (16 MB/domain) and start the shared
-       table large enough to skip the early doublings.  Ground cells
-       are only queried at tower bases — keep that store small. *)
-    surface = make_store Dem.surface_m ~l1_bits:20 ~l2_bits:21;
-    ground = make_store Dem.elevation_m ~l1_bits:14 ~l2_bits:12;
-  }
-
+let create dem = { dem; evaluations = Atomic.make 0 }
 let dem t = t.dem
 
-(* Cell value at the cell's own center: pure in (DEM, cell), identical
-   whichever domain computes it. *)
-let compute_cell dem store qi qj =
+(* The DEM surface (or, with [~ground], bare elevation) at the centre
+   of cell (qi, qj): a pure function of (DEM, cell), whichever query or
+   domain asks.  Taking the cell as two ints keeps the callers' floats
+   unboxed across the (non-inlined) call. *)
+let[@cisp.alloc_ok "one DEM evaluation: its coordinate, temporaries and boxed result"] cell_value
+    ~ground dem qi qj =
   let lat = Float.min 90.0 (Float.max (-90.0) (float_of_int qi /. quantum)) in
   let lon = float_of_int qj /. quantum in
-  store.fn dem (Coord.make ~lat ~lon)
+  let p = Coord.make ~lat ~lon in
+  if ground then Dem.elevation_m dem p else Dem.surface_m dem p
 
-(* L1 miss: consult the shared store under its lock; if the cell is
-   genuinely new, compute it OUTSIDE the lock (the DEM evaluation is
-   the expensive part, and it is pure — a raced duplicate computes the
-   identical value) and publish whichever insert lands first.  Either
-   way the value is planted in this domain's L1 slot. *)
-(* The critical sections use bare lock/unlock rather than
-   [Mutex.protect]: this path runs once per L1 miss — millions of
-   times per sweep — and each [protect] call allocates its closure and
-   boxes its result.  Nothing inside the sections can raise (probe and
-   insert are array arithmetic; the only alloc is table growth). *)
-let[@cisp.alloc_ok "miss path: computes and publishes a new cell (table growth, DEM evaluation)"] slow_path
-    dem store (l1 : l1) slot key qi qj =
-  let ot = store.cells in
-  Mutex.lock store.lock;
-  let i = ot_slot ot key in
-  let found = Array.unsafe_get ot.okeys i = key in
-  let published = if found then Float.Array.unsafe_get ot.ovals i else 0.0 in
-  Mutex.unlock store.lock;
-  let v =
-    if found then begin
-      l1.hits <- l1.hits + 1;
-      published
-    end
-    else begin
-      let computed = compute_cell dem store qi qj in
-      (* Re-probe: another domain may have published (or grown the
-         table) while we computed.  Keep the winner — it is the
-         identical pure value anyway. *)
-      Mutex.lock store.lock;
-      let i = ot_slot ot key in
-      let dup = Array.unsafe_get ot.okeys i = key in
-      let v = if dup then Float.Array.unsafe_get ot.ovals i else computed in
-      if not dup then ot_add ot key computed;
-      Mutex.unlock store.lock;
-      if dup then l1.hits <- l1.hits + 1 else l1.misses <- l1.misses + 1;
-      v
-    end
-  in
-  Array.unsafe_set l1.keys slot key;
-  Float.Array.unsafe_set l1.vals slot v;
-  v
+let[@inline] cell_index v = int_of_float (quantize v)
 
-(* The L1-hit path is the zero-alloc contract: quantize, pack, probe,
-   read — int and floatarray arithmetic only.  The [@cisp.alloc_ok] on
-   [slow_path] scopes the contract to hits; a miss may allocate (table
-   growth, the DEM evaluation itself). *)
-let[@inline] [@cisp.zero_alloc] cell_value dem store (l1 : l1) ~lat ~lon =
-  let qi = int_of_float (quantize lat) in
-  let qj = int_of_float (quantize lon) in
-  let key = pack qi qj in
-  let slot = slot_of l1 key in
-  if Array.unsafe_get l1.keys slot = key then begin
-    l1.hits <- l1.hits + 1;
-    Float.Array.unsafe_get l1.vals slot
-  end
-  else slow_path dem store l1 slot key qi qj
+let query ~ground t ~lat ~lon =
+  Atomic.incr t.evaluations;
+  cell_value ~ground t.dem (cell_index lat) (cell_index lon)
 
-let surface_m_ll t ~lat ~lon =
-  cell_value t.dem t.surface (Cisp_util.Pool.Scratch.get t.surface.l1_key) ~lat ~lon
-
-let elevation_m_ll t ~lat ~lon =
-  cell_value t.dem t.ground (Cisp_util.Pool.Scratch.get t.ground.l1_key) ~lat ~lon
-
+let surface_m_ll t ~lat ~lon = query ~ground:false t ~lat ~lon
+let elevation_m_ll t ~lat ~lon = query ~ground:true t ~lat ~lon
 let surface_m t p = surface_m_ll t ~lat:(Coord.lat p) ~lon:(Coord.lon p)
 let elevation_m t p = elevation_m_ll t ~lat:(Coord.lat p) ~lon:(Coord.lon p)
 
@@ -228,46 +43,11 @@ let[@cisp.zero_alloc] surface_samples t ~lats ~lons ~out ~lo ~hi =
     || hi >= Float.Array.length lons
     || hi >= Float.Array.length out
   then invalid_arg "Dem_cache.surface_samples: index range outside buffers";
-  let dem = t.dem and store = t.surface in
-  let l1 = Cisp_util.Pool.Scratch.get store.l1_key in
-  (* The probe is {!cell_value} with the store sunk into each branch.
-     Calling [cell_value] and storing its result would box the hit
-     value: the [if] join with [slow_path]'s (boxed) return value
-     forces the hit branch to materialize its float, one minor-heap
-     block per sample (measured in the generated assembly).  Writing
-     [out] inside the branch keeps the hit path a floatarray-to-
-     floatarray move. *)
+  if hi >= lo then ignore (Atomic.fetch_and_add t.evaluations (hi - lo + 1));
   for i = lo to hi do
-    let lat = Float.Array.get lats i and lon = Float.Array.get lons i in
-    let qi = int_of_float (quantize lat) in
-    let qj = int_of_float (quantize lon) in
-    let key = pack qi qj in
-    let slot = slot_of l1 key in
-    if Array.unsafe_get l1.keys slot = key then begin
-      l1.hits <- l1.hits + 1;
-      Float.Array.unsafe_set out i (Float.Array.unsafe_get l1.vals slot)
-    end
-    else Float.Array.unsafe_set out i (slow_path dem store l1 slot key qi qj)
+    let qi = cell_index (Float.Array.get lats i) in
+    let qj = cell_index (Float.Array.get lons i) in
+    Float.Array.unsafe_set out i (cell_value ~ground:false t.dem qi qj)
   done
 
-let store_stats store =
-  let l1s = Mutex.protect store.reg_lock (fun () -> !(store.l1s)) in
-  List.fold_left (fun (h, m) l1 -> (h + l1.hits, m + l1.misses)) (0, 0) l1s
-
-let stats t =
-  let sh, sm = store_stats t.surface in
-  let gh, gm = store_stats t.ground in
-  (sh + gh, sm + gm)
-
-let store_cells store =
-  Mutex.protect store.lock (fun () ->
-      let ot = store.cells in
-      let acc = ref [] in
-      for i = Array.length ot.okeys - 1 downto 0 do
-        let k = Array.unsafe_get ot.okeys i in
-        if k <> no_cell then acc := (k, Float.Array.get ot.ovals i) :: !acc
-      done;
-      List.sort (fun (a, _) (b, _) -> Int.compare a b) !acc)
-
-let surface_cells t = store_cells t.surface
-let ground_cells t = store_cells t.ground
+let stats t = (0, Atomic.get t.evaluations)

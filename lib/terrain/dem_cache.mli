@@ -1,19 +1,13 @@
-(** Quantized, two-level memoization layer over a {!Dem}.
+(** Raster view of a {!Dem}: heights on a ~400 m grid.
 
-    Line-of-sight screening samples millions of surface heights, most
-    of them in dense tower clusters where paths overlap heavily.  This
-    cache snaps queries to a ~400 m grid and memoizes heights per grid
-    cell, trading negligible accuracy (the synthetic DEM's features
-    are tens of km wide) for an order of magnitude in throughput.
-
-    Level 2 is a shared, exhaustive cell table whose mutex is taken
-    only on a per-domain miss; each pool domain keeps a private
-    direct-mapped level-1 cache (fixed-size unboxed arrays) in
-    domain-local storage, so the per-sample hit path is lock-free,
-    allocation-free, and touches no shared cache line.  Every cell
-    value is a pure function of (DEM, cell) — evaluated at the cell's
-    own center — so the shared store's contents, and every height the
-    cache ever returns, are bit-identical at any pool width. *)
+    Stands in for the gridded SRTM/NED rasters of the paper (§3.1).
+    Every query snaps to its ~400 m cell and evaluates the DEM at the
+    cell's centre, so a height is a pure function of (DEM, cell): never
+    of where inside the cell the query fell, nor of which pool domain
+    asked.  The view memoizes nothing and takes no lock; concurrent
+    queries share only one atomic evaluation counter.  The synthetic
+    DEM's features are tens of km wide, so the snapping costs
+    negligible accuracy. *)
 
 type t
 
@@ -23,21 +17,18 @@ val dem : t -> Dem.t
 
 val snap : Cisp_geo.Coord.t -> Cisp_geo.Coord.t
 (** Center of the ~400 m cell containing the point: the position at
-    which cached heights are evaluated.  Exposed for the cell-center
+    which the view evaluates heights.  Exposed for the cell-center
     purity tests. *)
 
 val surface_m : t -> Cisp_geo.Coord.t -> float
-(** Memoized [Dem.surface_m], evaluated at the center of the cell
-    containing the point — a pure function of the cell, so results
-    never depend on query order (or on which pool domain queried the
-    cell first). *)
+(** [Dem.surface_m] at the center of the cell containing the point. *)
 
 val elevation_m : t -> Cisp_geo.Coord.t -> float
-(** Memoized ground elevation (no clutter), also at the cell center. *)
+(** Ground elevation (no clutter), also at the cell center. *)
 
 val surface_m_ll : t -> lat:float -> lon:float -> float
-(** [surface_m] on raw coordinates: the allocation-free entry for
-    callers that carry scalar lat/lon instead of a {!Cisp_geo.Coord.t}. *)
+(** [surface_m] on raw coordinates, for callers that carry scalar
+    lat/lon instead of a {!Cisp_geo.Coord.t}. *)
 
 val elevation_m_ll : t -> lat:float -> lon:float -> float
 
@@ -45,20 +36,11 @@ val surface_samples :
   t -> lats:floatarray -> lons:floatarray -> out:floatarray -> lo:int -> hi:int -> unit
 (** [surface_samples t ~lats ~lons ~out ~lo ~hi] writes
     [out.(i) <- surface_m_ll t ~lat:lats.(i) ~lon:lons.(i)] for
-    [lo <= i <= hi].  One domain-local-storage access and bounds check
-    for the whole batch: the profile-sampling hot path of
-    {!Cisp_rf.Los}.  Raises [Invalid_argument] if the index range
-    falls outside any buffer. *)
+    [lo <= i <= hi]: the profile-sampling entry of {!Cisp_rf.Los}.
+    Allocation comes only from the DEM evaluations themselves.  Raises
+    [Invalid_argument] if the index range falls outside any buffer. *)
 
 val stats : t -> int * int
-(** (hits, misses) summed over all domains — for tests and tuning.  A
-    miss is a query that had to compute a new cell; racing domains may
-    classify a simultaneous first touch either way, so totals are
-    exact only for quiescent (or single-domain) caches. *)
-
-val surface_cells : t -> (int * float) list
-(** Shared-store contents (packed cell key, height), in ascending key
-    order: deterministic, for the width-invariance tests.  Keys are
-    opaque. *)
-
-val ground_cells : t -> (int * float) list
+(** [(0, evaluations)]: the number of heights queried so far, summed
+    over all domains and exact at any pool width.  The first component
+    counts memo hits and is always 0, since nothing is memoized. *)

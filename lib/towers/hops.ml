@@ -33,6 +33,10 @@ type t = {
 let tower_node t k = t.n_sites + k
 let is_tower_node t v = v >= t.n_sites
 
+let node_position t node =
+  if node < t.n_sites then t.sites.(node).City.coord
+  else t.towers.(node - t.n_sites).Tower.position
+
 let build ?(config = default_config) ~cache ~sites ~towers () =
   Cisp_util.Telemetry.with_span "hops.build" (fun () ->
   let sites = Array.of_list sites in
@@ -64,7 +68,7 @@ let build ?(config = default_config) ~cache ~sites ~towers () =
   let tower_eps = Array.map endpoint_of_tower towers in
   let pool = Cisp_util.Pool.get () in
   (* Tower-tower hops: each unordered pair within range tested once.
-     The LOS + Fresnel walks are pure (the DEM cache is domain-safe),
+     The LOS + Fresnel walks are pure (the DEM view holds no lock),
      so feasibility is decided in parallel per source tower; edges are
      then inserted sequentially in the same (k, nearby-iteration)
      order a sequential sweep would produce, keeping adjacency-list
@@ -72,43 +76,8 @@ let build ?(config = default_config) ~cache ~sites ~towers () =
      bit-identical. *)
   let n_towers = Array.length towers in
   let tower_edges = Array.make n_towers [] in
-  (* Tile-granular scheduling: the sweep visits towers in Z-curve
-     (Morton) order of their grid cell, so each contiguous chunk of
-     the parallel range works one compact patch of terrain.  In
-     registry order a chunk interleaves towers from all over the map
-     and its DEM working set is the union of every profile it walks —
-     the per-domain L1 cache thrashes and every domain falls through
-     to the shared L2 at once.  Tile order keeps a chunk's profile
-     cells L1/L2-resident across its towers.  Results are keyed by the
-     original tower index, so traversal order never reaches the
-     output. *)
-  let sweep_order =
-    let spread16 x =
-      let x = x land 0xFFFF in
-      let x = (x lor (x lsl 8)) land 0x00FF00FF in
-      let x = (x lor (x lsl 4)) land 0x0F0F0F0F in
-      let x = (x lor (x lsl 2)) land 0x33333333 in
-      (x lor (x lsl 1)) land 0x55555555
-    in
-    let morton (tw : Tower.t) =
-      let ci, cj = Grid.cell_of grid tw.position in
-      (* cell indices are bounded by +/-90/cell_deg and +/-180/cell_deg;
-         the 0x8000 bias keeps both coordinates in 16 unsigned bits for
-         any cell_deg >= 0.01. *)
-      (spread16 (ci + 0x8000) lsl 1) lor spread16 (cj + 0x8000)
-    in
-    let keys = Array.map morton towers in
-    let order = Array.init n_towers Fun.id in
-    Array.sort
-      (fun a b ->
-        let c = Int.compare keys.(a) keys.(b) in
-        if c <> 0 then c else Int.compare a b)
-      order;
-    order
-  in
   Cisp_util.Telemetry.with_span "hops.tower_los" (fun () ->
-      Cisp_util.Pool.parallel_for pool ~n:n_towers (fun idx ->
-          let k = sweep_order.(idx) in
+      Cisp_util.Pool.parallel_for pool ~n:n_towers (fun k ->
           let tw = towers.(k) in
           let ep_k = tower_eps.(k) in
           let acc = ref [] in

@@ -38,6 +38,10 @@ val tower_node : t -> int -> int
 
 val is_tower_node : t -> int -> bool
 
+val node_position : t -> int -> Cisp_geo.Coord.t
+(** Position of a graph node: the site's coordinate for
+    [node < n_sites], the tower's position otherwise. *)
+
 type link = {
   src : int;                    (** site index *)
   dst : int;                    (** site index *)

@@ -180,7 +180,7 @@ let run ?(seed = 99) ?(params = Failure.default_params) ~schemes ~hops
          domains. *)
       let samples = Array.make intervals [||] in
       let failed_per_interval = Array.make intervals 0 in
-      let pos = Year.node_position hops in
+      let pos = Hops.node_position hops in
       (* Intervals are independent trials: each derives its outage set
          purely from (seed, interval) and writes only its own row of
          [samples] and slot of [failed_per_interval], so the loop is

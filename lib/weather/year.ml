@@ -10,10 +10,6 @@ type result = {
   per_pair : pair_summary array;
 }
 
-let node_position (hops : Hops.t) node =
-  if node < hops.Hops.n_sites then hops.Hops.sites.(node).Cisp_data.City.coord
-  else hops.Hops.towers.(node - hops.Hops.n_sites).Cisp_towers.Tower.position
-
 let run ?(seed = 99) ?(intervals = 365) ~climate ~hops (inputs : Inputs.t) (topo : Topology.t) =
   Cisp_util.Telemetry.with_span "weather.year" (fun () ->
   let n = Inputs.n_sites inputs in
@@ -43,7 +39,7 @@ let run ?(seed = 99) ?(intervals = 365) ~climate ~hops (inputs : Inputs.t) (topo
      length of the run. *)
   let samples = Array.make intervals [||] in
   let failed_per_interval = Array.make intervals 0 in
-  let pos = node_position hops in
+  let pos = Hops.node_position hops in
   (* A single trial costs roughly a rain-field sample plus one O(n^2)
      metric relaxation per surviving link — batch a few per claim of
      the pool's chunk counter. *)

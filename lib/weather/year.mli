@@ -6,10 +6,6 @@
     cities end-to-end for each interval."  Failed links are removed
     and traffic reroutes over surviving MW links and fiber. *)
 
-val node_position : Cisp_towers.Hops.t -> int -> Cisp_geo.Coord.t
-(** Position of a hop-graph node: site coordinate for [node < n_sites],
-    tower position otherwise.  Shared with {!Scenarios}. *)
-
 type pair_summary = {
   best : float;      (** fair-weather stretch *)
   median : float;

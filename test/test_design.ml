@@ -230,6 +230,44 @@ let test_capacity_spare_reduces_new_towers () =
     (all_spare.Capacity.new_towers <= no_spare.Capacity.new_towers);
   Alcotest.(check int) "full spare -> zero new" 0 all_spare.Capacity.new_towers
 
+(* Two sites one degree of longitude apart, with all eight registry
+   towers within 2 km of the hop's midpoint. *)
+let registry_around ~lat ~lon =
+  let site k =
+    Cisp_data.City.make (Printf.sprintf "R%d" k) ~lat ~lon:(lon +. float_of_int k)
+      ~population:1000
+  in
+  let sites = [| site 0; site 1 |] in
+  let mid = Cisp_geo.Geodesy.midpoint sites.(0).Cisp_data.City.coord sites.(1).Cisp_data.City.coord in
+  let towers =
+    Array.init 8 (fun id ->
+        Cisp_towers.Tower.make ~id
+          ~position:
+            (Cisp_geo.Geodesy.destination mid ~bearing_deg:(45.0 *. float_of_int id)
+               ~distance_km:2.0)
+          ~height_m:100.0 ~source:Cisp_towers.Tower.Fcc)
+  in
+  {
+    Cisp_towers.Hops.config = Cisp_towers.Hops.default_config;
+    sites;
+    towers;
+    graph = Cisp_graph.Graph.create 10;
+    n_sites = 2;
+    feasible_hops = 0;
+  }
+
+let test_capacity_spare_per_registry () =
+  (* Same tower and site counts, 2,000 km apart: each registry's spare
+     estimate must come from its own towers, whichever is indexed
+     first. *)
+  let far = registry_around ~lat:30.0 ~lon:(-82.0) in
+  let near = registry_around ~lat:40.0 ~lon:(-100.0) in
+  let spare_far = Capacity.spare_from_registry far in
+  let spare_near = Capacity.spare_from_registry near in
+  Alcotest.(check int) "eight towers at the hop: two spare series" 2 (spare_near 0 1);
+  Alcotest.(check int) "the other registry keeps its own towers" 2 (spare_far 0 1);
+  Alcotest.(check int) "synthetic hops have no spares" 0 (spare_near (-1) (-2))
+
 let test_cost_model () =
   let c = Cost.default in
   check_float 1e-6 "capex" (2.0 *. 150_000.0 +. 3.0 *. 100_000.0)
@@ -287,6 +325,7 @@ let suites =
         Alcotest.test_case "route loads" `Quick test_route_loads_conserve;
         Alcotest.test_case "plan covers demand" `Quick test_capacity_plan_covers_demand;
         Alcotest.test_case "spare reduces new towers" `Quick test_capacity_spare_reduces_new_towers;
+        Alcotest.test_case "spare index per registry" `Quick test_capacity_spare_per_registry;
         Alcotest.test_case "cost model" `Quick test_cost_model;
         Alcotest.test_case "economies of scale" `Quick test_cost_per_gb_decreases_with_rate;
       ] );
