@@ -18,7 +18,7 @@ let make_tests ctx =
   let p2 = Cisp_geo.Coord.make ~lat:40.3 ~lon:(-99.5) in
   let ep p = Cisp_rf.Los.endpoint_of_tower ~dem p ~antenna_m:120.0 in
   let e1 = ep p1 and e2 = ep p2 in
-  let surface = Cisp_terrain.Dem.surface_m dem in
+  let cache = a.Cisp_design.Scenario.cache in
   let field = Cisp_weather.Rainfield.sample Cisp_weather.Rainfield.us_climate ~day:42 in
   let pages = Cisp_apps.Web.generate ~count:10 () in
   [
@@ -51,7 +51,7 @@ let make_tests ctx =
     Test.make ~name:"fig9_traffic_matrix" (Staged.stage (fun () ->
         Cisp_traffic.Matrix.population_product inputs.Cisp_design.Inputs.sites));
     Test.make ~name:"fig10_los_check" (Staged.stage (fun () ->
-        Cisp_rf.Los.check ~surface e1 e2));
+        Cisp_rf.Los.check_cached ~cache e1 e2));
     Test.make ~name:"fig11_incremental_metric" (Staged.stage (fun () ->
         Cisp_design.Topology.distances_incremental inputs base
           (List.hd topo.Cisp_design.Topology.built)));

@@ -115,9 +115,11 @@ let link_hop_pairs (inputs : Inputs.t) (i, j) =
   | None -> List.init (link_hops inputs (i, j)) (fun k -> (-1 - k, -2 - k))
 
 let spare_from_registry (h : Hops.t) =
-  let grid = Cisp_geo.Grid.create ~cell_deg:0.25 in
-  Array.iteri (fun k (tw : Cisp_towers.Tower.t) -> Cisp_geo.Grid.add grid tw.position k) h.Hops.towers;
-  Cisp_geo.Grid.freeze grid;
+  let grid =
+    Cisp_geo.Grid.of_list ~cell_deg:0.25
+      (Array.to_list
+         (Array.mapi (fun k (tw : Cisp_towers.Tower.t) -> (tw.position, k)) h.Hops.towers))
+  in
   fun u v ->
     if u < 0 || v < 0 then 0
     else begin

@@ -46,20 +46,21 @@ let score rule cost b = match rule with Absolute -> b | Per_cost -> b /. float_o
 
 (* Initial scoring of every affordable candidate against the metric
    [d].  Each candidate's benefit is a self-contained O(n^2) scan, so
-   the array computes in parallel; entry [idx] is [Some (cost, benefit)]
+   the slots fill in parallel; entry [idx] is [Some (cost, benefit)]
    for candidates worth pushing, in the same order as [cands]. *)
 let score_candidates (inputs : Inputs.t) w d ~budget cands =
   Cisp_util.Telemetry.with_span "greedy.score" (fun () ->
-      Cisp_util.Telemetry.add "greedy.candidates" (Array.length cands);
-      Cisp_util.Pool.parallel_map_array (Cisp_util.Pool.get ())
-        (fun (i, j) ->
+      let n = Array.length cands in
+      Cisp_util.Telemetry.add "greedy.candidates" n;
+      let scored = Array.make n None in
+      Cisp_util.Pool.parallel_for (Cisp_util.Pool.get ()) ~n (fun idx ->
+          let i, j = cands.(idx) in
           let c = Topology.link_cost inputs i j in
-          if c > budget then None
-          else begin
+          if c <= budget then begin
             let b = benefit inputs w d (i, j) in
-            if b > 1e-15 then Some (c, b) else None
-          end)
-        cands)
+            if b > 1e-15 then scored.(idx) <- Some (c, b)
+          end);
+      scored)
 
 let design_ordered ?(rule = Per_cost) (inputs : Inputs.t) ~budget =
   Cisp_util.Telemetry.with_span "greedy.design" (fun () ->

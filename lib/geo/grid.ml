@@ -1,58 +1,48 @@
 (* Cell keys pack the two signed cell indices into one immediate int:
-   no tuple allocation per probe, and the frozen fast path below can
-   hash ints instead of pairs.  23-bit fields hold any index reachable
-   with cell_deg >= 0.001 (|ci| <= 90/cell_deg, plus clamped query
+   no tuple allocation per probe, and the cell table hashes ints
+   instead of pairs.  23-bit fields hold any index reachable with
+   cell_deg >= 0.001 (|ci| <= 90/cell_deg, plus clamped query
    windows). *)
 let pack ci cj = ((ci + 0x400000) lsl 23) lor ((cj + 0x400000) land 0x7FFFFF)
 
-let unpack key = ((key asr 23) - 0x400000, (key land 0x7FFFFF) - 0x400000)
+(* Each cell is a flat array, probed by packed key: the index is built
+   once by [of_list] and only read afterwards. *)
+type 'a t = { cell_deg : float; cells : (int, (Coord.t * 'a) array) Hashtbl.t }
 
-type 'a t = {
-  cell_deg : float;
-  cells : (int, (Coord.t * 'a) list ref) Hashtbl.t;
-  mutable count : int;
-  (* Flat per-cell arrays in the buckets' iteration order, built by
-     [freeze]; probed instead of [cells] once present.  [add]
-     invalidates it. *)
-  mutable frozen : (int, (Coord.t * 'a) array) Hashtbl.t option;
-}
+(* Column index of coordinate [x] under cell size [cd].  Top-level
+   with [cd] as an argument — a capturing local would be one closure
+   per query, inside the hop sweeps' per-iteration allocation budget
+   (L11). *)
+let[@inline] col cd x = int_of_float (Float.floor (x /. cd))
 
-let create ~cell_deg =
-  if cell_deg < 0.001 then invalid_arg "Grid.create: cell_deg < 0.001";
-  { cell_deg; cells = Hashtbl.create 4096; count = 0; frozen = None }
-
-let cell_of t p =
-  ( int_of_float (Float.floor (Coord.lat p /. t.cell_deg)),
-    int_of_float (Float.floor (Coord.lon p /. t.cell_deg)) )
-
-let add t p v =
-  let ci, cj = cell_of t p in
-  let key = pack ci cj in
-  (match Hashtbl.find_opt t.cells key with
-  | Some bucket -> bucket := (p, v) :: !bucket
-  | None -> Hashtbl.add t.cells key (ref [ (p, v) ]));
-  t.count <- t.count + 1;
-  t.frozen <- None
+let key_of cd p = pack (col cd (Coord.lat p)) (col cd (Coord.lon p))
 
 let of_list ~cell_deg pairs =
-  let t = create ~cell_deg in
-  List.iter (fun (p, v) -> add t p v) pairs;
-  t
-
-let length t = t.count
-
-let freeze t =
-  match t.frozen with
-  | Some _ -> ()
-  | None ->
-    let packed = Hashtbl.create (max 16 (Hashtbl.length t.cells)) in
-    (* Arrays keep each bucket's most-recent-first list order, so
-       frozen and unfrozen grids visit points identically; sorted
-       traversal keeps the build itself order-independent (L9). *)
-    Cisp_util.Tbl.iter_sorted
-      (fun key bucket -> Hashtbl.add packed key (Array.of_list !bucket))
-      t.cells;
-    t.frozen <- Some packed
+  if cell_deg < 0.001 then invalid_arg "Grid.of_list: cell_deg < 0.001";
+  (* Two passes: count each cell's points, then place each point at
+     its cell's next free slot from the end, so a cell holds its
+     points most recently listed first (reverse list order). *)
+  let left = Hashtbl.create 4096 in
+  List.iter
+    (fun (p, _) ->
+      let key = key_of cell_deg p in
+      match Hashtbl.find_opt left key with
+      | Some n -> incr n
+      | None -> Hashtbl.add left key (ref 1))
+    pairs;
+  let cells = Hashtbl.create (max 16 (Hashtbl.length left)) in
+  List.iter
+    (fun ((p, _) as point) ->
+      let key = key_of cell_deg p in
+      match Hashtbl.find_opt left key with
+      | None -> () (* every key was counted above *)
+      | Some n -> (
+        decr n;
+        match Hashtbl.find_opt cells key with
+        | Some arr -> arr.(!n) <- point
+        | None -> Hashtbl.add cells key (Array.make (!n + 1) point)))
+    pairs;
+  { cell_deg; cells }
 
 (* Degrees of longitude spanned by [radius_km] at latitude [lat]. *)
 let lon_span_deg ~radius_km ~lat =
@@ -61,23 +51,16 @@ let lon_span_deg ~radius_km ~lat =
   in
   radius_km /. km_per_deg
 
-(* Column index of coordinate [x] under cell size [cd].  Top-level
-   with [cd] as an argument — the old capturing local was one closure
-   per query, inside the hop sweeps' per-iteration allocation budget
-   (L11). *)
-let[@inline] col cd x = int_of_float (Float.floor (x /. cd))
-
 (* The query path below is deliberately closure- and allocation-free
    ([@cisp.zero_alloc] on [iter_nearby]): the LOS sweeps call it once
    per tower from pool workers.  Column ranges travel as four scalars
-   (an empty second range is [lo > hi]), buckets are walked by
-   top-level recursion, and the candidate filter is inlined at both
-   probe sites.  [Hashtbl.find]-with-[Not_found] rather than
-   [find_opt]: the option would allocate per probed cell (L2 allowlist
-   entry). *)
-let scan_cols_frozen packed f p radius_km ci cj_lo cj_hi =
+   (an empty second range is [lo > hi]), and each probed cell's array
+   is walked by a plain loop.  [Hashtbl.find]-with-[Not_found] rather
+   than [find_opt]: the option would allocate per probed cell (L2
+   allowlist entry). *)
+let scan_cols cells f p radius_km ci cj_lo cj_hi =
   for cj = cj_lo to cj_hi do
-    match Hashtbl.find packed (pack ci cj) with
+    match Hashtbl.find cells (pack ci cj) with
     | exception Not_found -> ()
     | arr ->
       for k = 0 to Array.length arr - 1 do
@@ -86,31 +69,11 @@ let scan_cols_frozen packed f p radius_km ci cj_lo cj_hi =
       done
   done
 
-let rec visit_bucket f p radius_km = function
-  | [] -> ()
-  | (q, v) :: rest ->
-    if Geodesy.distance_km p q <= radius_km then f q v;
-    visit_bucket f p radius_km rest
-
-let scan_cols_live cells f p radius_km ci cj_lo cj_hi =
-  for cj = cj_lo to cj_hi do
-    match Hashtbl.find cells (pack ci cj) with
-    | exception Not_found -> ()
-    | bucket -> visit_bucket f p radius_km !bucket
-  done
-
 let scan_ranges t f p radius_km ~ci_lo ~ci_hi ~r1_lo ~r1_hi ~r2_lo ~r2_hi =
-  match t.frozen with
-  | Some packed ->
-    for ci = ci_lo to ci_hi do
-      scan_cols_frozen packed f p radius_km ci r1_lo r1_hi;
-      scan_cols_frozen packed f p radius_km ci r2_lo r2_hi
-    done
-  | None ->
-    for ci = ci_lo to ci_hi do
-      scan_cols_live t.cells f p radius_km ci r1_lo r1_hi;
-      scan_cols_live t.cells f p radius_km ci r2_lo r2_hi
-    done
+  for ci = ci_lo to ci_hi do
+    scan_cols t.cells f p radius_km ci r1_lo r1_hi;
+    scan_cols t.cells f p radius_km ci r2_lo r2_hi
+  done
 
 let[@cisp.zero_alloc] iter_nearby t p ~radius_km f =
   let cd = t.cell_deg in
@@ -164,20 +127,3 @@ let nearby t p ~radius_km =
   let acc = ref [] in
   iter_nearby t p ~radius_km (fun q v -> acc := (q, v) :: !acc);
   !acc
-
-(* Sorted cell traversal (L9): [Hashtbl.fold]'s order depends on
-   hashing and insertion history, which would leak into any
-   accumulator this feeds.  Ascending packed-key order makes the fold
-   a pure function of the grid's contents; within a cell, points keep
-   their most-recent-first bucket order. *)
-let fold t ~init ~f =
-  Cisp_util.Tbl.fold_sorted ~compare:Int.compare
-    (fun _ bucket acc -> List.fold_left (fun acc (p, v) -> f acc p v) acc !bucket)
-    t.cells init
-
-let cell_population t =
-  let pop = Hashtbl.create (Hashtbl.length t.cells) in
-  Hashtbl.iter
-    (fun key bucket -> Hashtbl.replace pop (unpack key) (List.length !bucket))
-    t.cells;
-  pop

@@ -5,45 +5,24 @@
     tower-pair feasibility testing — run in time proportional to the
     local density instead of the registry size.  Query windows wrap
     across the +/-180 antimeridian, so clusters straddling it see each
-    other.  Cell keys are packed ints (no per-probe allocation), and a
-    built index can be {!freeze}-d into flat per-cell arrays for the
-    read-only query phase. *)
+    other.  The index is built once and read-only afterwards: each
+    cell is a flat array under a packed int key, so queries allocate
+    nothing per probe. *)
 
 type 'a t
 
-val create : cell_deg:float -> 'a t
-(** [create ~cell_deg] makes an empty index with square cells of
-    [cell_deg] degrees on a side.  Raises [Invalid_argument] if
-    [cell_deg < 0.001] (packed cell keys need bounded indices). *)
-
-val add : 'a t -> Coord.t -> 'a -> unit
-(** Adding to a frozen grid is allowed; it drops the frozen view
-    (re-{!freeze} when the build phase is over). *)
-
-val freeze : 'a t -> unit
-(** Snapshot every bucket into a flat array: queries then probe an
-    int-keyed table of arrays instead of walking cons lists.  Purely a
-    representation change — frozen and unfrozen grids visit the same
-    points in the same order.  Idempotent. *)
-
 val of_list : cell_deg:float -> (Coord.t * 'a) list -> 'a t
-
-val length : 'a t -> int
+(** [of_list ~cell_deg pts] indexes [pts] in square cells of
+    [cell_deg] degrees on a side.  Within a cell, points keep reverse
+    list order (the most recently listed first).  Raises
+    [Invalid_argument] if [cell_deg < 0.001] (packed cell keys need
+    bounded indices). *)
 
 val nearby : 'a t -> Coord.t -> radius_km:float -> (Coord.t * 'a) list
 (** All stored points within [radius_km] great-circle distance of the
     query point. *)
 
 val iter_nearby : 'a t -> Coord.t -> radius_km:float -> (Coord.t -> 'a -> unit) -> unit
-(** Allocation-light variant of [nearby]. *)
-
-val fold : 'a t -> init:'b -> f:('b -> Coord.t -> 'a -> 'b) -> 'b
-(** Folds over every point in ascending cell-key order (within a cell,
-    most-recently-added first): the traversal is a pure function of the
-    grid's contents, independent of insertion order across cells. *)
-
-val cell_population : 'a t -> (int * int, int) Hashtbl.t
-(** Count of points per cell, keyed by integer cell coordinates — used
-    by the paper's per-grid-cell tower culling (§4). *)
-
-val cell_of : 'a t -> Coord.t -> int * int
+(** Allocation-free variant of [nearby].  Visits cells row by row and
+    column by column, each cell's points in their stored order: the
+    visit order is a pure function of the indexed list. *)

@@ -100,8 +100,6 @@ let pool_combinators =
   [
     "Cisp_util.Pool.parallel_for";
     "Cisp_util.Pool.parallel_for_default";
-    "Cisp_util.Pool.parallel_map_array";
-    "Cisp_util.Pool.fold_range";
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -801,7 +799,7 @@ let process_impl b (u : Loader.unit_) (str : structure) =
             | "Domain.join" when contains_float e.exp_type ->
                 add_float_merge ctx
                   "cross-domain float merge via `Domain.join' (outside the \
-                   pool's fixed pairwise tree)"
+                   pool's per-index slots)"
                   site
             | _ -> ())
         | Internal _ -> ());

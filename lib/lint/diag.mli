@@ -18,8 +18,8 @@
     ({!Callgraph}, {!Effects}, {!Summary}):
 
     - L7: a closure handed to [Cisp_util.Pool.parallel_for] /
-      [parallel_map_array] / [fold_range] must not transitively mutate
-      shared state that is neither [Atomic] nor mutex-protected.
+      [parallel_for_default] must not transitively mutate shared state
+      that is neither [Atomic] nor mutex-protected.
     - L8: a function exported by a [.mli] must not (transitively)
       raise anything but the documented [Invalid_argument]
       convention; the diagnostic lands on the public function of the
@@ -55,8 +55,9 @@
     - L15: no float accumulation over an unordered source (raw
       [Hashtbl.fold]/[iter] outside [Cisp_util.Tbl], hand-rolled
       [Domain.join] merges) reachable from the design pipeline — the
-      bit-identity contract admits only ordered folds and the pool's
-      fixed pairwise reduction tree. *)
+      bit-identity contract admits only ordered folds, such as the
+      caller's index-order fold over the slots a [parallel_for]
+      filled. *)
 
 type rule =
   | L1

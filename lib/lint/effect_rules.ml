@@ -691,8 +691,8 @@ let check_l15 cfg (g : Callgraph.t) =
                                (Printf.sprintf
                                   "%s; reachable from pipeline entry `%s' — \
                                    fold a sorted view (Cisp_util.Tbl) or \
-                                   merge through the pool's fixed reduction \
-                                   tree"
+                                   fill per-index slots with parallel_for \
+                                   and fold them in index order"
                                   what root)
                              (Effects.loc_of_site site))))
 

@@ -11,10 +11,10 @@
 
    [#] starts a comment, blank lines are skipped.  A canonical name is
    the analyzer's spelling: wrapped-library mangling expanded
-   ([Cisp_rf.Los.check], not [Cisp_rf__Los.check]).  Names that match
-   no node are ignored by the rule — the registry may be written
-   before the code it contracts — but [names] preserves them so a
-   driver can warn if it wants to. *)
+   ([Cisp_rf.Los.check_cached], not [Cisp_rf__Los.check_cached]).
+   Names that match no node are ignored by the rule — the registry may
+   be written before the code it contracts — but [names] preserves
+   them so a driver can warn if it wants to. *)
 
 type entry = { name : string; line : int; reason : string }
 

@@ -9,7 +9,7 @@
     contracts. *)
 
 type entry = {
-  name : string;  (** canonical name, e.g. ["Cisp_rf.Los.check"] *)
+  name : string;  (** canonical name, e.g. ["Cisp_rf.Los.check_cached"] *)
   line : int;  (** 1-based, for driver messages *)
   reason : string;  (** text after [#], [""] if none *)
 }

@@ -30,13 +30,13 @@ let endpoint_of_tower ~dem position ~antenna_m =
    per-pair constants ([pair], see the p_* slots) and the walk results
    ([acc], see the a_* slots).  Keeping every per-pair float in
    unboxed domain-local storage (instead of function arguments or
-   captured locals) is what lets the whole cached engine below run
-   closure-free and allocation-free: floats handed across a
-   non-flambda call boundary are boxed, floats read out of a
-   floatarray stay in registers.  Domain-private (Pool.Scratch), and
-   only ever an input to the computation — contents are overwritten
-   for the sample range before each read — so reuse cannot leak state
-   between pairs or domains. *)
+   captured locals) is what lets the whole walk below run closure-free
+   and allocation-free: floats handed across a non-flambda call
+   boundary are boxed, floats read out of a floatarray stay in
+   registers.  Domain-private ([Cisp_util.Scratch]), and only ever an
+   input to the computation — contents are overwritten for the sample
+   range before each read — so reuse cannot leak state between pairs
+   or domains. *)
 type scratch = {
   mutable lats : Float.Array.t;
   mutable lons : Float.Array.t;
@@ -76,7 +76,7 @@ let a_deficit = 2
 let a_blocked = 3
 
 let scratch_key =
-  Cisp_util.Pool.Scratch.create (fun () ->
+  Cisp_util.Scratch.create (fun () ->
       {
         lats = Float.Array.create 256;
         lons = Float.Array.create 256;
@@ -99,8 +99,8 @@ let[@cisp.alloc_ok "amortized: grow-once domain-local sample buffers"] ensure sc
    there once per pair by [begin_profile]) and the per-sample [Coord.t]
    flattened into the two scalar buffers.  The per-sample expressions
    keep the exact operation order of [Geodesy.interpolate], so the
-   positions are bit-identical to what the closure-based sampler
-   saw. *)
+   positions are bit-identical to interpolating the endpoints at
+   [t = i / n]. *)
 let[@cisp.zero_alloc] fill_positions sc ~lo ~hi =
   let lats = sc.lats and lons = sc.lons and pair = sc.pair in
   let d = Float.Array.get pair p_d in
@@ -240,7 +240,7 @@ let rec scan_cached cache sc ~n ~lo =
    is the likeliest blockage, so it is positioned and sampled alone
    before paying for the full profile. *)
 let[@cisp.zero_alloc] profile_status_cached ~params ~cache a b =
-  let sc = Cisp_util.Pool.Scratch.get scratch_key in
+  let sc = Cisp_util.Scratch.get scratch_key in
   let n = begin_profile sc ~params a b in
   if n = 0 then 1
   else begin
@@ -251,68 +251,18 @@ let[@cisp.zero_alloc] profile_status_cached ~params ~cache a b =
     if walk_chunk sc ~lo:mid ~hi:mid then 2 else scan_cached cache sc ~n ~lo:1
   end
 
-(* The generic engine for closure-sampled profiles ([check],
-   [check_dem]): the same prepared-pair chunked walk, with the
-   obstruction heights supplied by [sample sc ~lo ~hi] filling
-   [sc.surf.(lo..hi)] at the positions in [sc.lats]/[sc.lons]. *)
-let profile_verdict ~params ~sample a b =
-  let sc = Cisp_util.Pool.Scratch.get scratch_key in
-  let n = begin_profile sc ~params a b in
-  if n = 0 then Out_of_range
-  else begin
-    let acc = sc.acc in
-    let blocked () =
-      Blocked
-        {
-          at_km = Float.Array.get acc a_at;
-          deficit_m = Float.Array.get acc a_deficit;
-        }
-    in
-    let mid = n / 2 in
-    fill_positions sc ~lo:mid ~hi:mid;
-    sample sc ~lo:mid ~hi:mid;
-    if walk_chunk sc ~lo:mid ~hi:mid then blocked ()
-    else begin
-      let rec scan lo =
-        if lo >= n then Clear (Float.Array.get acc a_margin)
-        else begin
-          let hi = min (n - 1) (lo + 7) in
-          fill_positions sc ~lo ~hi;
-          sample sc ~lo ~hi;
-          if walk_chunk sc ~lo ~hi then blocked () else scan (hi + 1)
-        end
-      in
-      scan 1
-    end
-  end
-
-let check ?(params = default_params) ~surface a b =
-  profile_verdict ~params a b ~sample:(fun sc ~lo ~hi ->
-      for i = lo to hi do
-        Float.Array.set sc.surf i
-          (surface
-             (Coord.make ~lat:(Float.Array.get sc.lats i) ~lon:(Float.Array.get sc.lons i)))
-      done)
-
-let feasible ?params ~surface a b =
-  match check ?params ~surface a b with
-  | Clear _ -> true
-  | Out_of_range | Blocked _ -> false
-
-let check_dem ?params ~dem a b = check ?params ~surface:(Dem.surface_m dem) a b
-
 let check_cached ?(params = default_params) ~cache a b =
   match profile_status_cached ~params ~cache a b with
   | 1 -> Out_of_range
   | 2 ->
-    let sc = Cisp_util.Pool.Scratch.get scratch_key in
+    let sc = Cisp_util.Scratch.get scratch_key in
     Blocked
       {
         at_km = Float.Array.get sc.acc a_at;
         deficit_m = Float.Array.get sc.acc a_deficit;
       }
   | _ ->
-    let sc = Cisp_util.Pool.Scratch.get scratch_key in
+    let sc = Cisp_util.Scratch.get scratch_key in
     Clear (Float.Array.get sc.acc a_margin)
 
 (* [?params] without default sugar: `?(params = default_params)`

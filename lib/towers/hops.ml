@@ -58,11 +58,11 @@ let build ?(config = default_config) ~cache ~sites ~towers () =
       antenna_m = config.site_antenna_m;
     }
   in
-  (* Index towers spatially for range queries; freeze once built so
-     the sweeps probe flat arrays. *)
-  let grid = Grid.create ~cell_deg:0.5 in
-  Array.iteri (fun k (tw : Tower.t) -> Grid.add grid tw.position k) towers;
-  Grid.freeze grid;
+  (* Index towers spatially for range queries. *)
+  let grid =
+    Grid.of_list ~cell_deg:0.5
+      (List.init (Array.length towers) (fun k -> (towers.(k).Tower.position, k)))
+  in
   (* Endpoints are pair-invariant: build them once per tower, O(towers),
      instead of once per tested pair, O(pairs). *)
   let tower_eps = Array.map endpoint_of_tower towers in

@@ -208,63 +208,6 @@ let parallel_for ?(min_chunk = 1) pool ~n fn =
     end
   end
 
-let parallel_map_array ?min_chunk pool f arr =
-  let n = Array.length arr in
-  if n = 0 then [||]
-  else begin
-    let out = Array.make n (f arr.(0)) in
-    parallel_for ?min_chunk pool ~n:(n - 1) (fun i -> out.(i + 1) <- f arr.(i + 1));
-    out
-  end
-
-(* Pairwise collapse, ping-ponging between two buffers so no task
-   reads a slot another task writes.  The pairing depends only on the
-   live length, so the merge tree is a pure function of
-   [Array.length arr].  Owns (and scribbles over) [arr]. *)
-let collapse pool ~merge ~init arr =
-  let n = Array.length arr in
-  if n = 0 then init
-  else begin
-    let src = ref arr in
-    let dst = ref (Array.make ((n + 1) / 2) arr.(0)) in
-    let len = ref n in
-    while !len > 1 do
-      let s = !src and d = !dst in
-      let half = !len / 2 in
-      let odd = !len land 1 in
-      parallel_for pool ~n:half (fun i -> d.(i) <- merge s.(2 * i) s.((2 * i) + 1));
-      if odd = 1 then d.(half) <- s.(!len - 1);
-      src := d;
-      dst := s;
-      len := half + odd
-    done;
-    merge init !src.(0)
-  end
-
-let fold_range ?(min_chunk = 1) pool ~n ~map ~merge ~init =
-  let grain = max 1 min_chunk in
-  if n <= 0 then init
-  else begin
-    (* The accumulator grain is a pure function of (n, min_chunk) —
-       never of the pool width — so the partial results, and the fixed
-       collapse tree over them, are bit-identical at any width even
-       for non-associative merges (float sums).  Parallelism only
-       decides which domain fills which slot. *)
-    let chunks = ((n - 1) / grain) + 1 in
-    if chunks = 1 then merge init (map ~lo:0 ~hi:n)
-    else begin
-      let parts = Array.make chunks (map ~lo:0 ~hi:grain) in
-      parallel_for pool ~n:(chunks - 1) (fun c ->
-          let lo = (c + 1) * grain in
-          parts.(c + 1) <- map ~lo ~hi:(min n (lo + grain)));
-      collapse pool ~merge ~init parts
-    end
-  end
-
-(* ---------- per-domain scratch ---------- *)
-
-module Scratch = Scratch
-
 (* ---------- default pool ---------- *)
 
 let env_jobs () =

@@ -3,13 +3,12 @@
     Carlo trials).
 
     Design contract: parallelism only changes {e when} work runs,
-    never {e what} is computed.  Every combinator here is
-    deterministic — results are bit-identical whatever the pool size,
-    including [jobs = 1], which degrades to plain sequential loops
-    with no domains spawned.  {!fold_range} guarantees this for float
-    accumulation by merging partial results in a fixed binary-tree
-    order that depends only on the range and chunk size, never on
-    worker scheduling.
+    never {e what} is computed.  {!parallel_for} is the one loop:
+    each index writes only its own output slot, and the caller then
+    folds the slots sequentially in index order, so results
+    (float sums included) are bit-identical whatever the pool size,
+    including [jobs = 1], which degrades to a plain sequential loop
+    with no domains spawned.
 
     A pool is a fixed set of long-lived worker domains fed from a
     shared chunk counter (no work stealing, no per-worker deques).
@@ -31,22 +30,6 @@ val jobs : t -> int
 val shutdown : t -> unit
 (** Join all worker domains.  Idempotent.  Using the pool afterwards
     degrades to sequential execution. *)
-
-(** {2 Per-domain scratch}
-
-    Hot paths that need reusable mutable state per worker (profile
-    sample buffers, L1 caches) allocate it through a {!Scratch.t}
-    instead of capturing shared state in the task closure: each domain
-    lazily builds its own instance on first use, so tasks touch only
-    domain-private memory and stay within the pool's determinism
-    contract (rule L7).  The contract is on the user: scratch contents
-    must never feed results — only the work computed {e into} them
-    may. *)
-
-module Scratch = Scratch
-(** Re-export of {!Scratch} (its own compilation unit so that modules
-    below the pool in the dependency order — [Telemetry] — can use it
-    too). *)
 
 (** {2 Default pool}
 
@@ -71,7 +54,7 @@ val with_default_jobs : int -> (unit -> 'a) -> 'a
 val get : unit -> t
 (** The shared default pool (created or resized on demand). *)
 
-(** {2 Deterministic parallel combinators} *)
+(** {2 The parallel loop} *)
 
 val parallel_for : ?min_chunk:int -> t -> n:int -> (int -> unit) -> unit
 (** [parallel_for pool ~n f] runs [f 0 .. f (n-1)], each index exactly
@@ -97,30 +80,3 @@ val parallel_for_default : ?min_chunk:int -> n:int -> (int -> unit) -> unit
     worker never acquires [default_lock].  Use it from code that may
     run either at top level or inside another parallel loop (e.g.
     [Topology.distances_incremental] under a weather sweep). *)
-
-val parallel_map_array : ?min_chunk:int -> t -> ('a -> 'b) -> 'a array -> 'b array
-(** [parallel_map_array pool f arr] is [Array.map f arr] with the
-    elements evaluated in parallel.  [f] must be pure (or at least
-    per-element independent).  [min_chunk] as in {!parallel_for}. *)
-
-val fold_range :
-  ?min_chunk:int ->
-  t ->
-  n:int ->
-  map:(lo:int -> hi:int -> 'a) ->
-  merge:('a -> 'a -> 'a) ->
-  init:'a ->
-  'a
-(** Per-chunk accumulate, deterministic reduce: the index range
-    [0, n) is cut into fixed chunks of [min_chunk] indices (default 1;
-    the last chunk may be short), [map ~lo ~hi] builds each chunk's
-    accumulator over \[lo, hi), and the partials are combined
-    pairwise in a fixed left-to-right binary tree whose shape depends
-    only on the chunk count, finishing with [merge init total].
-    Chunk boundaries are a pure function of [(n, min_chunk)] — never
-    of the pool width or of which domain claimed which chunk — so the
-    result is bit-identical at any width even for non-associative
-    merges.  This is the required idiom for parallel accumulation
-    (rule L7): accumulate into chunk-private state inside [map]
-    (per-domain buffers via {!Scratch} are fine for workspace), never
-    into state shared across chunks.  Returns [init] when [n <= 0]. *)

@@ -1,9 +1,8 @@
 (* Per-domain lazily-created slots, a thin veneer over [Domain.DLS].
 
-   Lives outside [Pool] so that modules underneath the pool in the
-   dependency order (notably [Telemetry], which the pool itself calls)
-   can keep per-domain state without creating a cycle; [Pool.Scratch]
-   re-exports this module for the existing call sites. *)
+   Its own unit, below [Pool] in the dependency order, so that
+   [Telemetry] (which the pool itself calls) can keep per-domain state
+   too; the pool's hot paths ([Los], [Noise]) use it directly. *)
 
 type 'a t = 'a Domain.DLS.key
 

@@ -1,12 +1,13 @@
-(** Per-domain scratch slots (see also the re-export [Pool.Scratch]).
+(** Per-domain scratch slots.
 
-    Hot paths that need reusable mutable state per worker (profile
-    sample buffers, L1 caches, telemetry buffers) allocate it through
-    a {!t} instead of capturing shared state in a task closure: each
-    domain lazily builds its own instance on first use, so tasks touch
-    only domain-private memory.  The contract is on the user: scratch
-    contents must never feed results — only the work computed {e into}
-    them may. *)
+    Hot paths that need reusable mutable state per worker (LOS profile
+    buffers, fBm loop state, telemetry buffers) allocate it through a
+    {!t} instead of capturing shared state in a task closure: each
+    domain lazily builds its own instance on first use, so {!Pool}
+    tasks touch only domain-private memory and stay within the pool's
+    determinism contract (rule L7).  The contract is on the user:
+    scratch contents must never feed results — only the work computed
+    {e into} them may. *)
 
 type 'a t
 (** A per-domain slot: one lazily-created ['a] per domain. *)

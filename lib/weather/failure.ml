@@ -37,6 +37,17 @@ let link_failed ?(params = default_params) ~node_position field (link : Hops.lin
       rain > 0.05 && hop_failed ~params ~rain_mm_h:rain ~d_km:d ())
     (Hops.hops_of_link link)
 
+let built_link_failed ?(params = default_params) ~node_position ~sites field ((i, j), link) =
+  match link with
+  | Some l -> link_failed ~params ~node_position field l
+  | None ->
+    let rain =
+      Rainfield.rain_at field
+        (Cisp_geo.Geodesy.midpoint sites.(i).Cisp_data.City.coord
+           sites.(j).Cisp_data.City.coord)
+    in
+    hop_failed ~params ~rain_mm_h:rain ~d_km:60.0 ()
+
 let hop_loss_probability ?(params = default_params) ~rain_mm_h ~d_km () =
   let margin = hop_margin_db ~params ~d_km () in
   let att = attenuation ~params ~rain_mm_h ~d_km () in

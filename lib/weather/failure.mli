@@ -28,6 +28,18 @@ val link_failed :
 (** Walks the link's physical hops, sampling rain at each hop
     midpoint. *)
 
+val built_link_failed :
+  ?params:params ->
+  node_position:(int -> Cisp_geo.Coord.t) ->
+  sites:Cisp_data.City.t array ->
+  Rainfield.t ->
+  (int * int) * Cisp_towers.Hops.link option ->
+  bool
+(** The failure rule for a built site-to-site link [((i, j), link)]:
+    {!link_failed} when it carries hop data, otherwise (synthetic
+    instances) one 60 km hop with rain sampled at the midpoint of
+    [sites.(i)] and [sites.(j)]. *)
+
 val hop_loss_probability : ?params:params -> rain_mm_h:float -> d_km:float -> unit -> float
 (** Smooth packet-loss model for the §2 HFT-relay study: negligible
     below margin, saturating above (a logistic in the attenuation

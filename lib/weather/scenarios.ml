@@ -57,23 +57,16 @@ let standard_suite ?(intervals = 8) ~climate ~hurricane_center () =
     Correlated_towers { blobs = 2; radius_km = 150.0; intervals };
   ]
 
-(* Does one built link fail under a given rain field?  Mirrors
-   [Year.run]: links without hop data (synthetic instances) are a
-   single 60 km hop sampled at the site-to-site midpoint. *)
-let link_fails_in_field ~params ~pos (inputs : Inputs.t) field ((i, j), link) =
-  match link with
-  | Some l -> Failure.link_failed ~params ~node_position:pos field l
-  | None ->
-    let rain =
-      Rainfield.rain_at field
-        (Geodesy.midpoint inputs.Inputs.sites.(i).Cisp_data.City.coord
-           inputs.Inputs.sites.(j).Cisp_data.City.coord)
-    in
-    Failure.hop_failed ~params ~rain_mm_h:rain ~d_km:60.0 ()
-
 (* The per-interval outage set, a pure function of (spec, seed,
    interval): writes [fails.(b)] for every built-link index [b]. *)
 let interval_failures ~seed ~params ~pos ~hops (inputs : Inputs.t) ~links spec iv fails =
+  let fail_under field =
+    Array.iteri
+      (fun b l ->
+        fails.(b) <-
+          Failure.built_link_failed ~params ~node_position:pos ~sites:inputs.Inputs.sites field l)
+      links
+  in
   match spec with
   | Uniform_rain { mm_h } ->
     Array.iteri
@@ -90,15 +83,13 @@ let interval_failures ~seed ~params ~pos ~hops (inputs : Inputs.t) ~links spec i
       links
   | Rain_replay { climate; intervals } ->
     let day = iv * 365 / intervals in
-    let field = Rainfield.sample ~seed climate ~day in
-    Array.iteri (fun b l -> fails.(b) <- link_fails_in_field ~params ~pos inputs field l) links
+    fail_under (Rainfield.sample ~seed climate ~day)
   | Hurricane { center; track_bearing_deg; step_km; _ } ->
     let eye =
       Geodesy.destination center ~bearing_deg:track_bearing_deg
         ~distance_km:(step_km *. float_of_int iv)
     in
-    let field = Rainfield.hurricane ~center:eye in
-    Array.iteri (fun b l -> fails.(b) <- link_fails_in_field ~params ~pos inputs field l) links
+    fail_under (Rainfield.hurricane ~center:eye)
   | Correlated_towers { blobs; radius_km; _ } ->
     let rng = Cisp_util.Rng.create (seed + (iv * 7919)) in
     let n_towers = Array.length hops.Hops.towers in

@@ -11,17 +11,14 @@ type result = {
 }
 
 let run ?(seed = 99) ?(intervals = 365) ~climate ~hops (inputs : Inputs.t) (topo : Topology.t) =
+  if intervals <= 0 then invalid_arg "Year.run: intervals <= 0";
   Cisp_util.Telemetry.with_span "weather.year" (fun () ->
   let n = Inputs.n_sites inputs in
   let base = Topology.fiber_baseline inputs in
-  let built = Array.of_list topo.Topology.built in
   let links =
     Array.map
-      (fun (i, j) ->
-        match inputs.Inputs.mw_links.(i).(j) with
-        | Some l -> ((i, j), Some l)
-        | None -> ((i, j), None))
-      built
+      (fun (i, j) -> ((i, j), inputs.Inputs.mw_links.(i).(j)))
+      (Array.of_list topo.Topology.built)
   in
   let pairs = ref [] in
   for s = 0 to n - 1 do
@@ -40,56 +37,34 @@ let run ?(seed = 99) ?(intervals = 365) ~climate ~hops (inputs : Inputs.t) (topo
   let samples = Array.make intervals [||] in
   let failed_per_interval = Array.make intervals 0 in
   let pos = Hops.node_position hops in
-  (* A single trial costs roughly a rain-field sample plus one O(n^2)
-     metric relaxation per surviving link — batch a few per claim of
-     the pool's chunk counter. *)
-  let trial_chunk = 4 in
   (* Each interval is an independent trial: its rain field is a pure
      function of (seed, day) — its own RNG stream — and it writes only
-     its own row of [samples], so the trials run in parallel with
-     bit-identical results at any pool width.  The failed-link counts
-     accumulate per chunk and reduce over fixed chunk boundaries
-     (width-independent), keeping the total exact and deterministic. *)
-  let failed_total =
-    Cisp_util.Pool.fold_range (Cisp_util.Pool.get ()) ~n:intervals ~min_chunk:trial_chunk
-      ~init:0 ~merge:( + )
-      ~map:(fun ~lo ~hi ->
-        let failed_in_chunk = ref 0 in
-        for interval = lo to hi - 1 do
-          let day = interval * 365 / intervals in
-          let field = Rainfield.sample ~seed climate ~day in
-          (* Distances over surviving links. *)
-          let d = ref base in
-          let failed_here = ref 0 in
-          Array.iter
-            (fun ((i, j), link) ->
-              let failed =
-                match link with
-                | Some l -> Failure.link_failed ~node_position:pos field l
-                | None ->
-                  (* Synthetic instance: approximate with a single hop at the
-                     link midpoint. *)
-                  let rain =
-                    Rainfield.rain_at field
-                      (Cisp_geo.Geodesy.midpoint inputs.sites.(i).Cisp_data.City.coord
-                         inputs.sites.(j).Cisp_data.City.coord)
-                  in
-                  Failure.hop_failed ~rain_mm_h:rain ~d_km:60.0 ()
-              in
-              if failed then incr failed_here
-              else d := Topology.distances_incremental inputs !d (i, j))
-            links;
-          failed_per_interval.(interval) <- !failed_here;
-          failed_in_chunk := !failed_in_chunk + !failed_here;
-          let dm = !d in
-          let row = Array.make np 0.0 in
-          Array.iteri
-            (fun k (s, t) -> row.(k) <- dm.(s).(t) /. inputs.geodesic_km.(s).(t))
-            pairs;
-          samples.(interval) <- row
-        done;
-        !failed_in_chunk)
-  in
+     its own row of [samples] and slot of [failed_per_interval], so
+     the trials run in parallel with bit-identical results at any pool
+     width.  A trial costs roughly a rain-field sample plus one O(n^2)
+     metric relaxation per surviving link: batch a few per claim of
+     the pool's chunk counter. *)
+  Cisp_util.Pool.parallel_for (Cisp_util.Pool.get ()) ~min_chunk:4 ~n:intervals
+    (fun interval ->
+      let day = interval * 365 / intervals in
+      let field = Rainfield.sample ~seed climate ~day in
+      (* Distances over surviving links. *)
+      let d = ref base in
+      let failed_here = ref 0 in
+      Array.iter
+        (fun (((i, j), _) as link) ->
+          if Failure.built_link_failed ~node_position:pos ~sites:inputs.sites field link then
+            incr failed_here
+          else d := Topology.distances_incremental inputs !d (i, j))
+        links;
+      failed_per_interval.(interval) <- !failed_here;
+      let dm = !d in
+      let row = Array.make np 0.0 in
+      Array.iteri
+        (fun k (s, t) -> row.(k) <- dm.(s).(t) /. inputs.geodesic_km.(s).(t))
+        pairs;
+      samples.(interval) <- row);
+  let failed_total = Array.fold_left ( + ) 0 failed_per_interval in
   if Cisp_util.Telemetry.enabled () then begin
     Cisp_util.Telemetry.add "weather.intervals" intervals;
     Array.iter

@@ -28,7 +28,8 @@ val run :
   Cisp_design.Inputs.t ->
   Cisp_design.Topology.t ->
   result
-(** [intervals] defaults to 365 (one per day). *)
+(** [intervals] defaults to 365 (one per day).  Raises
+    [Invalid_argument] if [intervals <= 0]. *)
 
 val stretch_cdfs : result -> (string * (float * float) array) list
 (** Fig 7's curves: CDFs across city pairs of best / median / 99th /

@@ -12,5 +12,8 @@ let captured pool =
   Cisp_util.Pool.parallel_for pool ~n:8 (fun i -> acc := !acc + i);
   !acc
 
-let clean pool arr =
-  Cisp_util.Pool.parallel_map_array pool (fun x -> (x * 2 : int)) arr
+let clean pool (arr : int array) =
+  let n = Array.length arr in
+  let out = Array.make n 0 in
+  Cisp_util.Pool.parallel_for pool ~n (fun i -> out.(i) <- arr.(i) * 2);
+  out

@@ -87,58 +87,20 @@ let test_cross_track () =
 (* ---------- Grid ---------- *)
 
 let test_grid_nearby () =
-  let g = Grid.create ~cell_deg:0.5 in
-  Grid.add g nyc "nyc";
-  Grid.add g la "la";
-  Grid.add g chicago "chi";
+  let g = Grid.of_list ~cell_deg:0.5 [ (nyc, "nyc"); (la, "la"); (chicago, "chi") ] in
   let near_nyc = Grid.nearby g nyc ~radius_km:100.0 in
   Alcotest.(check int) "one near nyc" 1 (List.length near_nyc);
   let all = Grid.nearby g nyc ~radius_km:5000.0 in
-  Alcotest.(check int) "all within 5000km" 3 (List.length all);
-  Alcotest.(check int) "length" 3 (Grid.length g)
-
-let test_grid_fold () =
-  let g = Grid.of_list ~cell_deg:1.0 [ (nyc, 1); (la, 2); (chicago, 3) ] in
-  let sum = Grid.fold g ~init:0 ~f:(fun acc _ v -> acc + v) in
-  Alcotest.(check int) "fold sum" 6 sum
-
-let test_grid_fold_order_independent () =
-  (* The fold visits cells in sorted key order, so on points in
-     distinct cells the sequence it produces is a pure function of the
-     contents — not of the insertion order, which perturbs [Hashtbl]'s
-     internal layout (regression: the old [Hashtbl.fold] traversal
-     leaked hash order into any accumulator). *)
-  let pts =
-    (* A lattice one point per cell at cell_deg 1.0. *)
-    List.init 96 (fun i ->
-        (coord ~lat:(20.0 +. float_of_int (i mod 12)) ~lon:(-130.0 +. float_of_int (i / 12)), i))
-  in
-  let visit order =
-    let g = Grid.of_list ~cell_deg:1.0 order in
-    List.rev (Grid.fold g ~init:[] ~f:(fun acc _ v -> v :: acc))
-  in
-  let forward = visit pts in
-  Alcotest.(check (list int)) "reverse insertion, identical fold sequence" forward
-    (visit (List.rev pts));
-  let shuffled =
-    let rng = Cisp_util.Rng.create 41 in
-    let arr = Array.of_list pts in
-    Cisp_util.Rng.shuffle rng arr;
-    Array.to_list arr
-  in
-  Alcotest.(check (list int)) "shuffled insertion, identical fold sequence" forward
-    (visit shuffled)
+  Alcotest.(check int) "all within 5000km" 3 (List.length all)
 
 let test_grid_antimeridian () =
   (* Neighbours straddling the +/-180 meridian: the query window wraps
      and must find towers on both sides (regression — the unwrapped
      column range [179.9 - w, 179.9 + w] never reached cells stored
      near lon = -179.9). *)
-  let g = Grid.create ~cell_deg:0.5 in
   let east = coord ~lat:10.0 ~lon:179.9 in
   let west = coord ~lat:10.0 ~lon:(-179.9) in
-  Grid.add g east "east";
-  Grid.add g west "west";
+  let g = Grid.of_list ~cell_deg:0.5 [ (east, "east"); (west, "west") ] in
   let from_east = Grid.nearby g east ~radius_km:100.0 in
   Alcotest.(check int) "east sees both" 2 (List.length from_east);
   let from_west = Grid.nearby g west ~radius_km:100.0 in
@@ -146,45 +108,56 @@ let test_grid_antimeridian () =
   (* A window that covers the wrap plus the stored cells exactly once:
      no duplicates from the two column ranges overlapping. *)
   let wide = Grid.nearby g east ~radius_km:3000.0 in
-  Alcotest.(check int) "no duplicates in wrapped window" 2 (List.length wide);
-  (* Frozen and unfrozen traversals agree across the seam. *)
-  Grid.freeze g;
-  Alcotest.(check int) "frozen east sees both" 2 (List.length (Grid.nearby g east ~radius_km:100.0))
+  Alcotest.(check int) "no duplicates in wrapped window" 2 (List.length wide)
 
-let test_grid_freeze_equivalence () =
+let test_grid_matches_brute_force () =
+  (* Every query returns exactly the points a linear scan over the
+     indexed list finds within the radius. *)
   let rng = Cisp_util.Rng.create 77 in
-  let pts =
-    List.init 200 (fun i ->
-        ( coord
-            ~lat:(Cisp_util.Rng.uniform rng 20.0 55.0)
-            ~lon:(Cisp_util.Rng.uniform rng (-130.0) (-60.0)),
-          i ))
+  let random_point () =
+    coord
+      ~lat:(Cisp_util.Rng.uniform rng 20.0 55.0)
+      ~lon:(Cisp_util.Rng.uniform rng (-130.0) (-60.0))
   in
+  let pts = List.init 200 (fun i -> (random_point (), i)) in
   let g = Grid.of_list ~cell_deg:0.5 pts in
-  let probe () =
-    List.map
-      (fun (p, _) -> List.sort compare (List.map snd (Grid.nearby g p ~radius_km:150.0)))
-      pts
+  let probes = List.map fst pts @ List.init 50 (fun _ -> random_point ()) in
+  List.iter
+    (fun radius_km ->
+      List.iter
+        (fun p ->
+          let scan =
+            List.filter_map
+              (fun (q, v) -> if Geodesy.distance_km p q <= radius_km then Some v else None)
+              pts
+          in
+          Alcotest.(check (list int))
+            (Printf.sprintf "query = linear scan at %.0f km" radius_km)
+            (List.sort Int.compare scan)
+            (List.sort Int.compare (List.map snd (Grid.nearby g p ~radius_km))))
+        probes)
+    [ 10.0; 150.0; 600.0 ];
+  (* Within one cell, points are visited in reverse list order. *)
+  let same_cell =
+    List.init 5 (fun i -> (coord ~lat:(40.1 +. (0.05 *. float_of_int i)) ~lon:(-100.4), i))
   in
-  let before = probe () in
-  Grid.freeze g;
-  let after = probe () in
-  Alcotest.(check bool) "freeze changes no query result" true (before = after);
-  (* Adding after freeze invalidates the frozen index transparently. *)
-  let extra = coord ~lat:40.0 ~lon:(-100.0) in
-  Grid.add g extra 999;
-  Alcotest.(check bool) "member visible after post-freeze add" true
-    (List.exists (fun (_, v) -> v = 999) (Grid.nearby g extra ~radius_km:10.0))
+  let g = Grid.of_list ~cell_deg:0.5 same_cell in
+  let visited = ref [] in
+  Grid.iter_nearby g (coord ~lat:40.2 ~lon:(-100.4)) ~radius_km:50.0 (fun _ v ->
+      visited := v :: !visited);
+  Alcotest.(check (list int)) "reverse list order within a cell" [ 4; 3; 2; 1; 0 ]
+    (List.rev !visited)
 
 let test_grid_radius_exact () =
   (* Points right at the radius boundary must not be missed by the
      cell-range computation. *)
   let center = coord ~lat:45.0 ~lon:0.0 in
-  let g = Grid.create ~cell_deg:0.5 in
-  for i = 0 to 35 do
-    let b = float_of_int i *. 10.0 in
-    Grid.add g (Geodesy.destination center ~bearing_deg:b ~distance_km:99.0) i
-  done;
+  let g =
+    Grid.of_list ~cell_deg:0.5
+      (List.init 36 (fun i ->
+           let b = float_of_int i *. 10.0 in
+           (Geodesy.destination center ~bearing_deg:b ~distance_km:99.0, i)))
+  in
   let found = Grid.nearby g center ~radius_km:100.0 in
   Alcotest.(check int) "all 36 found" 36 (List.length found)
 
@@ -267,10 +240,8 @@ let suites =
     ( "geo.grid",
       [
         Alcotest.test_case "nearby" `Quick test_grid_nearby;
-        Alcotest.test_case "fold" `Quick test_grid_fold;
-        Alcotest.test_case "fold order-independent" `Quick test_grid_fold_order_independent;
         Alcotest.test_case "antimeridian wrap" `Quick test_grid_antimeridian;
-        Alcotest.test_case "freeze equivalence" `Quick test_grid_freeze_equivalence;
+        Alcotest.test_case "matches brute force" `Quick test_grid_matches_brute_force;
         Alcotest.test_case "radius boundary" `Quick test_grid_radius_exact;
       ] );
   ]

@@ -74,110 +74,6 @@ let test_for_after_shutdown () =
   Pool.parallel_for pool ~n:10 (fun _ -> incr hits);
   Alcotest.(check int) "sequential fallback after shutdown" 10 !hits
 
-(* ---------- parallel_map_array ---------- *)
-
-let test_map_array () =
-  with_pool 4 (fun pool ->
-      let arr = Array.init 1_000 (fun i -> i - 500) in
-      let expect = Array.map (fun x -> (x * x) + 1) arr in
-      let got = Pool.parallel_map_array pool (fun x -> (x * x) + 1) arr in
-      Alcotest.(check (array int)) "matches Array.map" expect got;
-      Alcotest.(check (array int)) "empty array" [||]
-        (Pool.parallel_map_array pool (fun x -> x) [||]))
-
-let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-
-(* ---------- fold_range ---------- *)
-
-let test_fold_range_edge_cases () =
-  with_pool 4 (fun pool ->
-      let sum ?min_chunk n =
-        Pool.fold_range ?min_chunk pool ~n
-          ~map:(fun ~lo ~hi ->
-            let s = ref 0 in
-            for i = lo to hi - 1 do
-              s := !s + i
-            done;
-            !s)
-          ~merge:( + ) ~init:0
-      in
-      Alcotest.(check int) "empty range returns init" 0 (sum 0);
-      Alcotest.(check int) "negative range returns init" 0 (sum (-3));
-      Alcotest.(check int) "single chunk (min_chunk > n)" 45 (sum ~min_chunk:64 10);
-      Alcotest.(check int) "exact chunk multiple" 66 (sum ~min_chunk:4 12);
-      Alcotest.(check int) "ragged last chunk" 45 (sum ~min_chunk:4 10))
-
-let test_fold_range_chunk_boundaries () =
-  (* Chunk boundaries are a pure function of (n, min_chunk): observe
-     them through a list-concat merge (associative, so the fixed tree
-     flattens back to chunk order). *)
-  with_pool 4 (fun pool ->
-      let spans n min_chunk =
-        Pool.fold_range ~min_chunk pool ~n
-          ~map:(fun ~lo ~hi -> [ (lo, hi) ])
-          ~merge:( @ ) ~init:[]
-      in
-      Alcotest.(check (list (pair int int)))
-        "grain 4 over 10" [ (0, 4); (4, 8); (8, 10) ] (spans 10 4);
-      Alcotest.(check (list (pair int int)))
-        "grain 1 over 3" [ (0, 1); (1, 2); (2, 3) ] (spans 3 1);
-      (* Same n, same grain, different width: identical boundaries. *)
-      let at_width jobs =
-        Pool.with_default_jobs jobs (fun () ->
-            Pool.fold_range ~min_chunk:3 (Pool.get ()) ~n:17
-              ~map:(fun ~lo ~hi -> [ (lo, hi) ])
-              ~merge:( @ ) ~init:[])
-      in
-      let b1 = at_width 1 in
-      List.iter
-        (fun jobs ->
-          Alcotest.(check (list (pair int int)))
-            (Printf.sprintf "boundaries at jobs=%d" jobs)
-            b1 (at_width jobs))
-        [ 2; 4; 8 ])
-
-let fold_sum ~min_chunk jobs xs =
-  Pool.with_default_jobs jobs (fun () ->
-      Pool.fold_range ~min_chunk (Pool.get ()) ~n:(Array.length xs)
-        ~map:(fun ~lo ~hi ->
-          let s = ref 0.0 in
-          for i = lo to hi - 1 do
-            s := !s +. xs.(i)
-          done;
-          !s)
-        ~merge:( +. ) ~init:0.0)
-
-let test_fold_range_bit_identical_across_widths () =
-  (* Float addition is not associative, so this only holds because the
-     merge tree's shape is a pure function of the chunk count. *)
-  let rng = Rng.create 42 in
-  let xs = Array.init 10_001 (fun _ -> Rng.float rng 2.0 -. 1.0) in
-  let s1 = fold_sum ~min_chunk:1 1 xs in
-  List.iter
-    (fun jobs ->
-      Alcotest.(check bool)
-        (Printf.sprintf "jobs=1 vs jobs=%d bitwise" jobs)
-        true
-        (bits_equal s1 (fold_sum ~min_chunk:1 jobs xs)))
-    [ 2; 3; 8 ]
-
-(* QCheck: per-chunk accumulation reduces to the same bits whatever
-   interleaving of chunk claims the pool width produces — float
-   addition is not associative, so this only holds because both the
-   chunk boundaries and the collapse tree depend on (n, min_chunk)
-   alone. *)
-let prop_fold_range_width_invariant =
-  QCheck.Test.make ~name:"fold_range independent of pool width" ~count:50
-    QCheck.(
-      triple
-        (array_of_size Gen.(int_range 0 400) (float_range (-1e3) 1e3))
-        (int_range 1 64) (int_range 2 8))
-    (fun (xs, min_chunk, jobs) ->
-      let s1 = fold_sum ~min_chunk 1 xs in
-      List.for_all
-        (fun w -> bits_equal s1 (fold_sum ~min_chunk w xs))
-        [ 2; 4; jobs ])
-
 (* ---------- short-circuit vs parallel telemetry ---------- *)
 
 let test_short_circuit_telemetry () =
@@ -231,15 +127,15 @@ let test_with_default_jobs_restores () =
 
 let test_scratch_per_domain () =
   let counter = Atomic.make 0 in
-  let key = Pool.Scratch.create (fun () -> Atomic.fetch_and_add counter 1) in
-  let a = Pool.Scratch.get key in
-  Alcotest.(check int) "same domain reuses its instance" a (Pool.Scratch.get key);
+  let key = Scratch.create (fun () -> Atomic.fetch_and_add counter 1) in
+  let a = Scratch.get key in
+  Alcotest.(check int) "same domain reuses its instance" a (Scratch.get key);
   with_pool 3 (fun pool ->
       let n = 64 in
       let tags = Array.make n (-1) in
       let doms = Array.make n (-1) in
       Pool.parallel_for pool ~n (fun i ->
-          tags.(i) <- Pool.Scratch.get key;
+          tags.(i) <- Scratch.get key;
           doms.(i) <- (Domain.self () :> int));
       (* Within a domain the instance is stable... *)
       let by_dom = Hashtbl.create 8 in
@@ -257,11 +153,11 @@ let test_scratch_per_domain () =
         (Hashtbl.length by_dom) (List.length distinct))
 
 let test_scratch_keys_independent () =
-  let k1 = Pool.Scratch.create (fun () -> ref 1) in
-  let k2 = Pool.Scratch.create (fun () -> ref 2) in
-  Alcotest.(check bool) "separate slots" true (Pool.Scratch.get k1 != Pool.Scratch.get k2);
-  Pool.Scratch.get k1 := 10;
-  Alcotest.(check int) "no cross-talk" 2 !(Pool.Scratch.get k2)
+  let k1 = Scratch.create (fun () -> ref 1) in
+  let k2 = Scratch.create (fun () -> ref 2) in
+  Alcotest.(check bool) "separate slots" true (Scratch.get k1 != Scratch.get k2);
+  Scratch.get k1 := 10;
+  Alcotest.(check int) "no cross-talk" 2 !(Scratch.get k2)
 
 let suites =
   [
@@ -274,17 +170,10 @@ let suites =
         Alcotest.test_case "for: exception propagates" `Quick test_for_exception_propagates;
         Alcotest.test_case "for: nested use is safe" `Quick test_for_nested;
         Alcotest.test_case "for: after shutdown" `Quick test_for_after_shutdown;
-        Alcotest.test_case "map_array" `Quick test_map_array;
-        Alcotest.test_case "fold_range: edge cases" `Quick test_fold_range_edge_cases;
-        Alcotest.test_case "fold_range: chunk boundaries width-independent" `Quick
-          test_fold_range_chunk_boundaries;
-        Alcotest.test_case "fold_range: bit-identical across widths" `Quick
-          test_fold_range_bit_identical_across_widths;
         Alcotest.test_case "short-circuit vs parallel telemetry" `Quick
           test_short_circuit_telemetry;
         Alcotest.test_case "with_default_jobs restores" `Quick test_with_default_jobs_restores;
         Alcotest.test_case "scratch: one instance per domain" `Quick test_scratch_per_domain;
         Alcotest.test_case "scratch: keys independent" `Quick test_scratch_keys_independent;
-        QCheck_alcotest.to_alcotest prop_fold_range_width_invariant;
       ] );
   ]

@@ -198,6 +198,32 @@ let test_cache_cell_center_purity () =
 
 let heights_bits = Array.map Int64.bits_of_float
 
+let test_cache_bulk_matches_scalar () =
+  (* [surface_samples], the LOS walk's bulk entry, writes exactly what
+     [surface_m_ll] returns at each position, bit for bit, touches only
+     the requested index range and counts one evaluation per sample. *)
+  let rng = Cisp_util.Rng.create 41 in
+  let n = 64 in
+  let lats = Float.Array.init n (fun _ -> Cisp_util.Rng.uniform rng 30.0 45.0) in
+  let lons = Float.Array.init n (fun _ -> Cisp_util.Rng.uniform rng (-110.0) (-80.0)) in
+  let cache = Dem_cache.create us in
+  let out = Float.Array.make n nan in
+  let lo = 3 and hi = n - 5 in
+  Dem_cache.surface_samples cache ~lats ~lons ~out ~lo ~hi;
+  Alcotest.(check (pair int int)) "one evaluation per sample" (0, hi - lo + 1)
+    (Dem_cache.stats cache);
+  for i = 0 to n - 1 do
+    let bulk = Float.Array.get out i in
+    if i < lo || i > hi then
+      Alcotest.(check bool) "outside the range untouched" true (Float.is_nan bulk)
+    else
+      Alcotest.(check int64) "bulk = scalar"
+        (Int64.bits_of_float
+           (Dem_cache.surface_m_ll cache ~lat:(Float.Array.get lats i)
+              ~lon:(Float.Array.get lons i)))
+        (Int64.bits_of_float bulk)
+  done
+
 let test_cache_order_independence () =
   (* Each height is a pure function of its cell: query order must not
      change what any query returns. *)
@@ -310,6 +336,7 @@ let suites =
         Alcotest.test_case "hit/miss counters" `Quick test_cache_hit_miss_counters;
         Alcotest.test_case "cell-center purity" `Quick test_cache_cell_center_purity;
         Alcotest.test_case "order independence" `Quick test_cache_order_independence;
+        Alcotest.test_case "bulk matches scalar" `Quick test_cache_bulk_matches_scalar;
         Alcotest.test_case "width invariance" `Slow test_cache_width_invariance;
         Alcotest.test_case "telemetry stress at jobs 8" `Slow
           test_cache_telemetry_stress;

@@ -90,18 +90,21 @@ let year_fixture () =
   let topo = Cisp_design.Greedy.design inputs ~budget:60 in
   (inputs, topo)
 
-(* A hops structure is needed for positions; reuse the towers fixture
-   approach with a flat DEM. *)
-let dem = Cisp_terrain.Dem.create ~seed:5 Cisp_terrain.Dem.Flat
-let cache = Cisp_terrain.Dem_cache.create dem
-
-let hops_fixture sites =
-  let towers = Cisp_towers.Culling.apply (Cisp_towers.Synth.generate ~dem ~sites ()) in
-  Cisp_towers.Hops.build ~cache ~sites ~towers ()
+(* A hops structure is needed for node positions and the tower list;
+   reuse the towers fixture approach with a flat DEM.  Building it runs
+   a full LOS sweep, so every case shares one lazy build: the sweep and
+   the cases only read it. *)
+let fixture =
+  lazy
+    (let inputs, topo = year_fixture () in
+     let sites = Array.to_list inputs.Cisp_design.Inputs.sites in
+     let dem = Cisp_terrain.Dem.create ~seed:5 Cisp_terrain.Dem.Flat in
+     let towers = Cisp_towers.Culling.apply (Cisp_towers.Synth.generate ~dem ~sites ()) in
+     let cache = Cisp_terrain.Dem_cache.create dem in
+     (inputs, topo, Cisp_towers.Hops.build ~cache ~sites ~towers ()))
 
 let test_year_bounds () =
-  let inputs, topo = year_fixture () in
-  let hops = hops_fixture (Array.to_list inputs.Cisp_design.Inputs.sites) in
+  let inputs, topo, hops = Lazy.force fixture in
   let r = Year.run ~intervals:20 ~climate:Rainfield.us_climate ~hops inputs topo in
   Alcotest.(check int) "intervals" 20 r.Year.intervals;
   Array.iter
@@ -114,8 +117,7 @@ let test_year_bounds () =
     r.Year.per_pair
 
 let test_year_cdfs_shape () =
-  let inputs, topo = year_fixture () in
-  let hops = hops_fixture (Array.to_list inputs.Cisp_design.Inputs.sites) in
+  let inputs, topo, hops = Lazy.force fixture in
   let r = Year.run ~intervals:10 ~climate:Rainfield.us_climate ~hops inputs topo in
   let cdfs = Year.stretch_cdfs r in
   Alcotest.(check int) "five curves" 5 (List.length cdfs);
@@ -123,6 +125,16 @@ let test_year_cdfs_shape () =
     (fun (_, cdf) ->
       Alcotest.(check int) "one point per pair" (Array.length r.Year.per_pair) (Array.length cdf))
     cdfs
+
+let test_year_validation () =
+  let inputs, topo, hops = Lazy.force fixture in
+  List.iter
+    (fun intervals ->
+      Alcotest.check_raises
+        (Printf.sprintf "%d intervals rejected" intervals)
+        (Invalid_argument "Year.run: intervals <= 0") (fun () ->
+          ignore (Year.run ~intervals ~climate:Rainfield.us_climate ~hops inputs topo)))
+    [ 0; -3 ]
 
 (* ---------- HFT relay ---------- *)
 
@@ -172,8 +184,7 @@ let test_zero_hop_does_not_shadow_real_hops () =
 (* ---------- failure-scenario engine ---------- *)
 
 let scenario_fixture () =
-  let inputs, topo = year_fixture () in
-  let hops = hops_fixture (Array.to_list inputs.Cisp_design.Inputs.sites) in
+  let inputs, topo, hops = Lazy.force fixture in
   let model =
     { Cisp_sim.Routing.inputs; topology = topo; mw_gbps = (fun _ -> 10.0); fiber_gbps = 100.0 }
   in
@@ -307,6 +318,7 @@ let suites =
       [
         Alcotest.test_case "bounds" `Slow test_year_bounds;
         Alcotest.test_case "cdf shape" `Slow test_year_cdfs_shape;
+        Alcotest.test_case "validation" `Quick test_year_validation;
       ] );
     ("weather.hft", [ Alcotest.test_case "hurricane-driven loss" `Quick test_hft_shape ]);
   ]
