@@ -267,4 +267,14 @@ let hft_cmd =
 
 let () =
   let doc = "cISP: a speed-of-light ISP designer (NSDI 2022 reproduction)" in
-  exit (Cmd.eval (Cmd.group (Cmd.info "cisp" ~doc) [ design_cmd; weather_cmd; scenarios_cmd; econ_cmd; hft_cmd ]))
+  let cmd =
+    Cmd.group (Cmd.info "cisp" ~doc) [ design_cmd; weather_cmd; scenarios_cmd; econ_cmd; hft_cmd ]
+  in
+  (* The library rejects unusable inputs (say, --sites 0) with
+     [Invalid_argument]: that is a usage error, reported in one line,
+     not an internal one. *)
+  exit
+    (try Cmd.eval ~catch:false cmd
+     with Invalid_argument msg ->
+       prerr_endline ("cisp: " ^ msg);
+       Cmd.Exit.cli_error)

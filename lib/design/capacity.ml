@@ -1,7 +1,5 @@
 module Hops = Cisp_towers.Hops
 module Capacity_rf = Cisp_rf.Capacity
-module Graph = Cisp_graph.Graph
-module Dijkstra = Cisp_graph.Dijkstra
 
 type link_plan = { link : int * int; load_gbps : float; series : int; hops : int }
 
@@ -16,91 +14,41 @@ type plan = {
 }
 
 
-(* Site-level routing graph: complete fiber mesh plus built MW links. *)
-let routing_graph (inputs : Inputs.t) (topo : Topology.t) =
-  let n = Inputs.n_sites inputs in
-  let g = Graph.create n in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      if inputs.fiber_km.(i).(j) < infinity then
-        Graph.add_undirected g i j inputs.fiber_km.(i).(j)
-    done
-  done;
-  List.iter
-    (fun (i, j) -> Graph.add_undirected g i j inputs.mw_km.(i).(j))
-    topo.Topology.built;
-  g
-
-(* Weight of the cheapest parallel edge u -> v — exactly the step a
-   shortest path takes between consecutive nodes (relaxation keeps the
-   minimum of parallel edges). *)
-let min_edge_weight g u v =
-  List.fold_left
-    (fun best (e : Graph.edge) -> if e.Graph.dst = v then Float.min best e.Graph.weight else best)
-    infinity (Graph.succ g u)
-
-(* A path step u -> v rides the MW link iff the pair is built and the
-   MW length is the (tolerance-matched) cheapest medium — same
-   predicate the prev-tree walks used on [dist v -. dist u]. *)
-let mw_step inputs (topo : Topology.t) g u v =
-  Topology.is_built topo u v
-  && Float.abs (min_edge_weight g u v -. inputs.Inputs.mw_km.(u).(v)) < 1e-6
-
-(* Route every positive-demand commodity over its shortest path (one
-   pool-parallel Dijkstra per source with demand) and hand each
-   (s, t, demand, node path) to [f]. *)
-let iter_demand_routes g ~demands ~f =
-  let n = Array.length demands in
-  let demand s t = t <> s && demands.(s).(t) > 0.0 in
-  let has_demand s = List.exists (demand s) (List.init n Fun.id) in
-  let sources = Array.of_list (List.filter has_demand (List.init n Fun.id)) in
-  let rows = Dijkstra.all_pairs_results g ~sources in
-  Array.iteri
-    (fun k s ->
-      for t = 0 to n - 1 do
-        if demand s t then
-          match Dijkstra.path rows.(k) ~dst:t with
-          | [] -> ()
-          | path -> f s t demands.(s).(t) path
-      done)
-    sources
-
-let rec iter_steps f = function
-  | u :: (v :: _ as rest) ->
-    f u v;
-    iter_steps f rest
-  | _ -> ()
-
-let route_loads (inputs : Inputs.t) (topo : Topology.t) ~aggregate_gbps =
+(* One routing pass for both figures a plan needs: per-direction
+   loads on the MW links (links are duplex, so the binding figure for
+   capacity is the busier direction) and the fraction of (normalized)
+   traffic whose route rides at least one MW link.  Every commodity
+   with traffic is routed once; a positive aggregate keeps exactly
+   those commodities positive in the scaled matrix. *)
+let carried (inputs : Inputs.t) (topo : Topology.t) ~aggregate_gbps =
+  if aggregate_gbps < 0.0 then invalid_arg "Capacity: aggregate_gbps < 0";
   let demands = Cisp_traffic.Matrix.scale_to_gbps inputs.traffic ~aggregate_gbps in
-  let g = routing_graph inputs topo in
-  (* Loads are tracked per direction: MW links are duplex, so the
-     binding figure for capacity is the busier direction. *)
   let loads : (int * int, float) Hashtbl.t = Hashtbl.create 64 in
-  iter_demand_routes g ~demands ~f:(fun _s _t h path ->
-      iter_steps
-        (fun u v ->
-          if mw_step inputs topo g u v then
-            Hashtbl.replace loads (u, v)
-              (h +. Option.value (Hashtbl.find_opt loads (u, v)) ~default:0.0))
-        path);
+  let mw = ref 0.0 and all = ref 0.0 in
+  List.iter
+    (fun ((s, t), route) ->
+      let h = inputs.traffic.(s).(t) in
+      all := !all +. h;
+      let used = ref false in
+      for k = 0 to Array.length route - 2 do
+        let u = route.(k) and v = route.(k + 1) in
+        if Topology.rides_mw topo u v then begin
+          used := true;
+          Hashtbl.replace loads (u, v)
+            (demands.(s).(t) +. Option.value (Hashtbl.find_opt loads (u, v)) ~default:0.0)
+        end
+      done;
+      if !used then mw := !mw +. h)
+    (Topology.routes topo ~demands:inputs.traffic);
   let directional (i, j) =
     Float.max
       (Option.value (Hashtbl.find_opt loads (i, j)) ~default:0.0)
       (Option.value (Hashtbl.find_opt loads (j, i)) ~default:0.0)
   in
-  List.map (fun pair -> (pair, directional pair)) topo.Topology.built
+  ( List.map (fun pair -> (pair, directional pair)) topo.Topology.built,
+    if Float.equal !all 0.0 then 0.0 else !mw /. !all )
 
-let mw_fraction (inputs : Inputs.t) (topo : Topology.t) =
-  (* Fraction of (normalized) traffic whose shortest path uses >= 1 MW link. *)
-  let g = routing_graph inputs topo in
-  let mw = ref 0.0 and all = ref 0.0 in
-  iter_demand_routes g ~demands:inputs.traffic ~f:(fun _s _t h path ->
-      all := !all +. h;
-      let used = ref false in
-      iter_steps (fun u v -> if mw_step inputs topo g u v then used := true) path;
-      if !used then mw := !mw +. h);
-  if Float.equal !all 0.0 then 0.0 else !mw /. !all
+let route_loads inputs topo ~aggregate_gbps = fst (carried inputs topo ~aggregate_gbps)
 
 let link_hops (inputs : Inputs.t) (i, j) =
   match inputs.Inputs.mw_links.(i).(j) with
@@ -134,7 +82,7 @@ let spare_from_registry (h : Hops.t) =
 let plan ?spare_series_at_hop (inputs : Inputs.t) (topo : Topology.t) ~aggregate_gbps =
   Cisp_util.Telemetry.with_span "capacity.plan" (fun () ->
   let spare = match spare_series_at_hop with Some f -> f | None -> fun _ _ -> 0 in
-  let loads = route_loads inputs topo ~aggregate_gbps in
+  let loads, mw_carried_fraction = carried inputs topo ~aggregate_gbps in
   let links =
     List.map
       (fun ((i, j), load_gbps) ->
@@ -175,7 +123,7 @@ let plan ?spare_series_at_hop (inputs : Inputs.t) (topo : Topology.t) ~aggregate
   end;
   {
     links;
-    mw_carried_fraction = mw_fraction inputs topo;
+    mw_carried_fraction;
     hops_total = !hops_total;
     hop_classes = classes;
     radios = !radios;

@@ -1,10 +1,12 @@
 (** Step 3: capacity augmentation (paper §3.3, §4).
 
     Routes the target aggregate demand over the designed topology's
-    shortest paths, sizes every built MW link with parallel tower
-    series (k series provide k^2 Gbps via the angular-separation
-    trick), and accounts for new towers where the existing registry
-    has no spares near a hop. *)
+    site network ({!Topology.routes}: a pair rides its MW link only
+    where {!Topology.rides_mw} says so, exactly as the routing schemes
+    and the packet network do), sizes every built MW link with
+    parallel tower series (k series provide k^2 Gbps via the
+    angular-separation trick), and accounts for new towers where the
+    existing registry has no spares near a hop. *)
 
 type link_plan = {
   link : int * int;              (** site pair *)
@@ -28,7 +30,8 @@ type plan = {
 val route_loads : Inputs.t -> Topology.t -> aggregate_gbps:float -> ((int * int) * float) list
 (** Per-built-link carried load in Gbps under shortest-path routing
     of the scaled traffic matrix — the busier of the two directions,
-    since links are duplex and capacity is per-direction. *)
+    since links are duplex and capacity is per-direction.  Raises
+    [Invalid_argument] if [aggregate_gbps < 0]. *)
 
 val plan :
   ?spare_series_at_hop:(int -> int -> int) ->
@@ -37,7 +40,9 @@ val plan :
     series can reuse existing towers around hop (u, v) (graph node
     ids); default comes from local tower density when hop data is
     available, else 0 (most conservative: every extra series charges
-    new towers). *)
+    new towers).  One routing pass yields both the loads and
+    [mw_carried_fraction].  Raises [Invalid_argument] if
+    [aggregate_gbps < 0]. *)
 
 val spare_from_registry : Cisp_towers.Hops.t -> int -> int -> int
 (** Density-based spare estimate: registry towers within a small

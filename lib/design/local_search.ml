@@ -10,7 +10,12 @@ let traffic_total (inputs : Inputs.t) =
   done;
   Float.max 1e-300 !den
 
-let improve ?(passes = 3) ?(swap_pool = 20) (inputs : Inputs.t) ~budget ~candidates topo =
+(* Sweeps at most [passes] times; each swap round considers the
+   [swap_pool] weakest built links for removal. *)
+let passes = 3
+let swap_pool = 20
+
+let improve (inputs : Inputs.t) ~budget ~candidates topo =
   let w = Greedy.weight_matrix inputs in
   let den = traffic_total inputs in
   let current = ref topo in

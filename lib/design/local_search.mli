@@ -9,14 +9,11 @@
     optimal against the exact ILP at small scales (Fig 2b). *)
 
 val improve :
-  ?passes:int ->
-  ?swap_pool:int ->
   Inputs.t ->
   budget:int ->
   candidates:(int * int) list ->
   Topology.t ->
   Topology.t
 (** [improve inputs ~budget ~candidates topo] returns a topology with
-    objective <= the input's.  [passes] (default 3) bounds sweep
-    count; [swap_pool] (default 20) is how many weakest links are
-    considered for removal each pass. *)
+    objective <= the input's.  At most 3 sweeps; each considers the 20
+    weakest built links for removal. *)

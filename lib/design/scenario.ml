@@ -83,6 +83,9 @@ let build_artifacts config =
   { config; dem; cache; sites = Array.of_list centers; towers = culled; hops; fiber }
 
 let artifacts ?(config = default_config) () =
+  (match config.n_sites with
+  | Some k when k < 1 -> invalid_arg (Printf.sprintf "Scenario.artifacts: n_sites = %d < 1" k)
+  | Some _ | None -> ());
   match Hashtbl.find_opt cache_table config with
   | Some a -> a
   | None ->

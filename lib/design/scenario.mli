@@ -39,7 +39,8 @@ type artifacts = {
 }
 
 val artifacts : ?config:config -> unit -> artifacts
-(** Build (or fetch memoized) artifacts for a configuration. *)
+(** Build (or fetch memoized) artifacts for a configuration.  Raises
+    [Invalid_argument] if [n_sites] is [Some k] with [k < 1]. *)
 
 val clear_cache : unit -> unit
 

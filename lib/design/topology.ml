@@ -178,3 +178,51 @@ let used_hop_count t =
       | Some l -> acc + (List.length l.Cisp_towers.Hops.node_path - 1)
       | None -> acc)
     0 t.built
+
+(* ---------- the site network ---------- *)
+
+module Graph = Cisp_graph.Graph
+module Dijkstra = Cisp_graph.Dijkstra
+
+type medium = Mw | Fiber
+
+let rides_mw t i j =
+  is_built t i j && t.inputs.Inputs.mw_km.(i).(j) < t.inputs.Inputs.fiber_km.(i).(j)
+
+let hop_km t i j =
+  if rides_mw t i j then t.inputs.Inputs.mw_km.(i).(j) else t.inputs.Inputs.fiber_km.(i).(j)
+
+(* Descending pair order is load-bearing: it fixes the adjacency order
+   of the site graph, hence which of two equal-length routes Dijkstra
+   keeps. *)
+let edges t =
+  let n = Inputs.n_sites t.inputs in
+  let acc = ref [] in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      if hop_km t i j < infinity then acc := (i, j) :: !acc
+    done
+  done;
+  Array.of_list !acc
+
+let routes t ~demands =
+  let n = Inputs.n_sites t.inputs in
+  let g = Graph.create n in
+  Array.iter (fun (i, j) -> Graph.add_undirected g i j (hop_km t i j)) (edges t);
+  let commodities =
+    List.filter
+      (fun (_, targets) -> not (List.is_empty targets))
+      (List.init n (fun s ->
+           (s, List.filter (fun d -> d <> s && demands.(s).(d) > 0.0) (List.init n Fun.id))))
+  in
+  let rows = Dijkstra.all_pairs_results g ~sources:(Array.of_list (List.map fst commodities)) in
+  List.concat
+    (List.mapi
+       (fun k (s, targets) ->
+         List.filter_map
+           (fun d ->
+             match Dijkstra.path rows.(k) ~dst:d with
+             | [] -> None
+             | path -> Some ((s, d), Array.of_list path))
+           targets)
+       commodities)

@@ -9,28 +9,21 @@ type config = { fiber_gbps : float; buffer_bytes : int }
    sub-0.1 ms and overload shows up as loss, exactly Fig 5's regime. *)
 let default_config = { fiber_gbps = 400.0; buffer_bytes = 50_000 }
 
-(* One simulated link per site pair: the built MW link when it is the
-   faster medium, else the fiber edge.  This mirrors the routing
-   model (see {!Routing.edges_of_model}) and the paper's own
-   simplification of aggregating parallel links between sites. *)
-let build ?(config = default_config) eng (inputs : Inputs.t) (topo : Topology.t) ~mw_gbps =
+(* One simulated link per connected site pair, on the medium
+   {!Topology.rides_mw} picks: the paper's own simplification of
+   aggregating parallel links between sites, and the edge every route
+   of {!Routing} takes. *)
+let build eng (inputs : Inputs.t) (topo : Topology.t) ~mw_gbps =
   let n = Inputs.n_sites inputs in
   let net = Net.create eng ~n_nodes:n in
-  let buffer_of _gbps = config.buffer_bytes in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      let mw = inputs.mw_km.(i).(j) and fib = inputs.fiber_km.(i).(j) in
-      let use_mw = Topology.is_built topo i j && mw < fib in
-      if use_mw then begin
-        let gbps = mw_gbps (i, j) in
-        Net.add_duplex net i j ~gbps
-          ~delay_ms:(Cisp_util.Units.ms_of_km_at_c mw)
-          ~buffer_bytes:(buffer_of gbps)
-      end
-      else if fib < infinity then
-        Net.add_duplex net i j ~gbps:config.fiber_gbps
-          ~delay_ms:(Cisp_util.Units.ms_of_km_at_c fib)
-          ~buffer_bytes:(buffer_of config.fiber_gbps)
+      let km = Topology.hop_km topo i j in
+      if km < infinity then
+        Net.add_duplex net i j
+          ~gbps:(if Topology.rides_mw topo i j then mw_gbps (i, j) else default_config.fiber_gbps)
+          ~delay_ms:(Cisp_util.Units.ms_of_km_at_c km)
+          ~buffer_bytes:default_config.buffer_bytes
     done
   done;
   net

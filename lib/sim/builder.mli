@@ -2,9 +2,11 @@
 
     Follows the paper's simulation setup: "we aggregate the bandwidth
     of parallel links and remove the individual tower hops to focus on
-    network links between the routing sites" — each built MW link is
-    one simulated link at its provisioned aggregate capacity; fiber
-    edges get plentiful capacity. *)
+    network links between the routing sites" — each site pair is one
+    simulated link on the medium its routes take
+    ({!Cisp_design.Topology.rides_mw}): a built MW link at its
+    provisioned aggregate capacity, or a fiber edge with plentiful
+    capacity. *)
 
 type config = {
   fiber_gbps : float;          (** capacity of each fiber edge *)
@@ -16,15 +18,17 @@ val default_config : config
     drop-tail queue at 500 B packets). *)
 
 val build :
-  ?config:config ->
   Engine.t ->
   Cisp_design.Inputs.t ->
   Cisp_design.Topology.t ->
   mw_gbps:((int * int) -> float) ->
   Net.t
-(** One node per site; a duplex link per built MW link (capacity
-    [mw_gbps]) and per fiber pair; propagation delay from the
-    latency-equivalent distances. *)
+(** One node per site and one duplex link per connected site pair, on
+    the medium {!Cisp_design.Topology.rides_mw} picks: the built MW
+    link at capacity [mw_gbps], else the fiber pair at
+    [default_config]'s capacity.  Propagation delay comes from the
+    latency-equivalent distance ({!Cisp_design.Topology.hop_km});
+    buffers are [default_config]'s. *)
 
 val provisioned_mw_gbps :
   Cisp_design.Capacity.plan -> (int * int) -> float

@@ -29,29 +29,16 @@ type edge_info = {
 
 let norm (i, j) = if i < j then (i, j) else (j, i)
 
-let all_alive _ _ = true
-
-(* One edge per site pair: the built MW link when it is the faster
-   (and surviving) medium, else the fiber edge — consistent with
-   {!Builder.build}.  [mw_ok] models failed links: their pair falls
-   back to fiber when the fiber pair exists. *)
-let edges_of_model ?(mw_ok = all_alive) m =
-  let n = Inputs.n_sites m.inputs in
-  let edges = ref [] in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      let mw = m.inputs.mw_km.(i).(j) and fib = m.inputs.fiber_km.(i).(j) in
-      if Topology.is_built m.topology i j && mw < fib && mw_ok i j then
-        edges :=
-          { u = i; v = j; latency_km = mw; capacity_gbps = m.mw_gbps (i, j); load_gbps = 0.0 }
-          :: !edges
-      else if fib < infinity then
-        edges :=
-          { u = i; v = j; latency_km = fib; capacity_gbps = m.fiber_gbps; load_gbps = 0.0 }
-          :: !edges
-    done
-  done;
-  Array.of_list !edges
+(* One edge per connected site pair, in {!Topology.edges} order, with
+   the length and capacity of the medium {!Topology.rides_mw} picks. *)
+let edges_of_model m =
+  Array.map
+    (fun (i, j) ->
+      let capacity_gbps =
+        if Topology.rides_mw m.topology i j then m.mw_gbps (i, j) else m.fiber_gbps
+      in
+      { u = i; v = j; latency_km = Topology.hop_km m.topology i j; capacity_gbps; load_gbps = 0.0 })
+    (Topology.edges m.topology)
 
 let build_graph n edges cost =
   let g = Graph.create n in
@@ -76,32 +63,27 @@ let edge_cost scheme e =
        up (maximizing admissible throughput). *)
     e.latency_km *. (1.0 +. (1.2 *. rho /. (1.0 -. rho)))
 
-let paths ?(mw_ok = all_alive) m scheme ~demands_gbps =
-  let n = Inputs.n_sites m.inputs in
-  let edges = edges_of_model ~mw_ok m in
+let route_latency_km m nodes =
+  let acc = ref 0.0 in
+  for h = 0 to Array.length nodes - 2 do
+    acc := !acc +. Topology.hop_km m.topology nodes.(h) nodes.(h + 1)
+  done;
+  !acc
+
+let rec paths m scheme ~demands_gbps =
   let table : (int * int, int array) Hashtbl.t = Hashtbl.create 1024 in
   (match scheme with
   | Shortest_path | K_disjoint_split _ | K_disjoint_failover _ ->
-    (* One Dijkstra per source with demand over static latency costs
-       (parallel on the pool).  The multipath schemes route their
-       primary (= shortest) path here; the full precomputed path sets
-       live in {!multipath_table}. *)
-    let g = build_graph n edges (fun e -> e.latency_km) in
-    let demand s t = t <> s && demands_gbps.(s).(t) > 0.0 in
-    let has_demand s = List.exists (demand s) (List.init n Fun.id) in
-    let sources = Array.of_list (List.filter has_demand (List.init n Fun.id)) in
-    let rows = Dijkstra.all_pairs_results g ~sources in
-    Array.iteri
-      (fun k s ->
-        for t = 0 to n - 1 do
-          if demand s t then
-            match Dijkstra.path rows.(k) ~dst:t with
-            | [] -> ()
-            | p -> Hashtbl.replace table (s, t) (Array.of_list p)
-        done)
-      sources
+    (* The multipath schemes route their primary (= shortest) path
+       here; the full precomputed path sets live in
+       {!multipath_table}. *)
+    List.iter
+      (fun (st, route) -> Hashtbl.replace table st route)
+      (Topology.routes m.topology ~demands:demands_gbps)
   | Min_max_utilization | Throughput_optimal | Bounded_stretch _ ->
     (* Sequential congestion-aware assignment, big demands first. *)
+    let n = Inputs.n_sites m.inputs in
+    let edges = edges_of_model m in
     let commodities = ref [] in
     for s = 0 to n - 1 do
       for t = 0 to n - 1 do
@@ -110,19 +92,19 @@ let paths ?(mw_ok = all_alive) m scheme ~demands_gbps =
       done
     done;
     let sorted = List.sort (fun (a, _, _) (b, _, _) -> Float.compare b a) !commodities in
-    (* Cheapest-capacity edge per node pair, for charging loads. *)
+    (* The edge of each pair, for charging loads. *)
     let by_pair : (int * int, edge_info) Hashtbl.t = Hashtbl.create 1024 in
-    Array.iter
-      (fun e ->
-        let k = norm (e.u, e.v) in
-        match Hashtbl.find_opt by_pair k with
-        | Some prev when prev.latency_km <= e.latency_km -> ()
-        | _ -> Hashtbl.replace by_pair k e)
-      edges;
+    Array.iter (fun e -> Hashtbl.replace by_pair (e.u, e.v) e) edges;
+    (* Bounded_stretch falls back to the commodity's shortest route. *)
+    let shortest =
+      match scheme with
+      | Bounded_stretch _ -> paths m Shortest_path ~demands_gbps
+      | Shortest_path | Min_max_utilization | Throughput_optimal
+      | K_disjoint_split _ | K_disjoint_failover _ -> Hashtbl.create 1
+    in
     (* Rebuilding the cost graph per commodity is wasteful; costs only
        drift as load accumulates, so refresh periodically. *)
     let g = ref (build_graph n edges (edge_cost scheme)) in
-    let static_g = lazy (build_graph n edges (fun e -> e.latency_km)) in
     let since_refresh = ref 0 in
     List.iter
       (fun (demand, s, t) ->
@@ -131,30 +113,18 @@ let paths ?(mw_ok = all_alive) m scheme ~demands_gbps =
           g := build_graph n edges (edge_cost scheme);
           since_refresh := 0
         end;
-        let latency_of arr =
-          let acc = ref 0.0 in
-          for k = 0 to Array.length arr - 2 do
-            match Hashtbl.find_opt by_pair (norm (arr.(k), arr.(k + 1))) with
-            | Some e -> acc := !acc +. e.latency_km
-            | None -> ()
-          done;
-          !acc
-        in
         match Dijkstra.shortest_path !g ~src:s ~dst:t with
         | None -> ()
         | Some (_, p) ->
           let arr = Array.of_list p in
           let arr =
-            match scheme with
-            | Bounded_stretch bound -> begin
-              (* Fall back to the pure shortest path when the spread
-                 route violates the commodity's latency budget. *)
-              match Dijkstra.shortest_path (Lazy.force static_g) ~src:s ~dst:t with
-              | Some (l0, p0) when latency_of arr > bound *. l0 -> Array.of_list p0
-              | Some _ | None -> arr
-            end
-            | Shortest_path | Min_max_utilization | Throughput_optimal
-            | K_disjoint_split _ | K_disjoint_failover _ -> arr
+            match scheme, Hashtbl.find_opt shortest (s, t) with
+            | Bounded_stretch bound, Some p0
+              when route_latency_km m arr > bound *. route_latency_km m p0 ->
+              (* The spread route violates the commodity's latency
+                 budget. *)
+              p0
+            | _ -> arr
           in
           Hashtbl.replace table (s, t) arr;
           for k = 0 to Array.length arr - 2 do
@@ -170,21 +140,14 @@ let mean_route_latency_ms m table ~demands_gbps =
   Hashtbl.iter
     (fun (s, t) route ->
       let d = demands_gbps.(s).(t) in
-      let lat = ref 0.0 in
-      for k = 0 to Array.length route - 2 do
-        let a = route.(k) and b = route.(k + 1) in
-        let mw = m.inputs.mw_km.(a).(b) in
-        let via_mw = Topology.is_built m.topology a b && mw < m.inputs.fiber_km.(a).(b) in
-        lat := !lat +. (if via_mw then mw else m.inputs.fiber_km.(a).(b))
-      done;
-      num := !num +. (d *. Cisp_util.Units.ms_of_km_at_c !lat);
+      num := !num +. (d *. Cisp_util.Units.ms_of_km_at_c (route_latency_km m route));
       den := !den +. d)
     table;
   if Float.equal !den 0.0 then 0.0 else !num /. !den
 
 (* ---------- multipath & fast local failover ---------- *)
 
-type medium = Mw | Fiber
+type medium = Topology.medium = Mw | Fiber
 
 type mp_path = {
   nodes : int array;
@@ -194,38 +157,19 @@ type mp_path = {
 
 type multipath = { routes : mp_path array; split : float array }
 
-(* Latency per unordered pair and medium, [infinity] where absent.
-   MW entries exist only where the built link is the faster medium,
-   consistent with {!edges_of_model}. *)
-let medium_tables m =
-  let n = Inputs.n_sites m.inputs in
-  let mw = Array.make_matrix n n infinity in
-  let fib = Array.make_matrix n n infinity in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      let mk = m.inputs.mw_km.(i).(j) and fk = m.inputs.fiber_km.(i).(j) in
-      if Topology.is_built m.topology i j && mk < fk then begin
-        mw.(i).(j) <- mk;
-        mw.(j).(i) <- mk
-      end;
-      if fk < infinity then begin
-        fib.(i).(j) <- fk;
-        fib.(j).(i) <- fk
-      end
-    done
-  done;
-  (mw, fib)
-
 (* The combined MW+fiber multigraph: parallel edges per pair where
-   both media exist, tagged 2*pid (MW) / 2*pid+1 (fiber) so the
-   disjoint rounds can consume one medium at a time. *)
-let multigraph n ~mw ~fib =
+   both media exist (MW only where {!Topology.rides_mw}), tagged
+   2*pid (MW) / 2*pid+1 (fiber) so the disjoint rounds can consume
+   one medium at a time. *)
+let multigraph (topo : Topology.t) n =
   let g = Graph.create n in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
       let pid = (i * n) + j in
-      if mw.(i).(j) < infinity then Graph.add_undirected ~tag:(2 * pid) g i j mw.(i).(j);
-      if fib.(i).(j) < infinity then Graph.add_undirected ~tag:((2 * pid) + 1) g i j fib.(i).(j)
+      if Topology.rides_mw topo i j then
+        Graph.add_undirected ~tag:(2 * pid) g i j topo.inputs.mw_km.(i).(j);
+      let fk = topo.inputs.fiber_km.(i).(j) in
+      if fk < infinity then Graph.add_undirected ~tag:((2 * pid) + 1) g i j fk
     done
   done;
   g
@@ -234,19 +178,18 @@ let multigraph n ~mw ~fib =
    alive: each hop uses MW when its MW edge exists and is un-consumed
    (MW is only present where it is the lighter medium, so Dijkstra
    used it), else fiber. *)
-let mp_of_nodes ~mw ~fib ~killed n nodes =
+let mp_of_nodes (topo : Topology.t) ~killed n nodes =
   let hops = max 0 (Array.length nodes - 1) in
   let media = Array.make hops Fiber in
   let lat = ref 0.0 in
   for h = 0 to hops - 1 do
     let a = nodes.(h) and b = nodes.(h + 1) in
     let i = min a b and j = max a b in
-    let pid = (i * n) + j in
-    if mw.(i).(j) < infinity && not (Hashtbl.mem killed (2 * pid)) then begin
+    if Topology.rides_mw topo i j && not (Hashtbl.mem killed (2 * ((i * n) + j))) then begin
       media.(h) <- Mw;
-      lat := !lat +. mw.(i).(j)
+      lat := !lat +. topo.inputs.mw_km.(i).(j)
     end
-    else lat := !lat +. fib.(i).(j)
+    else lat := !lat +. topo.inputs.fiber_km.(i).(j)
   done;
   { nodes; media; latency_km = !lat }
 
@@ -254,12 +197,12 @@ let mp_of_nodes ~mw ~fib ~killed n nodes =
    commodity: each round reports the shortest surviving route, then
    consumes exactly the parallel edges (pair, medium) it used — a
    backup may take the fiber pair under a consumed MW edge. *)
-let disjoint_routes ~k ~src ~dst base n ~mw ~fib =
+let disjoint_routes ~k ~src ~dst base n topo =
   let killed : (int, unit) Hashtbl.t = Hashtbl.create 16 in
   let acc = ref [] in
   let remove work (_, path) =
     let nodes = Array.of_list path in
-    let mp = mp_of_nodes ~mw ~fib ~killed n nodes in
+    let mp = mp_of_nodes topo ~killed n nodes in
     acc := mp :: !acc;
     Array.iteri
       (fun h medium ->
@@ -274,53 +217,52 @@ let disjoint_routes ~k ~src ~dst base n ~mw ~fib =
   Array.of_list (List.rev !acc)
 
 let multipath_table m scheme ~demands_gbps =
+  let k, split_load =
+    match scheme with
+    | K_disjoint_split k -> (k, true)
+    | K_disjoint_failover k -> (k, false)
+    | Shortest_path | Min_max_utilization | Throughput_optimal | Bounded_stretch _ ->
+      invalid_arg "Routing.multipath_table: not a k-disjoint scheme"
+  in
+  if k <= 0 then invalid_arg "Routing.multipath_table: k <= 0";
   let n = Inputs.n_sites m.inputs in
-  let mw, fib = medium_tables m in
+  let base = multigraph m.topology n in
   let table : (int * int, multipath) Hashtbl.t = Hashtbl.create 1024 in
-  (match scheme with
-  | K_disjoint_split k | K_disjoint_failover k ->
-    if k <= 0 then invalid_arg "Routing.multipath_table: k <= 0";
-    let base = multigraph n ~mw ~fib in
-    for s = 0 to n - 1 do
-      for t = 0 to n - 1 do
-        if t <> s && demands_gbps.(s).(t) > 0.0 then begin
-          let routes = disjoint_routes ~k ~src:s ~dst:t base n ~mw ~fib in
-          if Array.length routes > 0 then begin
-            let split =
-              match scheme with
-              | K_disjoint_split _ ->
-                let inv = Array.map (fun p -> 1.0 /. Float.max 1e-9 p.latency_km) routes in
-                let total = Array.fold_left ( +. ) 0.0 inv in
-                Array.map (fun w -> w /. total) inv
-              | _ -> Array.init (Array.length routes) (fun i -> if i = 0 then 1.0 else 0.0)
-            in
-            Hashtbl.replace table (s, t) { routes; split }
-          end
+  for s = 0 to n - 1 do
+    for t = 0 to n - 1 do
+      if t <> s && demands_gbps.(s).(t) > 0.0 then begin
+        let routes = disjoint_routes ~k ~src:s ~dst:t base n m.topology in
+        if Array.length routes > 0 then begin
+          let split =
+            if split_load then begin
+              let inv = Array.map (fun p -> 1.0 /. Float.max 1e-9 p.latency_km) routes in
+              let total = Array.fold_left ( +. ) 0.0 inv in
+              Array.map (fun w -> w /. total) inv
+            end
+            else Array.init (Array.length routes) (fun i -> if i = 0 then 1.0 else 0.0)
+          in
+          Hashtbl.replace table (s, t) { routes; split }
         end
-      done
+      end
     done
-  | Shortest_path | Min_max_utilization | Throughput_optimal | Bounded_stretch _ ->
-    let no_kills : (int, unit) Hashtbl.t = Hashtbl.create 1 in
-    Cisp_util.Tbl.iter_sorted
-      (fun key nodes ->
-        let mp = mp_of_nodes ~mw ~fib ~killed:no_kills n nodes in
-        Hashtbl.replace table key { routes = [| mp |]; split = [| 1.0 |] })
-      (paths m scheme ~demands_gbps));
+  done;
   table
 
-let route_alive ~mw_ok p =
+(* A route survives while [up] still holds every MW link it rides;
+   fiber hops never fail. *)
+let route_alive ~up p =
   let ok = ref true in
   Array.iteri
     (fun h medium ->
       match medium with
-      | Mw -> if not (mw_ok p.nodes.(h) p.nodes.(h + 1)) then ok := false
+      | Mw -> if not (Topology.is_built up p.nodes.(h) p.nodes.(h + 1)) then ok := false
       | Fiber -> ())
     p.media;
   !ok
 
-let select_routes mp ~mw_ok =
+let select_routes mp ~up =
   let alive = ref [] in
-  Array.iteri (fun i p -> if route_alive ~mw_ok p then alive := (i, p) :: !alive) mp.routes;
+  Array.iteri (fun i p -> if route_alive ~up p then alive := (i, p) :: !alive) mp.routes;
   let alive = Array.of_list (List.rev !alive) in
   if Array.length alive = 0 then [||]
   else begin
@@ -328,25 +270,3 @@ let select_routes mp ~mw_ok =
     if total > 0.0 then Array.map (fun (i, p) -> (p, mp.split.(i) /. total)) alive
     else Array.mapi (fun j (_, p) -> (p, if j = 0 then 1.0 else 0.0)) alive
   end
-
-let route_latency_km m ~mw_ok nodes =
-  let acc = ref 0.0 in
-  for h = 0 to Array.length nodes - 2 do
-    let a = nodes.(h) and b = nodes.(h + 1) in
-    let mk = m.inputs.mw_km.(a).(b) and fk = m.inputs.fiber_km.(a).(b) in
-    let via_mw = Topology.is_built m.topology a b && mk < fk && mw_ok a b in
-    acc := !acc +. (if via_mw then mk else fk)
-  done;
-  !acc
-
-let multipath_mean_latency_ms table ~demands_gbps =
-  let num = ref 0.0 and den = ref 0.0 in
-  Cisp_util.Tbl.iter_sorted
-    (fun (s, t) mp ->
-      let d = demands_gbps.(s).(t) in
-      let lat = ref 0.0 in
-      Array.iteri (fun i p -> lat := !lat +. (mp.split.(i) *. p.latency_km)) mp.routes;
-      num := !num +. (d *. Cisp_util.Units.ms_of_km_at_c !lat);
-      den := !den +. d)
-    table;
-  if Float.equal !den 0.0 then 0.0 else !num /. !den

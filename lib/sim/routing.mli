@@ -5,10 +5,15 @@
     maximum link utilization, a scheme commonly employed by ISPs".
     Both alternatives spread load at the cost of ~10% extra latency.
 
-    Paths are source routes (node arrays) per commodity, computed
-    sequentially in descending demand with congestion-aware edge
-    costs — the standard greedy realization of these schemes for
-    unsplittable flows.
+    Every scheme routes over the topology's site network: one edge per
+    connected pair, the medium {!Cisp_design.Topology.rides_mw} picks.
+    Shortest paths come from {!Cisp_design.Topology.routes}; the
+    alternatives are source routes (node arrays) per commodity,
+    computed sequentially in descending demand with congestion-aware
+    edge costs — the standard greedy realization of these schemes for
+    unsplittable flows.  A failed MW link is one the topology no
+    longer holds: routing over the surviving topology is the
+    whole-recompute reroute.
 
     On top of the single-path schemes sits a multipath layer for the
     availability story (§6.1): per-commodity sets of medium-aware
@@ -45,18 +50,16 @@ type network_model = {
 }
 
 val paths :
-  ?mw_ok:(int -> int -> bool) ->
   network_model -> scheme -> demands_gbps:Cisp_traffic.Matrix.t ->
   ((int * int), int array) Hashtbl.t
 (** Source route for every commodity with positive demand (key (s,t)
     with s <> t, both directions present).  [K_disjoint_split] and
     [K_disjoint_failover] yield their primary (= shortest) route here;
-    use {!multipath_table} for the full path sets.
+    use {!multipath_table} for the full path sets. *)
 
-    [mw_ok i j] (default: all alive) filters built MW links: a failed
-    link's edge is dropped and its direct fiber edge (when the fiber
-    pair exists) takes over — this is the whole-recompute reroute
-    baseline the failure-scenario engine compares against. *)
+val route_latency_km : network_model -> int array -> float
+(** Latency-equivalent length of a node route, each hop on the
+    medium {!Cisp_design.Topology.rides_mw} picks for its pair. *)
 
 val mean_route_latency_ms :
   network_model -> ((int * int), int array) Hashtbl.t ->
@@ -67,7 +70,7 @@ val mean_route_latency_ms :
 
 (** {2 Multipath and fast local failover} *)
 
-type medium = Mw | Fiber
+type medium = Cisp_design.Topology.medium = Mw | Fiber
 
 type mp_path = {
   nodes : int array;           (** site sequence from s to t *)
@@ -83,32 +86,19 @@ type multipath = {
 val multipath_table :
   network_model -> scheme -> demands_gbps:Cisp_traffic.Matrix.t ->
   ((int * int), multipath) Hashtbl.t
-(** Per-commodity route sets, precomputed under fair weather.  For
+(** Per-commodity route sets, precomputed under fair weather, for
     [K_disjoint_split k] / [K_disjoint_failover k]: up to [k]
     medium-aware edge-disjoint paths (successive shortest-path removal
     over the combined MW+fiber multigraph, so a backup may take the
-    fiber pair under a consumed MW edge); raises [Invalid_argument] if
-    [k <= 0].  Any other scheme wraps its single {!paths} route.  The
-    split weights are 1/latency-normalized for [K_disjoint_split], all
-    mass on the primary otherwise. *)
+    fiber pair under a consumed MW edge).  The split weights are
+    1/latency-normalized for [K_disjoint_split], all mass on the
+    primary for [K_disjoint_failover].  Raises [Invalid_argument] if
+    [k <= 0] or for any other scheme. *)
 
-val select_routes :
-  multipath -> mw_ok:(int -> int -> bool) -> (mp_path * float) array
-(** Fast local failover: the routes whose every MW hop survives
-    [mw_ok] (fiber hops never fail), with split weights renormalized
-    over the survivors.  When all surviving routes had zero weight
-    (pure-failover backups), the first survivor gets the full load.
-    [[||]] when no precomputed route survives — the commodity is
-    unavailable until a global recompute. *)
-
-val route_latency_km :
-  network_model -> mw_ok:(int -> int -> bool) -> int array -> float
-(** Latency-equivalent length of a node route where each hop uses its
-    surviving fastest medium: the built MW link when alive and faster,
-    else the direct fiber edge. *)
-
-val multipath_mean_latency_ms :
-  ((int * int), multipath) Hashtbl.t ->
-  demands_gbps:Cisp_traffic.Matrix.t -> float
-(** Demand-weighted mean of the split-weighted route latencies — the
-    multipath analogue of {!mean_route_latency_ms}. *)
+val select_routes : multipath -> up:Cisp_design.Topology.t -> (mp_path * float) array
+(** Fast local failover: the routes whose every MW hop the surviving
+    topology [up] still holds (fiber hops never fail), with split
+    weights renormalized over the survivors.  When all surviving
+    routes had zero weight (pure-failover backups), the first survivor
+    gets the full load.  [[||]] when no precomputed route survives —
+    the commodity is unavailable until a global recompute. *)

@@ -134,16 +134,10 @@ let run ?(seed = 99) ?(params = Failure.default_params) ~schemes ~hops
   let commodities = Array.of_list !commodities in
   if Array.length commodities = 0 then invalid_arg "Scenarios.run: no commodities";
   Cisp_util.Telemetry.with_span "scenarios.run" (fun () ->
-      let built = Array.of_list model.Routing.topology.Topology.built in
+      let built = model.Routing.topology.Topology.built in
       let links =
-        Array.map (fun (i, j) -> ((i, j), inputs.Inputs.mw_links.(i).(j))) built
+        Array.of_list (List.map (fun (i, j) -> ((i, j), inputs.Inputs.mw_links.(i).(j))) built)
       in
-      let built_idx = Hashtbl.create (2 * Array.length built) in
-      Array.iteri
-        (fun b (i, j) ->
-          Hashtbl.replace built_idx (i, j) b;
-          Hashtbl.replace built_idx (j, i) b)
-        built;
       let nc = Array.length commodities in
       let n_schemes = List.length schemes in
       (* Precompute the fair-weather multipath tables once; single-path
@@ -178,16 +172,16 @@ let run ?(seed = 99) ?(params = Failure.default_params) ~schemes ~hops
          bit-identical at any pool width. *)
       Cisp_util.Pool.parallel_for (Cisp_util.Pool.get ()) ~n:intervals (fun iv ->
           let row = Array.make (n_schemes * nc) Float.nan in
-          let fails = Array.make (Array.length built) false in
+          let fails = Array.make (Array.length links) false in
           interval_failures ~seed ~params ~pos ~hops inputs ~links spec iv fails;
           let failed_here = ref 0 in
           Array.iter (fun f -> if f then incr failed_here) fails;
           failed_per_interval.(iv) <- !failed_here;
-          let mw_ok i j =
-            match Hashtbl.find_opt built_idx (i, j) with
-            | Some b -> not fails.(b)
-            | None -> true
+          (* The interval's network: the built links that survive. *)
+          let up =
+            Topology.of_links inputs (List.filteri (fun b _ -> not fails.(b)) built)
           in
+          let up_model = { model with Routing.topology = up } in
           Array.iteri
             (fun si sch ->
               match tables.(si) with
@@ -198,7 +192,7 @@ let run ?(seed = 99) ?(params = Failure.default_params) ~schemes ~hops
                       (match Hashtbl.find_opt table (s, t) with
                       | None -> Float.nan
                       | Some mp ->
-                        let survivors = Routing.select_routes mp ~mw_ok in
+                        let survivors = Routing.select_routes mp ~up in
                         if Array.length survivors = 0 then Float.nan
                         else
                           let lat =
@@ -209,14 +203,14 @@ let run ?(seed = 99) ?(params = Failure.default_params) ~schemes ~hops
                           lat /. inputs.Inputs.geodesic_km.(s).(t)))
                   commodities
               | None ->
-                let table = Routing.paths ~mw_ok model sch ~demands_gbps in
+                let table = Routing.paths up_model sch ~demands_gbps in
                 Array.iteri
                   (fun c (s, t) ->
                     row.((si * nc) + c) <-
                       (match Hashtbl.find_opt table (s, t) with
                       | None -> Float.nan
                       | Some route ->
-                        Routing.route_latency_km model ~mw_ok route
+                        Routing.route_latency_km up_model route
                         /. inputs.Inputs.geodesic_km.(s).(t)))
                   commodities)
             scheme_list;

@@ -7,11 +7,13 @@
     per interval: the frontier that motivates fast local failover and
     multipath load-splitting over whole-recompute reroute.
 
+    Each interval's failed links are the built links its surviving
+    topology omits ({!Cisp_design.Topology.of_links} over the rest).
     Semantics per scheme (see {!Cisp_sim.Routing}):
     - single-path schemes ([Shortest_path], ...) model the global
       recompute baseline: routes are recomputed from scratch on the
-      surviving MW+fiber graph each interval, so availability is
-      bounded only by fiber connectivity;
+      surviving topology each interval, so availability is bounded
+      only by fiber connectivity;
     - [K_disjoint_failover k] activates the first surviving
       precomputed backup, with no recompute — a commodity whose whole
       precomputed set is down is counted unavailable;

@@ -12,14 +12,7 @@ type result = {
 
 let run ?(seed = 99) ?(intervals = 365) ~climate ~hops (inputs : Inputs.t) (topo : Topology.t) =
   if intervals <= 0 then invalid_arg "Year.run: intervals <= 0";
-  Cisp_util.Telemetry.with_span "weather.year" (fun () ->
   let n = Inputs.n_sites inputs in
-  let base = Topology.fiber_baseline inputs in
-  let links =
-    Array.map
-      (fun (i, j) -> ((i, j), inputs.Inputs.mw_links.(i).(j)))
-      (Array.of_list topo.Topology.built)
-  in
   let pairs = ref [] in
   for s = 0 to n - 1 do
     for t = s + 1 to n - 1 do
@@ -29,6 +22,14 @@ let run ?(seed = 99) ?(intervals = 365) ~climate ~hops (inputs : Inputs.t) (topo
   done;
   let pairs = Array.of_list (List.rev !pairs) in
   let np = Array.length pairs in
+  if np = 0 then invalid_arg "Year.run: no site pair with traffic";
+  Cisp_util.Telemetry.with_span "weather.year" (fun () ->
+  let base = Topology.fiber_baseline inputs in
+  let links =
+    Array.map
+      (fun (i, j) -> ((i, j), inputs.Inputs.mw_links.(i).(j)))
+      (Array.of_list topo.Topology.built)
+  in
   (* Interval-major storage: each trial allocates and owns a whole
      row.  The old pair-major matrix had parallel trials writing
      adjacent floats of every row (column [interval] of each pair),

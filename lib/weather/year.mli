@@ -29,7 +29,8 @@ val run :
   Cisp_design.Topology.t ->
   result
 (** [intervals] defaults to 365 (one per day).  Raises
-    [Invalid_argument] if [intervals <= 0]. *)
+    [Invalid_argument] if [intervals <= 0] or if no site pair has
+    both traffic and a positive distance. *)
 
 val stretch_cdfs : result -> (string * (float * float) array) list
 (** Fig 7's curves: CDFs across city pairs of best / median / 99th /

@@ -33,6 +33,19 @@ let test_inputs_restrict () =
   check_float 1e-9 "geodesic preserved" inputs.Inputs.geodesic_km.(0).(2) sub.Inputs.geodesic_km.(0).(1);
   check_float 1e-9 "traffic normalized" 1.0 (Cisp_traffic.Matrix.total sub.Inputs.traffic)
 
+(* A site count below 1 is rejected before any artifact is built. *)
+let test_scenario_site_count () =
+  List.iter
+    (fun k ->
+      Alcotest.check_raises (Printf.sprintf "%d sites rejected" k)
+        (Invalid_argument (Printf.sprintf "Scenario.artifacts: n_sites = %d < 1" k))
+        (fun () ->
+          ignore
+            (Scenario.artifacts
+               ~config:{ Scenario.europe_config with Scenario.n_sites = Some k }
+               ())))
+    [ 0; -2 ]
+
 (* ---------- Topology ---------- *)
 
 let test_topology_empty_is_fiber () =
@@ -230,6 +243,30 @@ let test_capacity_spare_reduces_new_towers () =
     (all_spare.Capacity.new_towers <= no_spare.Capacity.new_towers);
   Alcotest.(check int) "full spare -> zero new" 0 all_spare.Capacity.new_towers
 
+(* A built link exactly as long as its fiber pair carries nothing: the
+   tie rides fiber, as in the routing schemes and the packet network. *)
+let test_capacity_tie_rides_fiber () =
+  let sites = mk_sites 6 in
+  let tie =
+    Inputs.synthetic ~sites ~mw_stretch:1.5 ~mw_cost_per_km:0.02 ~fiber_stretch:1.5
+      ~traffic:(Cisp_traffic.Matrix.population_product sites)
+  in
+  let t = Topology.of_links tie [ (0, 1) ] in
+  Alcotest.(check bool) "tie rides fiber" false (Topology.rides_mw t 0 1);
+  List.iter
+    (fun (_, load) -> check_float 0.0 "no load on the tied link" 0.0 load)
+    (Capacity.route_loads tie t ~aggregate_gbps:10.0);
+  check_float 0.0 "no traffic carried on MW" 0.0
+    (Capacity.plan tie t ~aggregate_gbps:10.0).Capacity.mw_carried_fraction
+
+let test_capacity_negative_aggregate () =
+  let t = Greedy.design inputs ~budget:60 in
+  let rejected = Invalid_argument "Capacity: aggregate_gbps < 0" in
+  Alcotest.check_raises "route_loads" rejected (fun () ->
+      ignore (Capacity.route_loads inputs t ~aggregate_gbps:(-1.0)));
+  Alcotest.check_raises "plan" rejected (fun () ->
+      ignore (Capacity.plan inputs t ~aggregate_gbps:(-1.0)))
+
 (* Two sites one degree of longitude apart, with all eight registry
    towers within 2 km of the hop's midpoint. *)
 let registry_around ~lat ~lon =
@@ -291,6 +328,7 @@ let suites =
       [
         Alcotest.test_case "validate" `Quick test_inputs_validate;
         Alcotest.test_case "restrict" `Quick test_inputs_restrict;
+        Alcotest.test_case "site count below 1" `Quick test_scenario_site_count;
       ] );
     ( "design.topology",
       [
@@ -328,6 +366,8 @@ let suites =
         Alcotest.test_case "spare index per registry" `Quick test_capacity_spare_per_registry;
         Alcotest.test_case "cost model" `Quick test_cost_model;
         Alcotest.test_case "economies of scale" `Quick test_cost_per_gb_decreases_with_rate;
+        Alcotest.test_case "MW-fiber tie rides fiber" `Quick test_capacity_tie_rides_fiber;
+        Alcotest.test_case "negative aggregate rejected" `Quick test_capacity_negative_aggregate;
       ] );
   ]
 

@@ -71,6 +71,69 @@ let test_design_width_invariant () =
         (design_fingerprint rw))
     [ 2; 4; 8 ]
 
+(* Packet run on the designed network: the 100 Gbps plan's links,
+   shortest-path routes and Poisson UDP at 70% of the aggregate for
+   2 ms, drained for 200 ms. *)
+let run_packets width =
+  let topo, _, _, plan = run_design width in
+  Pool.with_default_jobs width (fun () ->
+      let module Sim = Cisp_sim in
+      let inputs = topo.Topology.inputs in
+      let eng = Sim.Engine.create () in
+      let mw_gbps = Sim.Builder.provisioned_mw_gbps plan in
+      let net = Sim.Builder.build eng inputs topo ~mw_gbps in
+      let model =
+        { Sim.Routing.inputs; topology = topo; mw_gbps;
+          fiber_gbps = Sim.Builder.default_config.Sim.Builder.fiber_gbps }
+      in
+      let demands =
+        Cisp_traffic.Matrix.scale_to_gbps inputs.Inputs.traffic ~aggregate_gbps:70.0
+      in
+      let paths = Sim.Routing.paths model Sim.Routing.Shortest_path ~demands_gbps:demands in
+      Sim.Udp.poisson_commodities net ~paths ~demands_gbps:demands ~packet_bytes:500
+        ~start:0.0 ~stop:0.002;
+      Sim.Engine.run eng ~until:0.202;
+      (net, Inputs.n_sites inputs, Sim.Engine.events_processed eng))
+
+(* MD5 over a packet run: per-flow totals in flow-id order, per-link
+   counters in (src, dst) order, the event count and the mean delay,
+   floats by their bits. *)
+let packet_fingerprint (net, n, events) =
+  let module Net = Cisp_sim.Net in
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun (id, (f : Net.flow_stats)) ->
+      Printf.bprintf b "flow %d %d %d %d %Ld %Ld\n" id f.Net.sent f.Net.delivered f.Net.dropped
+        (bits f.Net.delay_sum_s) (bits f.Net.delay_max_s))
+    (List.sort (fun (a, _) (c, _) -> Int.compare a c) (Net.all_flow_stats net));
+  for src = 0 to n - 1 do
+    for dst = 0 to n - 1 do
+      match Net.link_stats net ~src ~dst with
+      | Some (l : Net.link_stats) ->
+        Printf.bprintf b "link %d %d %d %d %d %Ld\n" src dst l.Net.bytes_sent l.Net.drops
+          l.Net.queue_peak_bytes (bits l.Net.busy_s)
+      | None -> ()
+    done
+  done;
+  Printf.bprintf b "events %d delay %Ld\n" events (bits (Net.mean_delay_ms net));
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Checked-in fingerprint of the packet run at jobs=1: pins
+   [Builder.build] and [Routing.paths] on the designed network. *)
+let golden_packet_fingerprint = "93ecc1a9d001158f140dae27cb901447"
+
+let test_packet_run_golden () =
+  let ((net1, _, _) as r1) = run_packets 1 in
+  Alcotest.(check string) "golden packet fingerprint (jobs=1)" golden_packet_fingerprint
+    (packet_fingerprint r1);
+  (* Fig 5: loss-free at 70% of the planned aggregate. *)
+  Alcotest.(check (float 0.0)) "no loss at 70% load" 0.0 (Cisp_sim.Net.loss_rate net1);
+  List.iter
+    (fun w ->
+      Alcotest.(check string) (Printf.sprintf "packet fingerprint, jobs=1 vs %d" w)
+        (packet_fingerprint r1) (packet_fingerprint (run_packets w)))
+    [ 2; 4; 8 ]
+
 let test_apsp_width_invariant () =
   let a = Lazy.force artifacts in
   let links w = Pool.with_default_jobs w (fun () -> Hops.all_links a.Scenario.hops) in
@@ -277,6 +340,7 @@ let suites =
     ( "determinism.parallel",
       [
         Alcotest.test_case "design pipeline at jobs 1/2/4/8" `Slow test_design_width_invariant;
+        Alcotest.test_case "packet run golden at jobs 1/2/4/8" `Slow test_packet_run_golden;
         Alcotest.test_case "APSP link matrix" `Slow test_apsp_width_invariant;
         Alcotest.test_case "metric closures" `Slow test_metric_width_invariant;
         Alcotest.test_case "weather year at jobs 1/2/4/8" `Slow test_weather_width_invariant;

@@ -482,8 +482,6 @@ let suites =
 
 (* ---------- Multipath, failover and scheme guarantees ---------- *)
 
-let all_alive _ _ = true
-
 let fixture_demands model gbps =
   Cisp_traffic.Matrix.scale_to_gbps model.Routing.inputs.Cisp_design.Inputs.traffic
     ~aggregate_gbps:gbps
@@ -547,9 +545,9 @@ let prop_bounded_stretch_per_route =
       let ok = ref true in
       Hashtbl.iter
         (fun key route ->
-          let lat = Routing.route_latency_km model ~mw_ok:all_alive route in
+          let lat = Routing.route_latency_km model route in
           let sp =
-            Routing.route_latency_km model ~mw_ok:all_alive (Hashtbl.find shortest key)
+            Routing.route_latency_km model (Hashtbl.find shortest key)
           in
           if lat > (bound *. sp) +. 1e-6 then ok := false)
         table;
@@ -570,7 +568,7 @@ let test_multipath_table_structure () =
       Alcotest.(check int) "starts at s" s p.Routing.nodes.(0);
       Alcotest.(check int) "ends at t" t p.Routing.nodes.(Array.length p.Routing.nodes - 1);
       check_float 1e-6 "primary latency consistent" p.Routing.latency_km
-        (Routing.route_latency_km model ~mw_ok:all_alive p.Routing.nodes);
+        (Routing.route_latency_km model p.Routing.nodes);
       Array.iter
         (fun q ->
           Alcotest.(check bool) "primary is the shortest route" true
@@ -583,14 +581,19 @@ let test_multipath_invalid_k () =
   let demands = fixture_demands model 1.0 in
   Alcotest.check_raises "k = 0 rejected" (Invalid_argument "Routing.multipath_table: k <= 0")
     (fun () ->
-      ignore (Routing.multipath_table model (Routing.K_disjoint_split 0) ~demands_gbps:demands))
+      ignore (Routing.multipath_table model (Routing.K_disjoint_split 0) ~demands_gbps:demands));
+  Alcotest.check_raises "single-path scheme rejected"
+    (Invalid_argument "Routing.multipath_table: not a k-disjoint scheme") (fun () ->
+      ignore (Routing.multipath_table model Routing.Shortest_path ~demands_gbps:demands))
 
-let route_respects ~mw_ok (p : Routing.mp_path) =
+let route_respects ~up (p : Routing.mp_path) =
   let ok = ref true in
   Array.iteri
     (fun h medium ->
       match medium with
-      | Routing.Mw -> if not (mw_ok p.Routing.nodes.(h) p.Routing.nodes.(h + 1)) then ok := false
+      | Routing.Mw ->
+        if not (Cisp_design.Topology.is_built up p.Routing.nodes.(h) p.Routing.nodes.(h + 1))
+        then ok := false
       | Routing.Fiber -> ())
     p.Routing.media;
   !ok
@@ -605,7 +608,7 @@ let test_failover_activates_backup () =
   Alcotest.(check bool) "has a backup" true (Array.length mp.Routing.routes >= 2);
   check_float 1e-9 "all mass on the primary" 1.0 mp.Routing.split.(0);
   (* Fair weather: the primary carries the commodity. *)
-  (match Routing.select_routes mp ~mw_ok:all_alive with
+  (match Routing.select_routes mp ~up:model.Routing.topology with
   | [||] -> Alcotest.fail "no route in fair weather"
   | sel ->
     let p, w = sel.(0) in
@@ -624,12 +627,12 @@ let test_failover_activates_backup () =
   match !dead with
   | None -> Alcotest.fail "primary uses no MW hop"
   | Some (a, b) ->
-    let mw_ok u v = not ((u = a && v = b) || (u = b && v = a)) in
-    let sel = Routing.select_routes mp ~mw_ok in
+    let up = Cisp_design.Topology.remove model.Routing.topology (a, b) in
+    let sel = Routing.select_routes mp ~up in
     Alcotest.(check bool) "a backup survives" true (Array.length sel > 0);
     Array.iter
       (fun (p, _) ->
-        Alcotest.(check bool) "survivor avoids the dead link" true (route_respects ~mw_ok p))
+        Alcotest.(check bool) "survivor avoids the dead link" true (route_respects ~up p))
       sel;
     check_float 1e-9 "full mass on first survivor" 1.0 (snd sel.(0))
 
@@ -640,8 +643,7 @@ let test_split_renormalizes_over_survivors () =
   let mp = Hashtbl.find table (0, 2) in
   Alcotest.(check bool) "multiple routes" true (Array.length mp.Routing.routes >= 2);
   (* All MW down: only pure-fiber routes survive, weights renormalized. *)
-  let none_alive _ _ = false in
-  let sel = Routing.select_routes mp ~mw_ok:none_alive in
+  let sel = Routing.select_routes mp ~up:(Cisp_design.Topology.empty model.Routing.inputs) in
   Array.iter
     (fun ((p : Routing.mp_path), _) ->
       Alcotest.(check bool) "survivors are pure fiber" true
@@ -659,9 +661,12 @@ let test_multipath_failover_latency_matches_shortest () =
     Routing.multipath_table model (Routing.K_disjoint_failover 2) ~demands_gbps:demands
   in
   let sp = Routing.paths model Routing.Shortest_path ~demands_gbps:demands in
-  check_float 1e-6 "failover fair-weather latency = shortest-path"
-    (Routing.mean_route_latency_ms model sp ~demands_gbps:demands)
-    (Routing.multipath_mean_latency_ms failover ~demands_gbps:demands)
+  Hashtbl.iter
+    (fun key mp ->
+      check_float 1e-6 "failover fair-weather latency = shortest-path"
+        (Routing.route_latency_km model (Hashtbl.find sp key))
+        mp.Routing.routes.(0).Routing.latency_km)
+    failover
 
 let suites =
   suites

@@ -134,7 +134,14 @@ let test_year_validation () =
         (Printf.sprintf "%d intervals rejected" intervals)
         (Invalid_argument "Year.run: intervals <= 0") (fun () ->
           ignore (Year.run ~intervals ~climate:Rainfield.us_climate ~hops inputs topo)))
-    [ 0; -3 ]
+    [ 0; -3 ];
+  let no_traffic =
+    { inputs with
+      Cisp_design.Inputs.traffic = Array.map (Array.map (fun _ -> 0.0)) inputs.traffic }
+  in
+  Alcotest.check_raises "no traffic rejected"
+    (Invalid_argument "Year.run: no site pair with traffic") (fun () ->
+      ignore (Year.run ~intervals:2 ~climate:Rainfield.us_climate ~hops no_traffic topo))
 
 (* ---------- HFT relay ---------- *)
 
