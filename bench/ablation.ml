@@ -79,7 +79,7 @@ let run ctx =
   | Some (i, j, d) ->
     Printf.printf "link %s <-> %s (%.0f km):\n"
       inputs.Inputs.sites.(i).Cisp_data.City.name inputs.Inputs.sites.(j).Cisp_data.City.name d;
-    let session = Cisp_towers.Refine.create ~hops ~src:i ~dst:j ~model:Cisp_towers.Refine.default_model in
+    let session = Cisp_towers.Refine.create ~hops ~src:i ~dst:j in
     let samples = if ctx.Ctx.quick then 40 else 150 in
     let s = Cisp_towers.Refine.stats ~samples session in
     Printf.printf "  prior: viability %.0f%%, %d distinct candidate paths, p50 %.0f km, p95 %.0f km\n%!"

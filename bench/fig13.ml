@@ -8,7 +8,7 @@ let median l = Cisp_util.Stats.median (Array.of_list l)
 let run ctx =
   Ctx.section "Fig 13: web PLT and object load times under reduced RTTs";
   let count = if ctx.Ctx.quick then 40 else 80 in
-  let pages = Web.generate ~count () in
+  let pages = Web.generate ~count in
   let plt scaling = List.map (fun p -> Web.plt_ms p scaling) pages in
   let base = plt Web.baseline in
   let cisp = plt Web.cisp in

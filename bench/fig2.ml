@@ -57,7 +57,12 @@ let run ctx =
         let inputs = subset_inputs ctx n in
         let budget = budget_per_site * n in
         let heur = Scenario.design inputs ~budget in
-        let rounded = Scenario.design ~method_:Scenario.Rounded inputs ~budget in
+        let rounded =
+          let candidates = Greedy.candidate_set inputs ~budget ~inflation:2.0 in
+          match Lp_rounding.design inputs ~budget ~candidates with
+          | Some t -> t
+          | None -> Topology.empty inputs
+        in
         Printf.printf "%-8d %-12.4f %-12.4f %-12.4f\n%!" n
           (Topology.stretch_of ilp_topo) (Topology.stretch_of heur)
           (Topology.stretch_of rounded)

@@ -20,7 +20,7 @@ let make_tests ctx =
   let e1 = ep p1 and e2 = ep p2 in
   let cache = a.Cisp_design.Scenario.cache in
   let field = Cisp_weather.Rainfield.sample Cisp_weather.Rainfield.us_climate ~day:42 in
-  let pages = Cisp_apps.Web.generate ~count:10 () in
+  let pages = Cisp_apps.Web.generate ~count:10 in
   [
     Test.make ~name:"sec2_hop_loss" (Staged.stage (fun () ->
         Cisp_weather.Failure.hop_loss_probability ~rain_mm_h:25.0 ~d_km:60.0 ()));

@@ -4,67 +4,50 @@ let gb_per_year_of_gbps gbps = gbps /. 8.0 *. Cisp_util.Units.seconds_per_year
 
 (* ---------- Web search ---------- *)
 
-type search_params = {
-  us_search_traffic_gbps : float;
-  profit_gain_200ms_usd : float;
-  profit_gain_400ms_usd : float;
-}
+(* US search traffic, and the yearly profit gained from a 200 ms and a
+   400 ms speedup. *)
+let us_search_traffic_gbps = 12.0
+let profit_gain_200ms_usd = 87e6
+let profit_gain_400ms_usd = 177e6
 
-let default_search =
-  {
-    us_search_traffic_gbps = 12.0;
-    profit_gain_200ms_usd = 87e6;
-    profit_gain_400ms_usd = 177e6;
-  }
-
-let search_value_per_gb ?(params = default_search) ~speedup_ms () =
+let search_value_per_gb ~speedup_ms =
   if speedup_ms < 0.0 then invalid_arg "Econ.search_value_per_gb: negative speedup_ms";
   let gain =
-    if speedup_ms <= 200.0 then params.profit_gain_200ms_usd *. speedup_ms /. 200.0
+    if speedup_ms <= 200.0 then profit_gain_200ms_usd *. speedup_ms /. 200.0
     else begin
-      let slope = (params.profit_gain_400ms_usd -. params.profit_gain_200ms_usd) /. 200.0 in
-      params.profit_gain_200ms_usd +. (slope *. (speedup_ms -. 200.0))
+      let slope = (profit_gain_400ms_usd -. profit_gain_200ms_usd) /. 200.0 in
+      profit_gain_200ms_usd +. (slope *. (speedup_ms -. 200.0))
     end
   in
-  gain /. gb_per_year_of_gbps params.us_search_traffic_gbps
+  gain /. gb_per_year_of_gbps us_search_traffic_gbps
 
 (* ---------- E-commerce ---------- *)
 
-type ecommerce_params = {
-  yearly_traffic_pb : float;
-  yearly_profit_usd : float;
-  conversion_per_100ms : range;
-  cisp_byte_fraction : float;
-}
+(* Yearly traffic and profit, the conversion gain per 100 ms, and the
+   share of bytes that ride cISP. *)
+let yearly_traffic_pb = 483.0
+let yearly_profit_usd = 7.9e9
+let conversion_per_100ms = { low = 0.01; high = 0.07 }
+let cisp_byte_fraction = 0.10
 
-let default_ecommerce =
-  {
-    yearly_traffic_pb = 483.0;
-    yearly_profit_usd = 7.9e9;
-    conversion_per_100ms = { low = 0.01; high = 0.07 };
-    cisp_byte_fraction = 0.10;
-  }
-
-let ecommerce_value_per_gb ?(params = default_ecommerce) ~speedup_ms () =
-  let cisp_gb = params.yearly_traffic_pb *. 1e6 *. params.cisp_byte_fraction in
-  let value sens = params.yearly_profit_usd *. sens *. (speedup_ms /. 100.0) /. cisp_gb in
-  { low = value params.conversion_per_100ms.low; high = value params.conversion_per_100ms.high }
+let ecommerce_value_per_gb ~speedup_ms =
+  let cisp_gb = yearly_traffic_pb *. 1e6 *. cisp_byte_fraction in
+  let value sens = yearly_profit_usd *. sens *. (speedup_ms /. 100.0) /. cisp_gb in
+  { low = value conversion_per_100ms.low; high = value conversion_per_100ms.high }
 
 (* ---------- Gaming ---------- *)
 
-type gaming_params = {
-  vpn_usd_per_month : float;
-  hours_per_day : float;
-  kbps_per_player : float;
-}
+(* An accelerated VPN's monthly price, a full-time gamer's hours a day,
+   and a player's traffic. *)
+let vpn_usd_per_month = 4.0
+let hours_per_day = 8.0
+let kbps_per_player = 10.0
 
-let default_gaming = { vpn_usd_per_month = 4.0; hours_per_day = 8.0; kbps_per_player = 10.0 }
-
-let gaming_value_per_gb ?(params = default_gaming) () =
+let gaming_value_per_gb () =
   (* GB consumed per month at the given duty cycle. *)
-  let seconds = params.hours_per_day *. 3600.0 *. 30.0 in
-  let gb = params.kbps_per_player *. 1e3 /. 8.0 *. seconds /. 1e9 in
-  params.vpn_usd_per_month /. gb
+  let seconds = hours_per_day *. 3600.0 *. 30.0 in
+  let gb = kbps_per_player *. 1e3 /. 8.0 *. seconds /. 1e9 in
+  vpn_usd_per_month /. gb
 
 let steam_us_aggregate_gbps ~players ~us_share ~kbps_per_player =
   float_of_int players *. us_share *. kbps_per_player *. 1e3 /. 1e9
@@ -74,9 +57,9 @@ let steam_us_aggregate_gbps ~players ~us_share ~kbps_per_player =
 type verdict = { application : string; value_per_gb : range; exceeds_cost : bool }
 
 let summary ~cost_per_gb =
-  let search200 = search_value_per_gb ~speedup_ms:200.0 () in
-  let search400 = search_value_per_gb ~speedup_ms:400.0 () in
-  let ecommerce = ecommerce_value_per_gb ~speedup_ms:200.0 () in
+  let search200 = search_value_per_gb ~speedup_ms:200.0 in
+  let search400 = search_value_per_gb ~speedup_ms:400.0 in
+  let ecommerce = ecommerce_value_per_gb ~speedup_ms:200.0 in
   let gaming = gaming_value_per_gb () in
   let v application value_per_gb =
     { application; value_per_gb; exceeds_cost = value_per_gb.low > cost_per_gb }

@@ -3,47 +3,23 @@
     Quantitative lower bounds on cISP's value per GB in three
     application areas, reconstructed from the paper's cited published
     constants, to be compared against the network's cost per GB
-    (~$0.81 at 100 Gbps). *)
+    (~$0.81 at 100 Gbps).  The constants are fixed:
+    - web search: 12 Gbps of US search traffic, and $87M / $177M a
+      year of profit gained from a 200 / 400 ms speedup;
+    - e-commerce: 483 PB of yearly traffic, $7.9B of yearly profit,
+      1% to 7% more conversions per 100 ms, and under 10% of the bytes
+      riding cISP;
+    - gaming: a $4-a-month accelerated VPN, 8 hours a day of
+      "full-time gaming" at 10 Kbps per player. *)
 
 type range = { low : float; high : float }
 
-(** {2 Web search} *)
-
-type search_params = {
-  us_search_traffic_gbps : float;     (** 12 *)
-  profit_gain_200ms_usd : float;      (** $87M / year *)
-  profit_gain_400ms_usd : float;      (** $177M / year *)
-}
-
-val default_search : search_params
-
-val search_value_per_gb : ?params:search_params -> speedup_ms:float -> unit -> float
+val search_value_per_gb : speedup_ms:float -> float
 (** Linear interpolation between the paper's two anchor speedups. *)
 
-(** {2 E-commerce} *)
+val ecommerce_value_per_gb : speedup_ms:float -> range
 
-type ecommerce_params = {
-  yearly_traffic_pb : float;          (** 483 PB *)
-  yearly_profit_usd : float;          (** $7.9B *)
-  conversion_per_100ms : range;       (** 1% .. 7% *)
-  cisp_byte_fraction : float;         (** <10% of bytes ride cISP *)
-}
-
-val default_ecommerce : ecommerce_params
-
-val ecommerce_value_per_gb : ?params:ecommerce_params -> speedup_ms:float -> unit -> range
-
-(** {2 Gaming} *)
-
-type gaming_params = {
-  vpn_usd_per_month : float;          (** $4, cheap accelerated VPN *)
-  hours_per_day : float;              (** 8, "full-time gaming" *)
-  kbps_per_player : float;            (** 10 *)
-}
-
-val default_gaming : gaming_params
-
-val gaming_value_per_gb : ?params:gaming_params -> unit -> float
+val gaming_value_per_gb : unit -> float
 
 val steam_us_aggregate_gbps :
   players:int -> us_share:float -> kbps_per_player:float -> float

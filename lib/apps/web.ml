@@ -30,7 +30,10 @@ let sample_level rng =
   in
   pick 0 0.0
 
-let generate ?(seed = 2024) ~count () =
+(* The corpus is one fixed sample. *)
+let seed = 2024
+
+let generate ~count =
   let rng = Rng.create seed in
   List.init count (fun _ ->
       let n_objects = max 5 (int_of_float (Rng.lognormal rng (log 55.0) 0.7)) in

@@ -27,8 +27,9 @@ type page = {
   render_ms : float;      (** client-side non-network time per level *)
 }
 
-val generate : ?seed:int -> count:int -> unit -> page list
-(** A corpus like the paper's 80-site sample. *)
+val generate : count:int -> page list
+(** A corpus like the paper's 80-site sample, drawn from a fixed
+    seed. *)
 
 type scaling = {
   c2s : float;            (** multiplier on the client-to-server delay *)

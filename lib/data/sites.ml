@@ -19,7 +19,10 @@ let union parent i j =
   let ri = find parent i and rj = find parent j in
   if ri <> rj then parent.(ri) <- rj
 
-let coalesce ?(radius_km = 50.0) cities =
+(* Paper §4: cities within 50 km of each other are one center. *)
+let radius_km = 50.0
+
+let coalesce cities =
   let arr = Array.of_list cities in
   let n = Array.length arr in
   let parent = Array.init n (fun i -> i) in
@@ -61,5 +64,5 @@ let coalesce ?(radius_km = 50.0) cities =
   in
   List.sort City.compare_population_desc centers
 
-let us_population_centers () = coalesce ~radius_km:50.0 Us_cities.all
-let eu_population_centers () = coalesce ~radius_km:50.0 Eu_cities.all
+let us_population_centers () = coalesce Us_cities.all
+let eu_population_centers () = coalesce Eu_cities.all

@@ -6,8 +6,9 @@
     resulting center sits at the population-weighted centroid, carries
     the summed population, and is named after its largest member. *)
 
-val coalesce : ?radius_km:float -> City.t list -> City.t list
-(** Default radius 50 km.  Result sorted by descending population. *)
+val coalesce : City.t list -> City.t list
+(** Merge at the paper's 50 km.  Result sorted by descending
+    population. *)
 
 val us_population_centers : unit -> City.t list
 (** The paper's ~120 contiguous-US population centers: top-200 cities

@@ -10,19 +10,13 @@ type config = {
   n_sites : int option;
   max_range_km : float;
   height_fraction : float;
-  dem_seed : int;
-  tower_seed : int;
 }
 
-let default_config =
-  {
-    region = Us;
-    n_sites = None;
-    max_range_km = 100.0;
-    height_fraction = 1.0;
-    dem_seed = 42;
-    tower_seed = 7;
-  }
+let default_config = { region = Us; n_sites = None; max_range_km = 100.0; height_fraction = 1.0 }
+
+(* The terrain's and the tower registry's seeds. *)
+let dem_seed = 42
+let tower_seed = 7
 
 let europe_config = { default_config with region = Europe }
 
@@ -46,7 +40,7 @@ let build_artifacts config =
     | Us | Custom _ -> Dem.Us_continental
     | Europe -> Dem.Europe
   in
-  let dem = Dem.create ~seed:config.dem_seed region_dem in
+  let dem = Dem.create ~seed:dem_seed region_dem in
   let cache = Dem_cache.create dem in
   let centers =
     match config.region with
@@ -61,13 +55,12 @@ let build_artifacts config =
       let sorted = List.sort Cisp_data.City.compare_population_desc centers in
       List.filteri (fun i _ -> i < k) sorted
   in
-  let synth_config = { Cisp_towers.Synth.default_config with seed = config.tower_seed } in
+  let synth_config = { Cisp_towers.Synth.default_config with seed = tower_seed } in
   let towers = Cisp_towers.Synth.generate ~config:synth_config ~dem ~sites:centers () in
   let culled = Cisp_towers.Culling.apply towers in
   let hop_config =
     {
-      Hops.default_config with
-      los_params = { Los.default_params with max_range_km = config.max_range_km };
+      Hops.los_params = { Los.default_params with max_range_km = config.max_range_km };
       height_fraction = config.height_fraction;
     }
   in
@@ -98,32 +91,19 @@ let inputs a ~traffic = Inputs.of_hops ~hops:a.hops ~fiber:a.fiber ~traffic
 let population_inputs a =
   inputs a ~traffic:(Cisp_traffic.Matrix.population_product a.sites)
 
-type method_ = Heuristic | Exact | Rounded
-
-let design ?(method_ = Heuristic) ?limits (inputs : Inputs.t) ~budget =
-  match method_ with
-  | Heuristic ->
-    (* One greedy run at the paper's 2x-inflated budget yields both the
-       candidate set and (as its affordable prefix) the seed design. *)
-    let _, order = Greedy.design_ordered inputs ~budget:(2 * budget) in
-    let seed =
-      List.fold_left
-        (fun topo (i, j) ->
-          if topo.Topology.cost + Topology.link_cost inputs i j <= budget then
-            Topology.add topo (i, j)
-          else topo)
-        (Topology.empty inputs) order
-    in
-    Local_search.improve inputs ~budget ~candidates:order seed
-  | Exact ->
-    let candidates = Greedy.candidate_set inputs ~budget ~inflation:2.0 in
-    let topo, _ = Ilp.design ?limits inputs ~budget ~candidates in
-    topo
-  | Rounded ->
-    let candidates = Greedy.candidate_set inputs ~budget ~inflation:2.0 in
-    (match Lp_rounding.design inputs ~budget ~candidates with
-    | Some t -> t
-    | None -> Topology.empty inputs)
+let design (inputs : Inputs.t) ~budget =
+  (* One greedy run at the paper's 2x-inflated budget yields both the
+     candidate set and (as its affordable prefix) the seed design. *)
+  let _, order = Greedy.design_ordered inputs ~budget:(2 * budget) in
+  let seed =
+    List.fold_left
+      (fun topo (i, j) ->
+        if topo.Topology.cost + Topology.link_cost inputs i j <= budget then
+          Topology.add topo (i, j)
+        else topo)
+      (Topology.empty inputs) order
+  in
+  Local_search.improve inputs ~budget ~candidates:order seed
 
 type report = {
   topology : Topology.t;
@@ -132,12 +112,12 @@ type report = {
   cost_per_gb : float;
 }
 
-let full_run ?(config = default_config) ?(cost = Cost.default) ~budget ~aggregate_gbps () =
+let full_run ?(config = default_config) ~budget ~aggregate_gbps () =
   let a = artifacts ~config () in
   let inp = population_inputs a in
   let topo = design inp ~budget in
   let stretch = Topology.stretch_of topo in
   let spare = Capacity.spare_from_registry a.hops in
   let plan = Capacity.plan ~spare_series_at_hop:spare inp topo ~aggregate_gbps in
-  let cpg = Capacity.cost_per_gb cost plan ~aggregate_gbps in
+  let cpg = Capacity.cost_per_gb Cost.default plan ~aggregate_gbps in
   { topology = topo; stretch; plan; cost_per_gb = cpg }

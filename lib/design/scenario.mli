@@ -5,7 +5,8 @@
     traffic model, topology design (step 2), and capacity planning
     (step 3).  Heavy artifacts (the hop graph takes ~20 s at the
     112-center US scale) are memoized per configuration so benchmarks
-    can share them. *)
+    can share them.  The terrain and the tower registry come from
+    fixed seeds (42 and 7), and a run is costed at {!Cost.default}. *)
 
 type region =
   | Us
@@ -19,8 +20,6 @@ type config = {
   n_sites : int option;        (** take only the top-k population centers *)
   max_range_km : float;        (** MW hop range (Fig 10 sweeps 60-100) *)
   height_fraction : float;     (** usable tower height (Fig 10) *)
-  dem_seed : int;
-  tower_seed : int;
 }
 
 val default_config : config
@@ -49,14 +48,11 @@ val inputs : artifacts -> traffic:Cisp_traffic.Matrix.t -> Inputs.t
 val population_inputs : artifacts -> Inputs.t
 (** Inputs with the population-product traffic model. *)
 
-type method_ = Heuristic | Exact | Rounded
-
-val design :
-  ?method_:method_ -> ?limits:Cisp_lp.Milp.limits -> Inputs.t -> budget:int -> Topology.t
-(** [Heuristic] (default): the paper's pipeline at scale — greedy with
-    2x-inflated budget for candidates, then greedy at budget + swap
-    local search.  [Exact]: greedy candidates handed to the ILP (only
-    viable at small n).  [Rounded]: the LP-rounding baseline. *)
+val design : Inputs.t -> budget:int -> Topology.t
+(** The paper's pipeline at scale: greedy with 2x-inflated budget for
+    candidates, then greedy at budget + swap local search.  (The exact
+    ILP, {!Ilp.design}, and the LP-rounding baseline,
+    {!Lp_rounding.design}, take the same greedy candidates.) *)
 
 type report = {
   topology : Topology.t;
@@ -65,7 +61,6 @@ type report = {
   cost_per_gb : float;
 }
 
-val full_run :
-  ?config:config -> ?cost:Cost.t -> budget:int -> aggregate_gbps:float -> unit -> report
+val full_run : ?config:config -> budget:int -> aggregate_gbps:float -> unit -> report
 (** The whole pipeline with the population traffic model: design at
     [budget] towers, provision [aggregate_gbps], cost it. *)

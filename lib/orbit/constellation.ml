@@ -147,8 +147,8 @@ type pair_stats = {
   stretch_max : float;
 }
 
-let pair_stretch_over_time ?(samples = 96) ?period_s shell a b =
-  let period = match period_s with Some p -> p | None -> orbital_period shell in
+let pair_stretch_over_time ?(samples = 96) shell a b =
+  let period = orbital_period shell in
   let geo_ms = Geodesy.c_latency_ms a b in
   let stretches = ref [] in
   let hits = ref 0 in

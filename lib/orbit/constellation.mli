@@ -61,7 +61,6 @@ type pair_stats = {
 }
 
 val pair_stretch_over_time :
-  ?samples:int -> ?period_s:float -> shell ->
-  Cisp_geo.Coord.t -> Cisp_geo.Coord.t -> pair_stats
-(** Stretch (vs the geodesic at c) sampled across an orbital period
-    (default 96 samples over 5,700 s). *)
+  ?samples:int -> shell -> Cisp_geo.Coord.t -> Cisp_geo.Coord.t -> pair_stats
+(** Stretch (vs the geodesic at c) sampled across the shell's orbital
+    period (default 96 samples). *)

@@ -1,30 +1,26 @@
-type t = {
-  tx_power_dbm : float;
-  antenna_gain_dbi : float;
-  rx_threshold_dbm : float;
-  misc_losses_db : float;
-}
-
-let default =
-  { tx_power_dbm = 30.0; antenna_gain_dbi = 43.0; rx_threshold_dbm = -72.0; misc_losses_db = 3.0 }
+(* The radio: transmit power, gain per antenna, receiver sensitivity at
+   the target BER, and connector/waveguide/alignment losses. *)
+let tx_power_dbm = 30.0
+let antenna_gain_dbi = 43.0
+let rx_threshold_dbm = -72.0
+let misc_losses_db = 3.0
 
 let fspl_db ~f_ghz ~d_km =
   if not (f_ghz > 0.0 && d_km > 0.0) then
     invalid_arg "Link_budget.fspl_db: f_ghz and d_km must be positive";
   92.45 +. (20.0 *. log10 f_ghz) +. (20.0 *. log10 d_km)
 
-let fade_margin_db ?(budget = default) ~f_ghz ~d_km () =
+let fade_margin_db ~f_ghz ~d_km =
   let rx =
-    budget.tx_power_dbm +. (2.0 *. budget.antenna_gain_dbi)
-    -. fspl_db ~f_ghz ~d_km -. budget.misc_losses_db
+    tx_power_dbm +. (2.0 *. antenna_gain_dbi) -. fspl_db ~f_ghz ~d_km -. misc_losses_db
   in
-  rx -. budget.rx_threshold_dbm
+  rx -. rx_threshold_dbm
 
-let max_range_km ?(budget = default) ~f_ghz ~min_margin_db () =
+let max_range_km ~f_ghz ~min_margin_db =
   (* fade_margin is monotone decreasing in distance: solve in closed form.
      rx_margin(d) = P + 2G - L - threshold - 92.45 - 20log f - 20 log d *)
   let headroom =
-    budget.tx_power_dbm +. (2.0 *. budget.antenna_gain_dbi) -. budget.misc_losses_db
-    -. budget.rx_threshold_dbm -. 92.45 -. (20.0 *. log10 f_ghz) -. min_margin_db
+    tx_power_dbm +. (2.0 *. antenna_gain_dbi) -. misc_losses_db -. rx_threshold_dbm -. 92.45
+    -. (20.0 *. log10 f_ghz) -. min_margin_db
   in
   10.0 ** (headroom /. 20.0)

@@ -3,25 +3,18 @@
     Used to derive per-hop fade margins (which the weather analysis
     turns into binary failure thresholds) and to sanity-check that the
     60-100 km range assumption is consistent with realistic equipment
-    parameters. *)
-
-type t = {
-  tx_power_dbm : float;       (** transmitter output power *)
-  antenna_gain_dbi : float;   (** per antenna (parabolic dish) *)
-  rx_threshold_dbm : float;   (** receiver sensitivity at target BER *)
-  misc_losses_db : float;     (** connectors, waveguide, alignment *)
-}
-
-val default : t
-(** Typical long-haul 11 GHz licensed-band radio with ~1.8 m dishes. *)
+    parameters.  The equipment is fixed: a typical long-haul radio in
+    the paper's 11 GHz licensed band (§3.1) with ~1.8 m dishes — 30 dBm
+    transmit power, 43 dBi per antenna, a -72 dBm receiver threshold
+    and 3 dB of connector, waveguide and alignment losses. *)
 
 val fspl_db : f_ghz:float -> d_km:float -> float
 (** Free-space path loss: 92.45 + 20 log10(f) + 20 log10(d). *)
 
-val fade_margin_db : ?budget:t -> f_ghz:float -> d_km:float -> unit -> float
+val fade_margin_db : f_ghz:float -> d_km:float -> float
 (** Received-signal margin over threshold in clear air — the rain
     attenuation a hop can absorb before outage.  Longer hops have
     smaller margins, so they fail at lower rain rates. *)
 
-val max_range_km : ?budget:t -> f_ghz:float -> min_margin_db:float -> unit -> float
+val max_range_km : f_ghz:float -> min_margin_db:float -> float
 (** Longest hop that still retains [min_margin_db] of fade margin. *)

@@ -4,16 +4,15 @@ module Dem = Cisp_terrain.Dem
 module Dem_cache = Cisp_terrain.Dem_cache
 module Units = Cisp_util.Units
 
-type params = {
-  max_range_km : float;
-  f_ghz : float;
-  k_factor : float;
-  step_km : float;
-  min_range_km : float;
-}
+type params = { max_range_km : float; min_range_km : float }
 
-let default_params =
-  { max_range_km = 100.0; f_ghz = 11.0; k_factor = 1.3; step_km = 1.0; min_range_km = 1.0 }
+let default_params = { max_range_km = 100.0; min_range_km = 1.0 }
+
+(* Paper §3.1: carrier frequency, effective Earth radius factor, and
+   the profile sampling step. *)
+let f_ghz = 11.0
+let k_factor = 1.3
+let step_km = 1.0
 
 type endpoint = { position : Coord.t; ground_m : float; antenna_m : float }
 
@@ -180,11 +179,10 @@ let[@inline] [@cisp.zero_alloc] begin_profile sc ~params a b =
   let total = Geodesy.distance_km a.position b.position in
   if total > params.max_range_km || total < params.min_range_km then 0
   else begin
-    let n = max 2 (int_of_float (Float.ceil (total /. params.step_km))) in
+    let n = max 2 (int_of_float (Float.ceil (total /. step_km))) in
     ensure sc (n + 1);
     let pair = sc.pair in
-    Fresnel.pair_coeffs_into ~k:params.k_factor ~f_ghz:params.f_ghz ~d_km:total
-      ~out:pair;
+    Fresnel.pair_coeffs_into ~k:k_factor ~f_ghz ~d_km:total ~out:pair;
     let ha = a.ground_m +. a.antenna_m in
     let hb = b.ground_m +. b.antenna_m in
     Float.Array.set pair p_total total;

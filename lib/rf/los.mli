@@ -15,13 +15,14 @@
     ({!Fresnel.pair_coeffs}), and the midpoint — the likeliest
     blockage — is tested before the full profile is sampled.  The walk
     takes no lock and allocates nothing outside the DEM evaluations
-    themselves. *)
+    themselves.
+
+    The radio is fixed at the paper's values (§3.1): an 11 GHz carrier,
+    an effective Earth radius factor K = 1.3, and a profile sampled
+    every 1 km. *)
 
 type params = {
   max_range_km : float;   (** paper: 100 km baseline, 60-100 swept in Fig 10 *)
-  f_ghz : float;          (** carrier frequency, 11 GHz *)
-  k_factor : float;       (** effective Earth radius factor, 1.3 *)
-  step_km : float;        (** profile sampling step *)
   min_range_km : float;   (** hops shorter than this are pointless *)
 }
 

@@ -32,11 +32,17 @@ type t = {
   n : int;
   links : (int, link) Hashtbl.t;  (* key = src * n + dst *)
   flows : (int, mutable_flow_stats) Hashtbl.t;
-  mutable delivery_cbs : (packet -> float -> unit) list;
+  handlers : (int, packet -> float -> unit) Hashtbl.t;  (* by flow id *)
 }
 
 let create eng ~n_nodes =
-  { eng; n = n_nodes; links = Hashtbl.create 256; flows = Hashtbl.create 64; delivery_cbs = [] }
+  {
+    eng;
+    n = n_nodes;
+    links = Hashtbl.create 256;
+    flows = Hashtbl.create 64;
+    handlers = Hashtbl.create 64;
+  }
 
 let engine t = t.eng
 
@@ -64,7 +70,12 @@ let add_duplex t a b ~gbps ~delay_ms ~buffer_bytes =
   add_link t ~src:a ~dst:b ~gbps ~delay_ms ~buffer_bytes;
   add_link t ~src:b ~dst:a ~gbps ~delay_ms ~buffer_bytes
 
-let on_delivery t f = t.delivery_cbs <- f :: t.delivery_cbs
+let on_delivery t ~flow_id handler =
+  if Hashtbl.mem t.handlers flow_id then
+    invalid_arg (Printf.sprintf "Net.on_delivery: flow %d already has a handler" flow_id);
+  Hashtbl.replace t.handlers flow_id handler
+
+let clear_delivery t ~flow_id = Hashtbl.remove t.handlers flow_id
 
 (* Write path: the record is created on first use.  Only the traffic
    paths (inject / deliver / drop accounting) may call this — stats
@@ -87,7 +98,9 @@ let deliver t pkt =
   let d = now -. pkt.injected_at in
   f.delay_sum <- f.delay_sum +. d;
   if d > f.delay_max then f.delay_max <- d;
-  List.iter (fun cb -> cb pkt now) t.delivery_cbs
+  match Hashtbl.find_opt t.handlers pkt.flow_id with
+  | Some handler -> handler pkt now
+  | None -> ()
 
 (* Forward [pkt] from the node at route.(hop) towards route.(hop+1). *)
 let rec forward t pkt =

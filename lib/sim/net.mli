@@ -27,10 +27,15 @@ val add_duplex :
 val inject : t -> packet -> unit
 (** Start forwarding at [route.(hop)]; [injected_at] is stamped. *)
 
-val on_delivery : t -> (packet -> float -> unit) -> unit
-(** Callback invoked when a packet reaches the end of its route, with
-    the delivery time (use with [injected_at] for one-way delay).
-    TCP registers here. *)
+val on_delivery : t -> flow_id:int -> (packet -> float -> unit) -> unit
+(** Handler invoked when a packet of flow [flow_id] reaches the end of
+    its route, with the delivery time (use with [injected_at] for
+    one-way delay).  TCP registers here.  A delivery runs only its own
+    flow's handler.  Raises [Invalid_argument] if [flow_id] already
+    has one. *)
+
+val clear_delivery : t -> flow_id:int -> unit
+(** Remove [flow_id]'s delivery handler, if any. *)
 
 (** {2 Measurements} *)
 

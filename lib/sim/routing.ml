@@ -8,7 +8,6 @@ type scheme =
   | Shortest_path
   | Min_max_utilization
   | Throughput_optimal
-  | Bounded_stretch of float
   | K_disjoint_split of int
   | K_disjoint_failover of int
 
@@ -54,7 +53,7 @@ let edge_cost scheme e =
   let rho = Float.min 0.999 (e.load_gbps /. Float.max 1e-9 e.capacity_gbps) in
   match scheme with
   | Shortest_path | K_disjoint_split _ | K_disjoint_failover _ -> e.latency_km
-  | Bounded_stretch _ | Min_max_utilization ->
+  | Min_max_utilization ->
     (* Latency-aware but sharply congestion-averse. *)
     e.latency_km *. (1.0 +. (8.0 *. (rho ** 4.0))) +. (1e4 *. Float.max 0.0 (rho -. 0.95))
   | Throughput_optimal ->
@@ -70,7 +69,7 @@ let route_latency_km m nodes =
   done;
   !acc
 
-let rec paths m scheme ~demands_gbps =
+let paths m scheme ~demands_gbps =
   let table : (int * int, int array) Hashtbl.t = Hashtbl.create 1024 in
   (match scheme with
   | Shortest_path | K_disjoint_split _ | K_disjoint_failover _ ->
@@ -80,7 +79,7 @@ let rec paths m scheme ~demands_gbps =
     List.iter
       (fun (st, route) -> Hashtbl.replace table st route)
       (Topology.routes m.topology ~demands:demands_gbps)
-  | Min_max_utilization | Throughput_optimal | Bounded_stretch _ ->
+  | Min_max_utilization | Throughput_optimal ->
     (* Sequential congestion-aware assignment, big demands first. *)
     let n = Inputs.n_sites m.inputs in
     let edges = edges_of_model m in
@@ -95,13 +94,6 @@ let rec paths m scheme ~demands_gbps =
     (* The edge of each pair, for charging loads. *)
     let by_pair : (int * int, edge_info) Hashtbl.t = Hashtbl.create 1024 in
     Array.iter (fun e -> Hashtbl.replace by_pair (e.u, e.v) e) edges;
-    (* Bounded_stretch falls back to the commodity's shortest route. *)
-    let shortest =
-      match scheme with
-      | Bounded_stretch _ -> paths m Shortest_path ~demands_gbps
-      | Shortest_path | Min_max_utilization | Throughput_optimal
-      | K_disjoint_split _ | K_disjoint_failover _ -> Hashtbl.create 1
-    in
     (* Rebuilding the cost graph per commodity is wasteful; costs only
        drift as load accumulates, so refresh periodically. *)
     let g = ref (build_graph n edges (edge_cost scheme)) in
@@ -117,15 +109,6 @@ let rec paths m scheme ~demands_gbps =
         | None -> ()
         | Some (_, p) ->
           let arr = Array.of_list p in
-          let arr =
-            match scheme, Hashtbl.find_opt shortest (s, t) with
-            | Bounded_stretch bound, Some p0
-              when route_latency_km m arr > bound *. route_latency_km m p0 ->
-              (* The spread route violates the commodity's latency
-                 budget. *)
-              p0
-            | _ -> arr
-          in
           Hashtbl.replace table (s, t) arr;
           for k = 0 to Array.length arr - 2 do
             match Hashtbl.find_opt by_pair (norm (arr.(k), arr.(k + 1))) with
@@ -216,14 +199,7 @@ let disjoint_routes ~k ~src ~dst base n topo =
   ignore (Multipath.successive base ~src ~dst ~k ~remove);
   Array.of_list (List.rev !acc)
 
-let multipath_table m scheme ~demands_gbps =
-  let k, split_load =
-    match scheme with
-    | K_disjoint_split k -> (k, true)
-    | K_disjoint_failover k -> (k, false)
-    | Shortest_path | Min_max_utilization | Throughput_optimal | Bounded_stretch _ ->
-      invalid_arg "Routing.multipath_table: not a k-disjoint scheme"
-  in
+let multipath_table m ~k ~demands_gbps =
   if k <= 0 then invalid_arg "Routing.multipath_table: k <= 0";
   let n = Inputs.n_sites m.inputs in
   let base = multigraph m.topology n in
@@ -233,15 +209,9 @@ let multipath_table m scheme ~demands_gbps =
       if t <> s && demands_gbps.(s).(t) > 0.0 then begin
         let routes = disjoint_routes ~k ~src:s ~dst:t base n m.topology in
         if Array.length routes > 0 then begin
-          let split =
-            if split_load then begin
-              let inv = Array.map (fun p -> 1.0 /. Float.max 1e-9 p.latency_km) routes in
-              let total = Array.fold_left ( +. ) 0.0 inv in
-              Array.map (fun w -> w /. total) inv
-            end
-            else Array.init (Array.length routes) (fun i -> if i = 0 then 1.0 else 0.0)
-          in
-          Hashtbl.replace table (s, t) { routes; split }
+          let inv = Array.map (fun p -> 1.0 /. Float.max 1e-9 p.latency_km) routes in
+          let total = Array.fold_left ( +. ) 0.0 inv in
+          Hashtbl.replace table (s, t) { routes; split = Array.map (fun w -> w /. total) inv }
         end
       end
     done
@@ -260,13 +230,17 @@ let route_alive ~up p =
     p.media;
   !ok
 
-let select_routes mp ~up =
-  let alive = ref [] in
-  Array.iteri (fun i p -> if route_alive ~up p then alive := (i, p) :: !alive) mp.routes;
-  let alive = Array.of_list (List.rev !alive) in
-  if Array.length alive = 0 then [||]
-  else begin
+let select_routes scheme mp ~up =
+  match scheme with
+  | K_disjoint_failover _ -> (
+    match Array.find_opt (route_alive ~up) mp.routes with
+    | Some p -> [| (p, 1.0) |]
+    | None -> [||])
+  | K_disjoint_split _ ->
+    let alive = ref [] in
+    Array.iteri (fun i p -> if route_alive ~up p then alive := (i, p) :: !alive) mp.routes;
+    let alive = Array.of_list (List.rev !alive) in
     let total = Array.fold_left (fun acc (i, _) -> acc +. mp.split.(i)) 0.0 alive in
-    if total > 0.0 then Array.map (fun (i, p) -> (p, mp.split.(i) /. total)) alive
-    else Array.mapi (fun j (_, p) -> (p, if j = 0 then 1.0 else 0.0)) alive
-  end
+    Array.map (fun (i, p) -> (p, mp.split.(i) /. total)) alive
+  | Shortest_path | Min_max_utilization | Throughput_optimal ->
+    invalid_arg "Routing.select_routes: not a k-disjoint scheme"

@@ -26,12 +26,6 @@ type scheme =
   | Shortest_path
   | Min_max_utilization    (** sharp penalty on hot links *)
   | Throughput_optimal     (** congestion-proportional latency inflation *)
-  | Bounded_stretch of float
-      (** spread load like [Min_max_utilization] but never accept a
-          route longer than the bound x the commodity's shortest
-          latency — the direction the paper points to (Gvozdiev et
-          al. [33]) for cutting over-provisioning at a modest,
-          bounded latency cost *)
   | K_disjoint_split of int
       (** split each commodity over up to k medium-aware edge-disjoint
           paths, weighted inversely to path latency; under failures the
@@ -80,25 +74,25 @@ type mp_path = {
 
 type multipath = {
   routes : mp_path array;      (** priority order; index 0 = primary *)
-  split : float array;         (** load fractions, same length, sum 1 *)
+  split : float array;         (** 1/latency load fractions, same length, sum 1 *)
 }
 
 val multipath_table :
-  network_model -> scheme -> demands_gbps:Cisp_traffic.Matrix.t ->
+  network_model -> k:int -> demands_gbps:Cisp_traffic.Matrix.t ->
   ((int * int), multipath) Hashtbl.t
-(** Per-commodity route sets, precomputed under fair weather, for
-    [K_disjoint_split k] / [K_disjoint_failover k]: up to [k]
+(** Per-commodity route sets, precomputed under fair weather, shared
+    by [K_disjoint_split k] and [K_disjoint_failover k]: up to [k]
     medium-aware edge-disjoint paths (successive shortest-path removal
     over the combined MW+fiber multigraph, so a backup may take the
-    fiber pair under a consumed MW edge).  The split weights are
-    1/latency-normalized for [K_disjoint_split], all mass on the
-    primary for [K_disjoint_failover].  Raises [Invalid_argument] if
-    [k <= 0] or for any other scheme. *)
+    fiber pair under a consumed MW edge), with 1/latency-normalized
+    split weights.  Raises [Invalid_argument] if [k <= 0]. *)
 
-val select_routes : multipath -> up:Cisp_design.Topology.t -> (mp_path * float) array
-(** Fast local failover: the routes whose every MW hop the surviving
-    topology [up] still holds (fiber hops never fail), with split
-    weights renormalized over the survivors.  When all surviving
-    routes had zero weight (pure-failover backups), the first survivor
-    gets the full load.  [[||]] when no precomputed route survives —
-    the commodity is unavailable until a global recompute. *)
+val select_routes :
+  scheme -> multipath -> up:Cisp_design.Topology.t -> (mp_path * float) array
+(** Fast local failover over the routes whose every MW hop the
+    surviving topology [up] still holds (fiber hops never fail):
+    [K_disjoint_failover] activates the first survivor with the full
+    load; [K_disjoint_split] keeps every survivor, with the split
+    weights renormalized over them.  [[||]] when no precomputed route
+    survives — the commodity is unavailable until a global recompute.
+    Raises [Invalid_argument] for a single-path scheme. *)

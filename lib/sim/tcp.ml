@@ -1,21 +1,13 @@
-type config = {
-  mss_bytes : int;
-  init_cwnd : int;
-  ssthresh : int;
-  pacing : bool;
-  ack_delay_s : float;
-  rto_s : float;
-}
+type config = { pacing : bool; ack_delay_s : float }
 
-let default_config ~ack_delay_s =
-  {
-    mss_bytes = 1500;
-    init_cwnd = 10;
-    ssthresh = 64;
-    pacing = false;
-    ack_delay_s;
-    rto_s = 0.25;
-  }
+let default_config ~ack_delay_s = { pacing = false; ack_delay_s }
+
+(* Segment size (bytes), initial window and slow-start threshold
+   (packets), and the retransmission timeout. *)
+let mss_bytes = 1500
+let init_cwnd = 10
+let initial_ssthresh = 64
+let rto_s = 0.25
 
 type state = {
   cfg : config;
@@ -41,7 +33,7 @@ let send_packet st seq =
   Net.inject st.net
     {
       Net.flow_id = st.flow_id;
-      size_bytes = st.cfg.mss_bytes;
+      size_bytes = mss_bytes;
       route = st.route;
       hop = 0;
       injected_at = 0.0;
@@ -90,6 +82,7 @@ let handle_ack st seq delivered_at rtt_sample =
     else st.cwnd <- st.cwnd +. (1.0 /. st.cwnd);
     if st.distinct >= st.total_pkts then begin
       st.done_ <- true;
+      Net.clear_delivery st.net ~flow_id:st.flow_id;
       st.on_complete delivered_at
     end
     else pump st
@@ -101,7 +94,7 @@ let handle_ack st seq delivered_at rtt_sample =
    window (go-back-N semantics). *)
 let rec watchdog st =
   if not st.done_ then begin
-    Engine.schedule_in (Net.engine st.net) ~after:st.cfg.rto_s (fun () ->
+    Engine.schedule_in (Net.engine st.net) ~after:rto_s (fun () ->
         if not st.done_ then begin
           if st.distinct = st.progress_stamp then begin
             let missing = ref [] in
@@ -123,7 +116,7 @@ let rec watchdog st =
   end
 
 let start_flow net cfg ~flow_id ~route ~size_bytes ~at ~on_complete =
-  let total_pkts = max 1 ((size_bytes + cfg.mss_bytes - 1) / cfg.mss_bytes) in
+  let total_pkts = max 1 ((size_bytes + mss_bytes - 1) / mss_bytes) in
   let st =
     {
       cfg;
@@ -135,8 +128,8 @@ let start_flow net cfg ~flow_id ~route ~size_bytes ~at ~on_complete =
       distinct = 0;
       next_seq = 0;
       resend = [];
-      cwnd = float_of_int cfg.init_cwnd;
-      ssthresh = cfg.ssthresh;
+      cwnd = float_of_int init_cwnd;
+      ssthresh = initial_ssthresh;
       in_flight = 0;
       srtt = 2.0 *. cfg.ack_delay_s;
       progress_stamp = 0;
@@ -146,14 +139,12 @@ let start_flow net cfg ~flow_id ~route ~size_bytes ~at ~on_complete =
   in
   (* Ack path: when one of our packets is delivered, the ack arrives
      after the reverse-path delay and opens the window. *)
-  Net.on_delivery net (fun pkt t ->
-      if pkt.Net.flow_id = flow_id && not st.done_ then begin
-        let send_time = pkt.Net.injected_at in
-        let rtt = t +. cfg.ack_delay_s -. send_time in
-        let seq = pkt.Net.payload in
-        Engine.schedule (Net.engine net) ~at:(t +. cfg.ack_delay_s) (fun () ->
-            handle_ack st seq (t +. cfg.ack_delay_s) rtt)
-      end);
+  Net.on_delivery net ~flow_id (fun pkt t ->
+      let send_time = pkt.Net.injected_at in
+      let rtt = t +. cfg.ack_delay_s -. send_time in
+      let seq = pkt.Net.payload in
+      Engine.schedule (Net.engine net) ~at:(t +. cfg.ack_delay_s) (fun () ->
+          handle_ack st seq (t +. cfg.ack_delay_s) rtt));
   Engine.schedule (Net.engine net) ~at (fun () ->
       pump st;
       watchdog st)

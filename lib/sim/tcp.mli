@@ -8,19 +8,17 @@
     line rate.  Loss recovery is timeout-based go-back-N with
     multiplicative decrease: enough for the Fig 6 scenario (unbounded
     buffers, no loss) and for finite-buffer experiments where drops
-    must not wedge a flow. *)
+    must not wedge a flow.  Every flow uses a 1500-byte MSS, an
+    initial window of 10 packets, a slow-start threshold of 64 packets
+    and a 250 ms retransmission timeout. *)
 
 type config = {
-  mss_bytes : int;
-  init_cwnd : int;          (** packets *)
-  ssthresh : int;           (** packets *)
   pacing : bool;
   ack_delay_s : float;      (** reverse-path one-way delay *)
-  rto_s : float;            (** retransmission timeout *)
 }
 
 val default_config : ack_delay_s:float -> config
-(** MSS 1500, IW 10, ssthresh 64, no pacing, RTO 250 ms. *)
+(** No pacing. *)
 
 val start_flow :
   Net.t ->
@@ -32,4 +30,5 @@ val start_flow :
   on_complete:(float -> unit) ->
   unit
 (** Transfers [size_bytes]; [on_complete] fires with the completion
-    time (flow completion time = that minus [at]). *)
+    time (flow completion time = that minus [at]).  The flow handles
+    its own deliveries ({!Net.on_delivery}) until it completes. *)

@@ -3,16 +3,9 @@
     "Towers from rental companies are typically suitable for use.  From
     the FCC database, we only use towers over 100 m height.  When
     tower-density exceeds 50 towers per 0.5 degree square grid cell, we
-    randomly sample towers." *)
+    randomly sample towers."  Those values are fixed here: FCC towers
+    of at least 100 m, at most 50 towers per 0.5° cell, sampled with a
+    fixed seed. *)
 
-type config = {
-  fcc_min_height_m : float;   (** 100 m *)
-  cell_deg : float;           (** 0.5 degrees *)
-  max_per_cell : int;         (** 50 *)
-  sample_seed : int;
-}
-
-val default_config : config
-
-val apply : ?config:config -> Tower.t list -> Tower.t list
+val apply : Tower.t list -> Tower.t list
 (** Deterministic culled registry. *)

@@ -6,20 +6,14 @@ module Graph = Cisp_graph.Graph
 module Dijkstra = Cisp_graph.Dijkstra
 module City = Cisp_data.City
 
-type config = {
-  los_params : Los.params;
-  height_fraction : float;
-  site_antenna_m : float;
-  site_attach_radius_km : float;
-}
+type config = { los_params : Los.params; height_fraction : float }
 
-let default_config =
-  {
-    los_params = Los.default_params;
-    height_fraction = 1.0;
-    site_antenna_m = 80.0;
-    site_attach_radius_km = 40.0;
-  }
+let default_config = { los_params = Los.default_params; height_fraction = 1.0 }
+
+(* Antenna height at a site, and how far a site reaches for its first
+   tower. *)
+let site_antenna_m = 80.0
+let site_attach_radius_km = 40.0
 
 type t = {
   config : config;
@@ -55,7 +49,7 @@ let build ?(config = default_config) ~cache ~sites ~towers () =
     {
       Los.position = c.coord;
       ground_m = Dem_cache.elevation_m cache c.coord;
-      antenna_m = config.site_antenna_m;
+      antenna_m = site_antenna_m;
     }
   in
   (* Index towers spatially for range queries. *)
@@ -114,7 +108,7 @@ let build ?(config = default_config) ~cache ~sites ~towers () =
           let c = sites.(i) in
           let ep_site = endpoint_of_site c in
           let acc = ref [] in
-          Grid.iter_nearby grid c.coord ~radius_km:config.site_attach_radius_km
+          Grid.iter_nearby grid c.coord ~radius_km:site_attach_radius_km
             (fun _ k ->
               if Cisp_util.Telemetry.enabled () then
                 Cisp_util.Telemetry.incr "hops.los_tests";

@@ -5,13 +5,16 @@
     followed by the culled towers, with an edge for every pair that
     passes the line-of-sight + range test, then extracts for each pair
     of sites the shortest "link": its length [m_ij] (latency input to
-    step 2) and its tower count (cost input [c_ij]). *)
+    step 2) and its tower count (cost input [c_ij]).
+
+    A site's own antenna stands 80 m above its ground, and a site
+    reaches the towers within 40 km of it (the paper observes every
+    site hosts enough towers to start from, §3.1); a site-to-tower hop
+    needs only 50 m of range, not {!Cisp_rf.Los}'s minimum. *)
 
 type config = {
   los_params : Cisp_rf.Los.params;
   height_fraction : float;      (** usable fraction of tower height (§6.5) *)
-  site_antenna_m : float;       (** antenna height at the site itself *)
-  site_attach_radius_km : float;(** how far a site reaches for its first tower *)
 }
 
 val default_config : config

@@ -5,26 +5,18 @@ module Dijkstra = Cisp_graph.Dijkstra
 
 type knowledge = Unknown | Acquired of float | Rejected
 
-type model = {
-  acquisition_prob : Tower.t -> float;
-  height_lo : float;
-  height_hi : float;
-  seed : int;
-}
+(* The acquisition prior (paper §6.5): the chance a tower can be
+   rented, the available-height fraction's uniform bounds, and the
+   Monte-Carlo seed. *)
+let acquisition_prob (t : Tower.t) =
+  match t.source with Tower.Rental -> 0.85 | Tower.City -> 0.7 | Tower.Fcc -> 0.6
 
-let default_model =
-  {
-    acquisition_prob =
-      (fun (t : Tower.t) ->
-        match t.source with Tower.Rental -> 0.85 | Tower.City -> 0.7 | Tower.Fcc -> 0.6);
-    height_lo = 0.4;
-    height_hi = 1.0;
-    seed = 17;
-  }
+let height_lo = 0.4
+let height_hi = 1.0
+let seed = 17
 
 type t = {
   hops : Hops.t;
-  model : model;
   knowledge : knowledge array;         (* per registry tower *)
   (* Swathe subgraph: nodes are [0] = src site, [1] = dst site,
      [2..] = towers; [sub_tower.(k)] is the registry index of subgraph
@@ -36,7 +28,7 @@ type t = {
 
 let swathe_km = 60.0
 
-let create ~hops ~src ~dst ~model =
+let create ~hops ~src ~dst =
   let sites = hops.Hops.sites in
   let a = sites.(src).Cisp_data.City.coord and b = sites.(dst).Cisp_data.City.coord in
   let d_ab = Geodesy.distance_km a b in
@@ -69,7 +61,6 @@ let create ~hops ~src ~dst ~model =
     node_of;
   {
     hops;
-    model;
     knowledge = Array.make (Array.length towers) Unknown;
     sub_tower;
     edges = !edges;
@@ -111,7 +102,7 @@ let shortest t ~usable ~height =
     Some (d, List.map translate path)
 
 let sample_paths ?(samples = 200) t =
-  let rng = Rng.create t.model.seed in
+  let rng = Rng.create seed in
   let found : (int list, float) Hashtbl.t = Hashtbl.create 32 in
   for _ = 1 to samples do
     let drawn_height = Array.make (Array.length t.sub_tower) 0.0 in
@@ -125,9 +116,9 @@ let sample_paths ?(samples = 200) t =
           drawn_height.(k) <- h
         | Unknown ->
           let tw = t.hops.Hops.towers.(reg) in
-          if Rng.float rng 1.0 < t.model.acquisition_prob tw then begin
+          if Rng.float rng 1.0 < acquisition_prob tw then begin
             drawn_ok.(k) <- true;
-            drawn_height.(k) <- Rng.uniform rng t.model.height_lo t.model.height_hi
+            drawn_height.(k) <- Rng.uniform rng height_lo height_hi
           end)
       t.sub_tower;
     match shortest t ~usable:(fun k -> drawn_ok.(k)) ~height:(fun k -> drawn_height.(k)) with
@@ -150,7 +141,7 @@ type stats = {
 }
 
 let stats ?(samples = 200) t =
-  let rng = Rng.create (t.model.seed + 1) in
+  let rng = Rng.create (seed + 1) in
   let lengths = ref [] in
   let hits = ref 0 in
   let paths : (int list, unit) Hashtbl.t = Hashtbl.create 32 in
@@ -166,9 +157,9 @@ let stats ?(samples = 200) t =
           h.(k) <- hf
         | Unknown ->
           let tw = t.hops.Hops.towers.(reg) in
-          if Rng.float rng 1.0 < t.model.acquisition_prob tw then begin
+          if Rng.float rng 1.0 < acquisition_prob tw then begin
             ok.(k) <- true;
-            h.(k) <- Rng.uniform rng t.model.height_lo t.model.height_hi
+            h.(k) <- Rng.uniform rng height_lo height_hi
           end)
       t.sub_tower;
     match shortest t ~usable:(fun k -> ok.(k)) ~height:(fun k -> h.(k)) with

@@ -12,28 +12,21 @@
     A refinement session tracks per-tower knowledge (unknown /
     acquired with a height fraction / rejected), Monte-Carlo samples
     the unknowns to produce candidate path distributions, and sharpens
-    as ground truth arrives. *)
+    as ground truth arrives.
+
+    The prior is fixed: a rental tower can be acquired with
+    probability 0.85, a city rooftop 0.7 and an FCC structure 0.6, and
+    an acquired tower's available height fraction is uniform on
+    [0.4, 1]; the Monte-Carlo draws use a fixed seed. *)
 
 type knowledge =
   | Unknown
   | Acquired of float   (** available height fraction in (0, 1] *)
   | Rejected
 
-type model = {
-  acquisition_prob : Tower.t -> float;
-      (** prior probability that the tower can be rented *)
-  height_lo : float;    (** available-height fraction lower bound *)
-  height_hi : float;
-  seed : int;
-}
-
-val default_model : model
-(** Rental towers 0.85, city rooftops 0.7, FCC structures 0.6;
-    height fraction U[0.4, 1]. *)
-
 type t
 
-val create : hops:Hops.t -> src:int -> dst:int -> model:model -> t
+val create : hops:Hops.t -> src:int -> dst:int -> t
 (** Session for one site pair ([src], [dst] are site indices). *)
 
 val confirm : t -> tower:int -> knowledge -> unit

@@ -2,27 +2,26 @@ module Attenuation = Cisp_rf.Attenuation
 module Link_budget = Cisp_rf.Link_budget
 module Hops = Cisp_towers.Hops
 
-type params = {
-  f_ghz : float;
-  polarization : Attenuation.polarization;
-  margin_floor_db : float;
-  margin_cap_db : float;
-}
+type params = { margin_floor_db : float; margin_cap_db : float }
 
-let default_params =
-  { f_ghz = 11.0; polarization = Attenuation.Horizontal; margin_floor_db = 10.0; margin_cap_db = 38.0 }
+let default_params = { margin_floor_db = 10.0; margin_cap_db = 38.0 }
 
-let hop_margin_db ?(params = default_params) ~d_km () =
-  let m = Link_budget.fade_margin_db ~f_ghz:params.f_ghz ~d_km:(Float.max 1.0 d_km) () in
+(* Paper §3.1: the carrier, and the polarization rain attenuates. *)
+let f_ghz = 11.0
+let polarization = Attenuation.Horizontal
+
+let margin_db params ~d_km =
+  let m = Link_budget.fade_margin_db ~f_ghz ~d_km:(Float.max 1.0 d_km) in
   Float.min params.margin_cap_db (Float.max params.margin_floor_db m)
 
-let attenuation ?(params = default_params) ~rain_mm_h ~d_km () =
-  Attenuation.path_attenuation_db ~f_ghz:params.f_ghz params.polarization ~rain_mm_h ~d_km
+let hop_margin_db ~d_km = margin_db default_params ~d_km
 
-let hop_failed ?(params = default_params) ~rain_mm_h ~d_km () =
-  attenuation ~params ~rain_mm_h ~d_km () > hop_margin_db ~params ~d_km ()
+let attenuation ~rain_mm_h ~d_km =
+  Attenuation.path_attenuation_db ~f_ghz polarization ~rain_mm_h ~d_km
 
-let link_failed ?(params = default_params) ~node_position field (link : Hops.link) =
+let hop_failed ~rain_mm_h ~d_km = attenuation ~rain_mm_h ~d_km > hop_margin_db ~d_km
+
+let link_failed ~node_position field (link : Hops.link) =
   List.exists
     (fun (u, v) ->
       let pu = node_position u and pv = node_position v in
@@ -34,23 +33,23 @@ let link_failed ?(params = default_params) ~node_position field (link : Hops.lin
       &&
       let mid = Cisp_geo.Geodesy.midpoint pu pv in
       let rain = Rainfield.rain_at field mid in
-      rain > 0.05 && hop_failed ~params ~rain_mm_h:rain ~d_km:d ())
+      rain > 0.05 && hop_failed ~rain_mm_h:rain ~d_km:d)
     (Hops.hops_of_link link)
 
-let built_link_failed ?(params = default_params) ~node_position ~sites field ((i, j), link) =
+let built_link_failed ~node_position ~sites field ((i, j), link) =
   match link with
-  | Some l -> link_failed ~params ~node_position field l
+  | Some l -> link_failed ~node_position field l
   | None ->
     let rain =
       Rainfield.rain_at field
         (Cisp_geo.Geodesy.midpoint sites.(i).Cisp_data.City.coord
            sites.(j).Cisp_data.City.coord)
     in
-    hop_failed ~params ~rain_mm_h:rain ~d_km:60.0 ()
+    hop_failed ~rain_mm_h:rain ~d_km:60.0
 
 let hop_loss_probability ?(params = default_params) ~rain_mm_h ~d_km () =
-  let margin = hop_margin_db ~params ~d_km () in
-  let att = attenuation ~params ~rain_mm_h ~d_km () in
+  let margin = margin_db params ~d_km in
+  let att = attenuation ~rain_mm_h ~d_km in
   let deficit = att -. margin in
   (* Fading floor ~0.1%; a logistic ramp turns a margin deficit into
      rising loss, saturating at full outage. *)

@@ -3,24 +3,22 @@
     "If attenuation exceeds a threshold that would degrade bandwidth,
     we conservatively consider a link to have failed."  A hop's
     threshold is its clear-air fade margin (longer hops have less
-    margin); a link fails when any of its hops does. *)
+    margin); a link fails when any of its hops does.  Every hop is an
+    11 GHz, horizontally polarized link (§3.1). *)
 
 type params = {
-  f_ghz : float;
-  polarization : Cisp_rf.Attenuation.polarization;
   margin_floor_db : float;     (** minimum credible margin *)
   margin_cap_db : float;       (** cap (regulators limit TX power) *)
 }
+(** How a hop's fade margin is clamped.  cISP hops use a 10 dB floor
+    and a 38 dB cap. *)
 
-val default_params : params
+val hop_margin_db : d_km:float -> float
 
-val hop_margin_db : ?params:params -> d_km:float -> unit -> float
-
-val hop_failed : ?params:params -> rain_mm_h:float -> d_km:float -> unit -> bool
+val hop_failed : rain_mm_h:float -> d_km:float -> bool
 (** Binary failure of a single hop under uniform rain. *)
 
 val link_failed :
-  ?params:params ->
   node_position:(int -> Cisp_geo.Coord.t) ->
   Rainfield.t ->
   Cisp_towers.Hops.link ->
@@ -29,7 +27,6 @@ val link_failed :
     midpoint. *)
 
 val built_link_failed :
-  ?params:params ->
   node_position:(int -> Cisp_geo.Coord.t) ->
   sites:Cisp_data.City.t array ->
   Rainfield.t ->
@@ -43,4 +40,6 @@ val built_link_failed :
 val hop_loss_probability : ?params:params -> rain_mm_h:float -> d_km:float -> unit -> float
 (** Smooth packet-loss model for the §2 HFT-relay study: negligible
     below margin, saturating above (a logistic in the attenuation
-    margin deficit), plus a small multipath-fading floor. *)
+    margin deficit), plus a small multipath-fading floor.  [params]
+    defaults to cISP's margins; the HFT relay passes its slimmer
+    ones. *)

@@ -15,14 +15,13 @@ let carteret = Coord.make ~lat:40.58 ~lon:(-74.23)
    latency" with little or no FEC - i.e. engineered with far slimmer
    fade margins than a cISP link would be.  Model that with an
    aggressive margin profile. *)
-let hft_params =
-  {
-    Failure.default_params with
-    Failure.margin_floor_db = 8.0;
-    margin_cap_db = 22.0;
-  }
+let hft_params = { Failure.margin_floor_db = 8.0; margin_cap_db = 22.0 }
 
-let run ?(seed = 7) ?(hops = 20) ?(minutes = 2743) () =
+(* Relay hops along the great circle, and the weather seed. *)
+let hops = 20
+let seed = 7
+
+let run ?(minutes = 2743) () =
   let hop_ends = Geodesy.sample_path chicago carteret ~step_km:(Geodesy.distance_km chicago carteret /. float_of_int hops) in
   let nh = Array.length hop_ends - 1 in
   let hop_mid k = Geodesy.midpoint hop_ends.(k) hop_ends.(k + 1) in

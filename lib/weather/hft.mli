@@ -8,7 +8,8 @@
     This module reconstructs that experiment synthetically: a ~20-hop
     relay along the Chicago-Carteret great circle, ordinary weather
     for most of the window, and a hurricane parked over the eastern
-    end for four days. *)
+    end for four days.  The relay has 20 hops and the weather a fixed
+    seed. *)
 
 type result = {
   minutes : int;
@@ -17,5 +18,5 @@ type result = {
   loss_series : float array;   (** per-minute loss rates *)
 }
 
-val run : ?seed:int -> ?hops:int -> ?minutes:int -> unit -> result
-(** Defaults: 20 hops, 2743 minutes. *)
+val run : ?minutes:int -> unit -> result
+(** [minutes] defaults to the paper's 2743. *)

@@ -3,7 +3,7 @@ module Coord = Cisp_geo.Coord
 module Geodesy = Cisp_geo.Geodesy
 
 type storm = { center : Coord.t; radius_km : float; peak_mm_h : float }
-type t = { day : int; storms : storm list }
+type t = { day : int; base_mm_h : float; storms : storm list }
 
 type climate = {
   bbox : Coord.bbox;
@@ -31,7 +31,6 @@ let eu_wetness p =
 
 let us_climate = { bbox = us_bbox; mean_storms_per_interval = 14.0; wetness = us_wetness }
 let eu_climate = { bbox = eu_bbox; mean_storms_per_interval = 11.0; wetness = eu_wetness }
-let uniform_climate bbox = { bbox; mean_storms_per_interval = 6.0; wetness = (fun _ -> 1.0) }
 
 (* Seasonal modulation: day 0 = July 1.  Summer (day ~0 and ~365) has
    more, smaller, more intense convective cells; winter (day ~180)
@@ -71,7 +70,7 @@ let sample ?(seed = 1234) climate ~day =
             peak_mm_h = Rng.lognormal rng (log 7.0) 0.5;
           })
   in
-  { day; storms }
+  { day; base_mm_h = 0.0; storms }
 
 let rain_at t p =
   List.fold_left
@@ -79,11 +78,14 @@ let rain_at t p =
       let d = Geodesy.distance_km s.center p in
       let x = d /. s.radius_km in
       Float.max acc (s.peak_mm_h *. exp (-.(x *. x))))
-    0.0 t.storms
+    t.base_mm_h t.storms
+
+let uniform ~mm_h = { day = 0; base_mm_h = mm_h; storms = [] }
 
 let hurricane ~center =
   {
     day = 120;
+    base_mm_h = 0.0;
     storms =
       [
         { center; radius_km = 450.0; peak_mm_h = 28.0 };

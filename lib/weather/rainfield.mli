@@ -15,7 +15,11 @@ type storm = {
   peak_mm_h : float;
 }
 
-type t = { day : int; storms : storm list }
+type t = {
+  day : int;
+  base_mm_h : float;    (** rain everywhere, under the storms *)
+  storms : storm list;
+}
 
 type climate = {
   bbox : Cisp_geo.Coord.bbox;
@@ -26,14 +30,17 @@ type climate = {
 
 val us_climate : climate
 val eu_climate : climate
-val uniform_climate : Cisp_geo.Coord.bbox -> climate
 
 val sample : ?seed:int -> climate -> day:int -> t
 (** The field for (an arbitrary 30-minute interval of) [day] in
     [0, 365). *)
 
 val rain_at : t -> Cisp_geo.Coord.t -> float
-(** Rain rate in mm/h (max over overlapping cells). *)
+(** Rain rate in mm/h: the max of [base_mm_h] and the overlapping
+    cells. *)
+
+val uniform : mm_h:float -> t
+(** The same rain rate everywhere, with no storm cells. *)
 
 val hurricane : center:Cisp_geo.Coord.t -> t
 (** A stationary, intense, wide system (for the §2 Hurricane-Sandy

@@ -59,28 +59,16 @@ let standard_suite ?(intervals = 8) ~climate ~hurricane_center () =
 
 (* The per-interval outage set, a pure function of (spec, seed,
    interval): writes [fails.(b)] for every built-link index [b]. *)
-let interval_failures ~seed ~params ~pos ~hops (inputs : Inputs.t) ~links spec iv fails =
+let interval_failures ~seed ~pos ~hops (inputs : Inputs.t) ~links spec iv fails =
   let fail_under field =
     Array.iteri
       (fun b l ->
         fails.(b) <-
-          Failure.built_link_failed ~params ~node_position:pos ~sites:inputs.Inputs.sites field l)
+          Failure.built_link_failed ~node_position:pos ~sites:inputs.Inputs.sites field l)
       links
   in
   match spec with
-  | Uniform_rain { mm_h } ->
-    Array.iteri
-      (fun b (_, link) ->
-        fails.(b) <-
-          (match link with
-          | Some l ->
-            List.exists
-              (fun (u, v) ->
-                let d = Geodesy.distance_km (pos u) (pos v) in
-                d > 0.0 && Failure.hop_failed ~params ~rain_mm_h:mm_h ~d_km:d ())
-              (Hops.hops_of_link l)
-          | None -> Failure.hop_failed ~params ~rain_mm_h:mm_h ~d_km:60.0 ()))
-      links
+  | Uniform_rain { mm_h } -> fail_under (Rainfield.uniform ~mm_h)
   | Rain_replay { climate; intervals } ->
     let day = iv * 365 / intervals in
     fail_under (Rainfield.sample ~seed climate ~day)
@@ -116,8 +104,7 @@ let interval_failures ~seed ~params ~pos ~hops (inputs : Inputs.t) ~links spec i
                  inputs.Inputs.sites.(j).Cisp_data.City.coord)))
       links
 
-let run ?(seed = 99) ?(params = Failure.default_params) ~schemes ~hops
-    ~(model : Routing.network_model) ~demands_gbps spec =
+let run ?(seed = 99) ~schemes ~hops ~(model : Routing.network_model) ~demands_gbps spec =
   let intervals = spec_intervals spec in
   if intervals <= 0 then invalid_arg "Scenarios.run: intervals <= 0";
   (match schemes with [] -> invalid_arg "Scenarios.run: no schemes" | _ :: _ -> ());
@@ -140,18 +127,26 @@ let run ?(seed = 99) ?(params = Failure.default_params) ~schemes ~hops
       in
       let nc = Array.length commodities in
       let n_schemes = List.length schemes in
-      (* Precompute the fair-weather multipath tables once; single-path
+      (* Precompute the fair-weather multipath tables once, one per k
+         shared by that k's failover and split schemes; single-path
          schemes instead model global recompute and re-route inside
          each interval.  The tables are read-only in the workers. *)
+      let by_k = ref [] in
       let tables =
         Array.of_list
           (List.map
              (fun (_, sch) ->
                match sch with
-               | Routing.K_disjoint_split _ | Routing.K_disjoint_failover _ ->
-                 Some (Routing.multipath_table model sch ~demands_gbps)
+               | Routing.K_disjoint_split k | Routing.K_disjoint_failover k ->
+                 Some
+                   (match List.assoc_opt k !by_k with
+                   | Some table -> table
+                   | None ->
+                     let table = Routing.multipath_table model ~k ~demands_gbps in
+                     by_k := (k, table) :: !by_k;
+                     table)
                | Routing.Shortest_path | Routing.Min_max_utilization
-               | Routing.Throughput_optimal | Routing.Bounded_stretch _ ->
+               | Routing.Throughput_optimal ->
                  None)
              schemes)
       in
@@ -173,7 +168,7 @@ let run ?(seed = 99) ?(params = Failure.default_params) ~schemes ~hops
       Cisp_util.Pool.parallel_for (Cisp_util.Pool.get ()) ~n:intervals (fun iv ->
           let row = Array.make (n_schemes * nc) Float.nan in
           let fails = Array.make (Array.length links) false in
-          interval_failures ~seed ~params ~pos ~hops inputs ~links spec iv fails;
+          interval_failures ~seed ~pos ~hops inputs ~links spec iv fails;
           let failed_here = ref 0 in
           Array.iter (fun f -> if f then incr failed_here) fails;
           failed_per_interval.(iv) <- !failed_here;
@@ -192,7 +187,7 @@ let run ?(seed = 99) ?(params = Failure.default_params) ~schemes ~hops
                       (match Hashtbl.find_opt table (s, t) with
                       | None -> Float.nan
                       | Some mp ->
-                        let survivors = Routing.select_routes mp ~up in
+                        let survivors = Routing.select_routes sch mp ~up in
                         if Array.length survivors = 0 then Float.nan
                         else
                           let lat =

@@ -20,6 +20,9 @@
     - [K_disjoint_split k] keeps load on all surviving precomputed
       paths with renormalized split weights.
 
+    A k's failover and split schemes share one precomputed route set
+    ({!Cisp_sim.Routing.multipath_table}).
+
     Every run is a pure function of (spec, seed): intervals are
     independent trials parallelized over the domain pool, bit-identical
     at any [CISP_JOBS] width. *)
@@ -80,7 +83,6 @@ val standard_suite :
 
 val run :
   ?seed:int ->
-  ?params:Failure.params ->
   schemes:(string * Cisp_sim.Routing.scheme) list ->
   hops:Cisp_towers.Hops.t ->
   model:Cisp_sim.Routing.network_model ->

@@ -4,7 +4,7 @@ let check_float eps = Alcotest.(check (float eps))
 
 (* ---------- Web ---------- *)
 
-let pages = Web.generate ~count:40 ()
+let pages = Web.generate ~count:40
 
 let test_web_corpus_shape () =
   Alcotest.(check int) "count" 40 (List.length pages);
@@ -17,7 +17,7 @@ let test_web_corpus_shape () =
     pages
 
 let test_web_deterministic () =
-  let again = Web.generate ~count:40 () in
+  let again = Web.generate ~count:40 in
   let p1 = List.hd pages and p2 = List.hd again in
   check_float 0.0 "same rtt" p1.Web.base_rtt_ms p2.Web.base_rtt_ms;
   Alcotest.(check int) "same objects" (List.length p1.Web.objects) (List.length p2.Web.objects)
@@ -95,12 +95,12 @@ let test_gaming_sweep () =
 
 let test_econ_search_anchors () =
   (* The paper's anchors: $1.84/GB at 200 ms, $3.74/GB at 400 ms. *)
-  check_float 0.05 "200ms" 1.84 (Econ.search_value_per_gb ~speedup_ms:200.0 ());
-  check_float 0.08 "400ms" 3.74 (Econ.search_value_per_gb ~speedup_ms:400.0 ());
-  check_float 0.05 "100ms interpolates" 0.92 (Econ.search_value_per_gb ~speedup_ms:100.0 ())
+  check_float 0.05 "200ms" 1.84 (Econ.search_value_per_gb ~speedup_ms:200.0);
+  check_float 0.08 "400ms" 3.74 (Econ.search_value_per_gb ~speedup_ms:400.0);
+  check_float 0.05 "100ms interpolates" 0.92 (Econ.search_value_per_gb ~speedup_ms:100.0)
 
 let test_econ_ecommerce_band () =
-  let r = Econ.ecommerce_value_per_gb ~speedup_ms:200.0 () in
+  let r = Econ.ecommerce_value_per_gb ~speedup_ms:200.0 in
   check_float 0.2 "low end" 3.26 r.Econ.low;
   check_float 1.2 "high end" 22.82 r.Econ.high
 
@@ -112,9 +112,21 @@ let test_econ_steam () =
     (Econ.steam_us_aggregate_gbps ~players:16_000_000 ~us_share:0.17 ~kbps_per_player:10.0)
 
 let test_econ_summary_exceeds_cost () =
+  let summary = Econ.summary ~cost_per_gb:0.81 in
   List.iter
     (fun v -> Alcotest.(check bool) (v.Econ.application ^ " exceeds $0.81") true v.Econ.exceeds_cost)
-    (Econ.summary ~cost_per_gb:0.81)
+    summary;
+  (* Every value by its bits: the published constants behind it are
+     fixed, so the summary is too. *)
+  let b = Buffer.create 256 in
+  List.iter
+    (fun v ->
+      Printf.bprintf b "%s %Ld %Ld %b\n" v.Econ.application
+        (Int64.bits_of_float v.Econ.value_per_gb.Econ.low)
+        (Int64.bits_of_float v.Econ.value_per_gb.Econ.high)
+        v.Econ.exceeds_cost)
+    summary;
+  Alcotest.(check string) "summary bits" "7408f4b13a1c2cd7af58c4d59439c55c" (Digest.to_hex (Digest.string (Buffer.contents b)))
 
 let suites =
   [

@@ -148,6 +148,23 @@ let test_metric_width_invariant () =
   let dist w = Pool.with_default_jobs w (fun () -> Topology.distances topo) in
   Alcotest.(check bool) "topology metric identical at jobs=1 vs 4" true (dist 1 = dist 4)
 
+(* MD5 over a weather year: the interval count and mean failed links,
+   then every pair's summary in order, floats by their bits. *)
+let year_fingerprint (r : Cisp_weather.Year.result) =
+  let module Year = Cisp_weather.Year in
+  let b = Buffer.create 4096 in
+  Printf.bprintf b "%d %Ld\n" r.Year.intervals (bits r.Year.mean_failed_links);
+  Array.iter
+    (fun (p : Year.pair_summary) ->
+      Printf.bprintf b "%Ld %Ld %Ld %Ld %Ld\n" (bits p.Year.best) (bits p.Year.median)
+        (bits p.Year.p99) (bits p.Year.worst) (bits p.Year.fiber))
+    r.Year.per_pair;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Checked-in fingerprint of a 16-interval Europe weather year on the
+   designed network at jobs=1. *)
+let golden_year_fingerprint = "f1960949d9e30d9c6288c2ad7ad5dc62"
+
 let test_weather_width_invariant () =
   let a = Lazy.force artifacts in
   let inputs = Scenario.population_inputs a in
@@ -158,6 +175,8 @@ let test_weather_width_invariant () =
           ~hops:a.Scenario.hops inputs topo)
   in
   let r1 = year 1 in
+  Alcotest.(check string) "golden weather-year fingerprint (jobs=1)" golden_year_fingerprint
+    (year_fingerprint r1);
   List.iter
     (fun w ->
       let rw = year w in
@@ -206,9 +225,9 @@ let test_telemetry_bit_identity () =
 
 module Scenarios = Cisp_weather.Scenarios
 
-(* The three golden scenarios of the resilience story: a convective
-   deluge, a hurricane window marching across the deployment, and two
-   correlated regional tower outages. *)
+(* The four golden scenarios of the resilience story: a convective
+   deluge, a storm-field replay, a hurricane window marching across the
+   deployment, and two correlated regional tower outages. *)
 let run_scenario_suite width =
   Pool.with_default_jobs width (fun () ->
       let a = Lazy.force artifacts in
@@ -229,6 +248,7 @@ let run_scenario_suite width =
       let specs =
         [
           Scenarios.Uniform_rain { mm_h = 110.0 };
+          Scenarios.Rain_replay { climate = Cisp_weather.Rainfield.eu_climate; intervals = 6 };
           Scenarios.Hurricane
             { center = eye; track_bearing_deg = 40.0; step_km = 60.0; intervals = 6 };
           Scenarios.Correlated_towers { blobs = 2; radius_km = 150.0; intervals = 6 };
@@ -260,6 +280,23 @@ let scenario_bits results =
           r.Scenarios.schemes ))
     results
 
+(* MD5 over [scenario_bits]: every float of every result, by its
+   bits, where the CSV keeps only six decimals. *)
+let scenario_fingerprint results =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (name, intervals, failed, schemes) ->
+      Printf.bprintf b "%s %d %Ld\n" name intervals failed;
+      List.iter
+        (fun (scheme, avail, mean, p99, worst) ->
+          Printf.bprintf b "%s %Ld %Ld %Ld %Ld\n" scheme avail mean p99 worst)
+        schemes)
+    (scenario_bits results);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Checked-in fingerprint of the suite's results at jobs=1. *)
+let golden_scenario_fingerprint = "45ae9c6297128279a4e9828fff5001f7"
+
 (* Checked-in expected frontier for the 8-site Europe fixture: any
    drift in routing, the failure model, or the scenario replay shows
    up as a diff here. *)
@@ -268,6 +305,9 @@ let golden_frontier_csv =
    uniform-rain,shortest-recompute,1.000000,1.930000,1.930000,1.930000,13.0000\n\
    uniform-rain,failover-k3,0.700809,1.930000,1.930000,1.930000,13.0000\n\
    uniform-rain,split-k3,0.700809,1.942831,2.026460,2.026460,13.0000\n\
+   rain-replay,shortest-recompute,1.000000,1.036395,1.585808,1.585808,0.0000\n\
+   rain-replay,failover-k3,1.000000,1.036395,1.585808,1.585808,0.0000\n\
+   rain-replay,split-k3,1.000000,1.425952,1.961211,1.961211,0.0000\n\
    hurricane,shortest-recompute,1.000000,1.038350,1.585808,1.585808,0.1667\n\
    hurricane,failover-k3,1.000000,1.040195,1.585808,1.598297,0.1667\n\
    hurricane,split-k3,1.000000,1.425031,1.961211,1.961211,0.1667\n\
@@ -278,6 +318,8 @@ let golden_frontier_csv =
 let test_scenario_suite_golden () =
   let r1, csv1 = run_scenario_suite 1 in
   Alcotest.(check string) "golden frontier (jobs=1)" golden_frontier_csv csv1;
+  Alcotest.(check string) "golden scenario fingerprint (jobs=1)" golden_scenario_fingerprint
+    (scenario_fingerprint r1);
   let b1 = scenario_bits r1 in
   List.iter
     (fun w ->

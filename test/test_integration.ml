@@ -108,10 +108,7 @@ let test_refinement_on_designed_link () =
   match (Lazy.force topo).Topology.built with
   | [] -> Alcotest.fail "expected links"
   | (i, j) :: _ ->
-    let s =
-      Cisp_towers.Refine.create ~hops:artifacts.Scenario.hops ~src:i ~dst:j
-        ~model:Cisp_towers.Refine.default_model
-    in
+    let s = Cisp_towers.Refine.create ~hops:artifacts.Scenario.hops ~src:i ~dst:j in
     let stats = Cisp_towers.Refine.stats ~samples:30 s in
     Alcotest.(check bool) "viable link" true (stats.Cisp_towers.Refine.viability > 0.3)
 

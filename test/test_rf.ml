@@ -271,13 +271,13 @@ let test_fspl_known () =
   check_float 0.1 "fspl" 147.27 (Link_budget.fspl_db ~f_ghz:11.0 ~d_km:50.0)
 
 let test_fade_margin_decreasing () =
-  let m d = Link_budget.fade_margin_db ~f_ghz:11.0 ~d_km:d () in
+  let m d = Link_budget.fade_margin_db ~f_ghz:11.0 ~d_km:d in
   Alcotest.(check bool) "decreasing" true (m 20.0 > m 50.0 && m 50.0 > m 100.0)
 
 let test_max_range_consistent () =
   let margin = 30.0 in
-  let d = Link_budget.max_range_km ~f_ghz:11.0 ~min_margin_db:margin () in
-  check_float 0.5 "margin at max range" margin (Link_budget.fade_margin_db ~f_ghz:11.0 ~d_km:d ())
+  let d = Link_budget.max_range_km ~f_ghz:11.0 ~min_margin_db:margin in
+  check_float 0.5 "margin at max range" margin (Link_budget.fade_margin_db ~f_ghz:11.0 ~d_km:d)
 
 (* ---------- Capacity ---------- *)
 

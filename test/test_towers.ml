@@ -168,7 +168,7 @@ let suites =
 (* ---------- Refine (paper section 6.5) ---------- *)
 
 let refine_session () =
-  Refine.create ~hops:(Lazy.force hops) ~src:0 ~dst:1 ~model:Refine.default_model
+  Refine.create ~hops:(Lazy.force hops) ~src:0 ~dst:1
 
 let test_refine_prior_viable () =
   let s = Refine.stats ~samples:60 (refine_session ()) in
@@ -216,7 +216,20 @@ let test_refine_committed_path () =
 let test_refine_deterministic () =
   let a = Refine.sample_paths ~samples:40 (refine_session ()) in
   let b = Refine.sample_paths ~samples:40 (refine_session ()) in
-  Alcotest.(check int) "same path count" (List.length a) (List.length b)
+  Alcotest.(check int) "same path count" (List.length a) (List.length b);
+  (* The sampled paths and the prior statistics on this fixture, floats
+     by their bits. *)
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun (d, path) ->
+      Printf.bprintf buf "%Ld %s\n" (Int64.bits_of_float d)
+        (String.concat " " (List.map string_of_int path)))
+    a;
+  let s = Refine.stats ~samples:60 (refine_session ()) in
+  Printf.bprintf buf "%Ld %Ld %Ld %d\n" (Int64.bits_of_float s.Refine.viability)
+    (Int64.bits_of_float s.Refine.length_p50_km) (Int64.bits_of_float s.Refine.length_p95_km)
+    s.Refine.distinct_paths;
+  Alcotest.(check string) "paths and stats" "8387d5a46f04bd787d7be7794ef7d095" (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
 let refine_suite =
   ( "towers.refine",

@@ -48,16 +48,16 @@ let test_hurricane_intense () =
 (* ---------- Failure ---------- *)
 
 let test_hop_margin_band () =
-  let m = Failure.hop_margin_db ~d_km:60.0 () in
+  let m = Failure.hop_margin_db ~d_km:60.0 in
   Alcotest.(check bool) "within [10, 38]" true (m >= 10.0 && m <= 38.0);
   Alcotest.(check bool) "longer hops have less margin" true
-    (Failure.hop_margin_db ~d_km:90.0 () <= Failure.hop_margin_db ~d_km:40.0 ())
+    (Failure.hop_margin_db ~d_km:90.0 <= Failure.hop_margin_db ~d_km:40.0)
 
 let test_hop_failure_threshold () =
-  Alcotest.(check bool) "dry hop survives" false (Failure.hop_failed ~rain_mm_h:0.0 ~d_km:60.0 ());
-  Alcotest.(check bool) "deluge kills hop" true (Failure.hop_failed ~rain_mm_h:200.0 ~d_km:60.0 ());
+  Alcotest.(check bool) "dry hop survives" false (Failure.hop_failed ~rain_mm_h:0.0 ~d_km:60.0);
+  Alcotest.(check bool) "deluge kills hop" true (Failure.hop_failed ~rain_mm_h:200.0 ~d_km:60.0);
   (* Monotone in rain. *)
-  let failed_at r = Failure.hop_failed ~rain_mm_h:r ~d_km:80.0 () in
+  let failed_at r = Failure.hop_failed ~rain_mm_h:r ~d_km:80.0 in
   let rec first_failure r = if r > 500.0 then r else if failed_at r then r else first_failure (r +. 5.0) in
   let threshold = first_failure 5.0 in
   Alcotest.(check bool) "threshold exists" true (threshold < 500.0);
@@ -154,6 +154,8 @@ let test_hft_shape () =
     (r.Hft.mean_loss > 3.0 *. r.Hft.median_loss);
   Alcotest.(check bool) "median small" true (r.Hft.median_loss < 0.05);
   Alcotest.(check bool) "mean substantial" true (r.Hft.mean_loss > 0.05);
+  Alcotest.(check int64) "mean loss bits" 4596216362469606880L (Int64.bits_of_float r.Hft.mean_loss);
+  Alcotest.(check int64) "median loss bits" 4580698215616402848L (Int64.bits_of_float r.Hft.median_loss);
   Array.iter
     (fun l -> Alcotest.(check bool) "loss in [0,1]" true (l >= 0.0 && l <= 1.0))
     r.Hft.loss_series
