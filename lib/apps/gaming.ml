@@ -29,9 +29,6 @@ let frame_time_ms ?(params = default_params) mode ~one_way_ms =
   | Fat_conventional -> (2.0 *. one_way_ms) +. proc
   | Fat_cisp -> (2.0 *. one_way_ms *. params.cisp_latency_factor) +. proc
 
-let sweep ?params mode ~one_way_ms_list =
-  List.map (fun l -> (l, frame_time_ms ?params mode ~one_way_ms:l)) one_way_ms_list
-
 let simulate_session ?(params = default_params) ?(seed = 5) mode ~one_way_ms ~inputs =
   let rng = Cisp_util.Rng.create seed in
   let samples =

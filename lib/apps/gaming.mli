@@ -26,10 +26,6 @@ val frame_time_ms : ?params:params -> mode -> one_way_ms:float -> float
 (** Expected frame time (input-to-display) when the conventional
     network's one-way latency is [one_way_ms]. *)
 
-val sweep :
-  ?params:params -> mode -> one_way_ms_list:float list -> (float * float) list
-(** (one-way latency, frame time) series for Fig 12. *)
-
 val simulate_session :
   ?params:params -> ?seed:int -> mode -> one_way_ms:float -> inputs:int ->
   Cisp_util.Stats.summary

@@ -4,7 +4,4 @@ let make name ~lat ~lon ~population =
   if population < 0 then invalid_arg "City.make: negative population";
   { name; coord = Cisp_geo.Coord.make ~lat ~lon; population }
 
-let pp ppf c =
-  Format.fprintf ppf "%s %a pop=%d" c.name Cisp_geo.Coord.pp c.coord c.population
-
 let compare_population_desc a b = Int.compare b.population a.population

@@ -7,5 +7,4 @@ type t = {
 }
 
 val make : string -> lat:float -> lon:float -> population:int -> t
-val pp : Format.formatter -> t -> unit
 val compare_population_desc : t -> t -> int

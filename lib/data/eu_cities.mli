@@ -7,5 +7,3 @@
 
 val all : City.t list
 (** Sorted by descending population. *)
-
-val top : int -> City.t list

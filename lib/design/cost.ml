@@ -1,6 +1,5 @@
 type t = {
   radio_1gbps_usd : float;
-  radio_500mbps_usd : float;
   new_tower_usd : float;
   tower_rent_usd_per_year : float;
   amortization_years : float;
@@ -9,7 +8,6 @@ type t = {
 let default =
   {
     radio_1gbps_usd = 150_000.0;
-    radio_500mbps_usd = 75_000.0;
     new_tower_usd = 100_000.0;
     tower_rent_usd_per_year = 40_000.0;
     amortization_years = 5.0;

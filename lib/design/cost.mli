@@ -9,14 +9,13 @@
 
 type t = {
   radio_1gbps_usd : float;        (** per hop per series, installed *)
-  radio_500mbps_usd : float;
   new_tower_usd : float;
   tower_rent_usd_per_year : float;
   amortization_years : float;
 }
 
 val default : t
-(** $150K / $75K / $100K / $40K / 5 years. *)
+(** $150K / $100K / $40K / 5 years. *)
 
 val capex_usd : t -> radios:int -> new_towers:int -> float
 

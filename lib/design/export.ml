@@ -65,10 +65,3 @@ let topology_with_plan_geojson (inputs : Inputs.t) (topo : Topology.t) (plan : C
     List.map (fun pair -> link_feature inputs ~series:(series_of pair) pair) topo.Topology.built
   in
   collection (sites @ links)
-
-let budget_evolution (inputs : Inputs.t) ~budgets ~design =
-  List.map
-    (fun budget ->
-      let topo = design inputs ~budget in
-      (budget, topo, topology_geojson inputs topo))
-    budgets

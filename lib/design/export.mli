@@ -1,10 +1,8 @@
 (** GeoJSON export of designed networks.
 
-    The paper ships map figures (Fig 3, Fig 8) and two animations: the
-    hybrid network evolving from mostly-fiber to mostly-MW with budget
-    [20], and a year of weather over the network [18].  This module
-    produces the underlying geodata: drop the output into any GeoJSON
-    viewer to reproduce the figures. *)
+    The paper ships map figures (Fig 3, Fig 8).  This module produces
+    the underlying geodata: drop the output into any GeoJSON viewer to
+    reproduce the figures. *)
 
 val json_escape : string -> string
 (** RFC 8259 string escaping: double quote, backslash, and every
@@ -22,8 +20,3 @@ val topology_with_plan_geojson : Inputs.t -> Topology.t -> Capacity.plan -> stri
 (** Like {!topology_geojson} with each link's provisioned parallel
     series count as a [series] property — the blue/green/red coloring
     of Fig 3. *)
-
-val budget_evolution :
-  Inputs.t -> budgets:int list -> design:(Inputs.t -> budget:int -> Topology.t) ->
-  (int * Topology.t * string) list
-(** The [20] animation: a topology and its GeoJSON per budget step. *)

@@ -26,7 +26,7 @@ let formulate ?(strong_linking = false) ?(oracle_pruning = true) (inputs : Input
   let d = inputs.geodesic_km in
   let o = inputs.fiber_km in
   let m = Model.create () in
-  let x = Array.mapi (fun l _ -> Model.binary m (Printf.sprintf "x%d" l)) cands in
+  let x = Array.map (fun _ -> Model.binary m) cands in
   Model.add_constraint m
     (Array.to_list (Array.mapi (fun l (i, j) -> (float_of_int inputs.mw_cost.(i).(j), x.(l))) cands))
     Model.Le (float_of_int budget);
@@ -86,9 +86,7 @@ let formulate ?(strong_linking = false) ?(oracle_pruning = true) (inputs : Input
           (* No explicit upper bound: each bound would cost a tableau
              row, and minimization plus flow conservation already keeps
              optimal flows in [0, 1]. *)
-          let fvar =
-            Array.mapi (fun k _ -> Model.add_var m (Printf.sprintf "f_%d_%d_%d" s t k)) arcs
-          in
+          let fvar = Array.map (fun _ -> Model.add_var m) arcs in
           flow_vars := !flow_vars + Array.length fvar;
           let coeff = h /. d.(s).(t) in
           Array.iteri

@@ -32,8 +32,6 @@ type artifacts = {
 
 let cache_table : (config, artifacts) Hashtbl.t = Hashtbl.create 4
 
-let clear_cache () = Hashtbl.reset cache_table
-
 let build_artifacts config =
   let region_dem =
     match config.region with

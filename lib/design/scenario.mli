@@ -41,8 +41,6 @@ val artifacts : ?config:config -> unit -> artifacts
 (** Build (or fetch memoized) artifacts for a configuration.  Raises
     [Invalid_argument] if [n_sites] is [Some k] with [k < 1]. *)
 
-val clear_cache : unit -> unit
-
 val inputs : artifacts -> traffic:Cisp_traffic.Matrix.t -> Inputs.t
 
 val population_inputs : artifacts -> Inputs.t

@@ -171,14 +171,6 @@ let pair_stretch (inputs : Inputs.t) d s t =
   let g = inputs.geodesic_km.(s).(t) in
   if g > 0.0 then d.(s).(t) /. g else 1.0
 
-let used_hop_count t =
-  List.fold_left
-    (fun acc (i, j) ->
-      match t.inputs.Inputs.mw_links.(i).(j) with
-      | Some l -> acc + (List.length l.Cisp_towers.Hops.node_path - 1)
-      | None -> acc)
-    0 t.built
-
 (* ---------- the site network ---------- *)
 
 module Graph = Cisp_graph.Graph

@@ -56,9 +56,6 @@ val stretch_of : t -> float
 
 val pair_stretch : Inputs.t -> float array array -> int -> int -> float
 
-val used_hop_count : t -> int
-(** Total tower-tower hops across built links (where hop data exists). *)
-
 (** {2 The site network} *)
 
 type medium = Mw | Fiber

@@ -4,11 +4,13 @@ module Graph = Cisp_graph.Graph
 module Dijkstra = Cisp_graph.Dijkstra
 module City = Cisp_data.City
 
-type mode =
-  | Synthetic of { seed : int; circuitousness_lo : float; circuitousness_hi : float }
-  | Assumed of float
+type mode = Synthetic | Assumed of float
 
-let default_mode = Synthetic { seed = 13; circuitousness_lo = 1.08; circuitousness_hi = 1.35 }
+(* The synthetic network's RNG seed and the range its per-edge route
+   inflation is drawn from. *)
+let synthetic_seed = 13
+let circuitousness_lo = 1.08
+let circuitousness_hi = 1.35
 
 type t = {
   n : int;
@@ -71,7 +73,7 @@ let knn_edges geodesic n ~k =
   done;
   List.sort_uniq compare_edge !edges
 
-let build ?(mode = default_mode) ~sites () =
+let build ?(mode = Synthetic) ~sites () =
   let sites = Array.of_list sites in
   let n = Array.length sites in
   let geodesic = geodesic_matrix sites in
@@ -81,8 +83,8 @@ let build ?(mode = default_mode) ~sites () =
     let route_factor = factor /. Cisp_util.Units.fiber_latency_factor in
     let route = Array.map (Array.map (fun g -> g *. route_factor)) geodesic in
     { n; geodesic; route; edge_list = [] }
-  | Synthetic { seed; circuitousness_lo; circuitousness_hi } ->
-    let rng = Rng.create seed in
+  | Synthetic ->
+    let rng = Rng.create synthetic_seed in
     let pairs =
       List.sort_uniq compare_edge (gabriel_edges geodesic n @ knn_edges geodesic n ~k:3)
     in

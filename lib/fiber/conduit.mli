@@ -15,23 +15,23 @@
     measured inflation statistics. *)
 
 type mode =
-  | Synthetic of { seed : int; circuitousness_lo : float; circuitousness_hi : float }
-      (** conduit graph with per-edge route inflation drawn uniformly *)
+  | Synthetic
+      (** conduit graph whose per-edge route inflation is drawn
+          uniformly from \[1.08, 1.35\] (RNG seed 13), tuned so that
+          mean end-to-end latency inflation (including the 1.5x glass
+          factor) is ~1.9x, matching InterTubes *)
   | Assumed of float
       (** no conduit data (paper §6.2, Europe): every pair's fiber
           route is [factor] x geodesic *)
 
-val default_mode : mode
-(** [Synthetic] tuned so that mean end-to-end latency inflation
-    (including the 1.5x glass factor) is ~1.9x, matching InterTubes. *)
-
 type t
 
 val build : ?mode:mode -> sites:Cisp_data.City.t list -> unit -> t
+(** [mode] defaults to [Synthetic]. *)
 
 val route_km : t -> int -> int -> float
 (** Shortest conduit route between two site indices, km of fiber.
-    [infinity] if unreachable (cannot happen with [default_mode]). *)
+    [infinity] if unreachable (cannot happen with [Synthetic]). *)
 
 val latency_km : t -> int -> int -> float
 (** The paper's o_ij: route length multiplied by the 1.5 latency

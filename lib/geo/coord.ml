@@ -22,9 +22,6 @@ let compare a b =
   | 0 -> Float.compare a.lon b.lon
   | c -> c
 
-let pp ppf t = Format.fprintf ppf "(%.4f, %.4f)" t.lat t.lon
-let to_string t = Format.asprintf "%a" pp t
-
 type bbox = { min_lat : float; max_lat : float; min_lon : float; max_lon : float }
 
 let bbox_of_points = function
@@ -40,10 +37,6 @@ let bbox_of_points = function
         })
       { min_lat = p.lat; max_lat = p.lat; min_lon = p.lon; max_lon = p.lon }
       ps
-
-let in_bbox b p =
-  p.lat >= b.min_lat && p.lat <= b.max_lat && p.lon >= b.min_lon
-  && p.lon <= b.max_lon
 
 let expand_bbox b ~margin_deg =
   {

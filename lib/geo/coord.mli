@@ -16,8 +16,6 @@ val lon : t -> float
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit
-val to_string : t -> string
 
 type bbox = { min_lat : float; max_lat : float; min_lon : float; max_lon : float }
 
@@ -25,7 +23,5 @@ val bbox_of_points : t list -> bbox
 (** Smallest bounding box containing all points (no antimeridian
     handling; fine for the contiguous US / Europe).  Raises
     [Invalid_argument] on the empty list. *)
-
-val in_bbox : bbox -> t -> bool
 
 val expand_bbox : bbox -> margin_deg:float -> bbox

@@ -122,8 +122,3 @@ let[@cisp.zero_alloc] iter_nearby t p ~radius_km f =
   else
     scan_ranges t f p radius_km ~ci_lo ~ci_hi ~r1_lo:(max (col cd lon_lo) cj_min)
       ~r1_hi:(min (col cd lon_hi) cj_max) ~r2_lo:0 ~r2_hi:(-1)
-
-let nearby t p ~radius_km =
-  let acc = ref [] in
-  iter_nearby t p ~radius_km (fun q v -> acc := (q, v) :: !acc);
-  !acc

@@ -18,11 +18,8 @@ val of_list : cell_deg:float -> (Coord.t * 'a) list -> 'a t
     [Invalid_argument] if [cell_deg < 0.001] (packed cell keys need
     bounded indices). *)
 
-val nearby : 'a t -> Coord.t -> radius_km:float -> (Coord.t * 'a) list
-(** All stored points within [radius_km] great-circle distance of the
-    query point. *)
-
 val iter_nearby : 'a t -> Coord.t -> radius_km:float -> (Coord.t -> 'a -> unit) -> unit
-(** Allocation-free variant of [nearby].  Visits cells row by row and
-    column by column, each cell's points in their stored order: the
-    visit order is a pure function of the indexed list. *)
+(** Calls [f] on every stored point within [radius_km] great-circle
+    distance of the query point, allocating nothing.  Visits cells row
+    by row and column by column, each cell's points in their stored
+    order: the visit order is a pure function of the indexed list. *)

@@ -48,10 +48,6 @@ let path r ~dst =
     build [] dst
   end
 
-let distance g ~src ~dst =
-  let r = run_to g ~src ~dst in
-  if Float.equal r.dist.(dst) infinity then None else Some r.dist.(dst)
-
 let shortest_path g ~src ~dst =
   let r = run_to g ~src ~dst in
   if Float.equal r.dist.(dst) infinity then None else Some (r.dist.(dst), path r ~dst)

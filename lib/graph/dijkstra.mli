@@ -14,8 +14,6 @@ val run_to : Graph.t -> src:int -> dst:int -> result
 val path : result -> dst:int -> int list
 (** Node sequence from the source to [dst]; [] if unreachable. *)
 
-val distance : Graph.t -> src:int -> dst:int -> float option
-
 val shortest_path : Graph.t -> src:int -> dst:int -> (float * int list) option
 (** Distance and node list, or [None] if unreachable. *)
 

@@ -12,6 +12,7 @@ val create : int -> t
 
 val node_count : t -> int
 val edge_count : t -> int
+(** Directed edges, counted over the adjacency lists (O(n + m)). *)
 
 val add_edge : ?tag:int -> t -> int -> int -> float -> unit
 (** [add_edge g u v w] adds a directed edge.  Weights must be >= 0. *)

@@ -1,6 +1,6 @@
 type var = int
 
-type var_info = { name : string; ub : float; integer : bool }
+type var_info = { ub : float; integer : bool }
 
 type op = Le | Ge | Eq
 
@@ -13,21 +13,15 @@ type t = {
 
 let create () = { vars = []; n = 0; constraints = []; objective = [] }
 
-let add_var t ?(lb = 0.0) ?(ub = infinity) ?(integer = false) name =
-  if not (Float.equal lb 0.0) then invalid_arg "Model.add_var: only lb = 0 supported";
+let add_var ?(ub = infinity) ?(integer = false) t =
   if ub < 0.0 then invalid_arg "Model.add_var: negative ub";
   let v = t.n in
-  t.vars <- { name; ub; integer } :: t.vars;
+  t.vars <- { ub; integer } :: t.vars;
   t.n <- t.n + 1;
   v
 
-let binary t name = add_var t ~ub:1.0 ~integer:true name
+let binary t = add_var ~ub:1.0 ~integer:true t
 
-let info t v =
-  match List.nth_opt t.vars (t.n - 1 - v) with
-  | Some i -> i
-  | None -> invalid_arg (Printf.sprintf "Model.info: unknown variable %d" v)
-let var_name t v = (info t v).name
 let var_index v = v
 let n_vars t = t.n
 
@@ -38,9 +32,6 @@ let add_constraint t terms op rhs =
   t.constraints <- { Simplex.coeffs; op = op_to_simplex op; rhs } :: t.constraints
 
 let set_objective t terms = t.objective <- List.map (fun (c, v) -> (v, c)) terms
-
-let objective_value t x =
-  List.fold_left (fun acc (v, c) -> acc +. (c *. x.(v))) 0.0 t.objective
 
 let to_lp t ~extra =
   let objective = Array.make t.n 0.0 in

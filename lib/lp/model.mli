@@ -1,6 +1,6 @@
 (** Mixed-integer linear model builder.
 
-    A thin, safe layer over {!Simplex}: named variables with bounds and
+    A thin, safe layer over {!Simplex}: variables with upper bounds and
     integrality flags, linear constraints, and a minimization
     objective.  {!Milp.solve} consumes it. *)
 
@@ -9,14 +9,13 @@ type var
 
 val create : unit -> t
 
-val add_var : t -> ?lb:float -> ?ub:float -> ?integer:bool -> string -> var
-(** Defaults: lb = 0 (the only supported lower bound), ub = infinity,
-    continuous.  Raises [Invalid_argument] on lb <> 0 or ub < 0. *)
+val add_var : ?ub:float -> ?integer:bool -> t -> var
+(** A variable bounded below by 0.  Defaults: ub = infinity,
+    continuous.  Raises [Invalid_argument] on ub < 0. *)
 
-val binary : t -> string -> var
+val binary : t -> var
 (** Integer variable in \[0, 1\]. *)
 
-val var_name : t -> var -> string
 val var_index : var -> int
 val n_vars : t -> int
 
@@ -26,8 +25,6 @@ val add_constraint : t -> (float * var) list -> op -> float -> unit
 
 val set_objective : t -> (float * var) list -> unit
 (** Minimized.  Terms on the same variable accumulate. *)
-
-val objective_value : t -> float array -> float
 
 val to_lp : t -> extra:Simplex.row list -> Simplex.problem
 (** LP relaxation: integrality dropped, bounds materialized as rows,

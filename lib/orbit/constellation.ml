@@ -95,8 +95,6 @@ let elevation_deg sat ground_ecef =
   let dot = ((dx *. gx) +. (dy *. gy) +. (dz *. gz)) /. g in
   Cisp_util.Units.rad_to_deg (asin (Float.max (-1.0) (Float.min 1.0 (dot /. d))))
 
-let visible sat ground = elevation_deg sat (ecef_of_ground ground) >= min_elevation_deg
-
 (* +grid ISLs: fore/aft in plane, left/right across adjacent planes. *)
 let isl_neighbors shell sat_id =
   let s_total = shell.sats_per_plane and p_total = shell.n_planes in

@@ -43,9 +43,6 @@ val positions : shell -> t_s:float -> sat_position array
 val min_elevation_deg : float
 (** Ground terminals track satellites above 25 degrees elevation. *)
 
-val visible : sat_position -> Cisp_geo.Coord.t -> bool
-(** Is the satellite above [min_elevation_deg] from this ground point? *)
-
 val path_latency_ms :
   shell -> t_s:float -> Cisp_geo.Coord.t -> Cisp_geo.Coord.t -> float option
 (** One-way latency at time [t_s]: best uplink + shortest +grid ISL

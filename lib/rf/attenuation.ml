@@ -18,8 +18,8 @@ let table =
 
 (* Scalar anchor accessors and a top-level bracket search:
    [specific_attenuation_db_per_km] runs per hop per weather interval
-   inside pool workers, and the old tuple-returning [coefficients]
-   (plus its capturing [rec find]) allocated on every call (L11). *)
+   inside pool workers, where a (k, alpha) tuple or a capturing
+   [rec find] would allocate on every call (L11). *)
 let[@inline] anchor_f i =
   let f, _, _, _, _ = table.(i) in
   f
@@ -58,15 +58,6 @@ let[@inline] interp_a ~f_ghz pol i =
   let a1 = anchor_a pol i and a2 = anchor_a pol (i + 1) in
   a1 +. (w *. (a2 -. a1))
 
-let coefficients ~f_ghz pol =
-  let n = Array.length table in
-  if f_ghz <= anchor_f 0 then (anchor_k pol 0, anchor_a pol 0)
-  else if f_ghz >= anchor_f (n - 1) then (anchor_k pol (n - 1), anchor_a pol (n - 1))
-  else begin
-    let i = bracket f_ghz 0 in
-    (interp_k ~f_ghz pol i, interp_a ~f_ghz pol i)
-  end
-
 let[@cisp.zero_alloc] specific_attenuation_db_per_km ~f_ghz pol ~rain_mm_h =
   if rain_mm_h <= 0.0 then 0.0
   else begin
@@ -88,16 +79,3 @@ let effective_path_km ~d_km ~rain_mm_h =
 let path_attenuation_db ~f_ghz pol ~rain_mm_h ~d_km =
   specific_attenuation_db_per_km ~f_ghz pol ~rain_mm_h
   *. effective_path_km ~d_km ~rain_mm_h
-
-let rain_rate_for_outage ~f_ghz pol ~d_km ~margin_db =
-  if not (margin_db > 0.0 && d_km > 0.0) then
-    invalid_arg "Attenuation.rain_rate_for_outage: margin_db and d_km must be positive";
-  let att r = path_attenuation_db ~f_ghz pol ~rain_mm_h:r ~d_km in
-  let rec bisect lo hi n =
-    if n = 0 then (lo +. hi) /. 2.0
-    else begin
-      let mid = (lo +. hi) /. 2.0 in
-      if att mid >= margin_db then bisect lo mid (n - 1) else bisect mid hi (n - 1)
-    end
-  in
-  if att 1000.0 < margin_db then infinity else bisect 0.0 1000.0 60

@@ -7,14 +7,11 @@
 
 type polarization = Horizontal | Vertical
 
-val coefficients : f_ghz:float -> polarization -> float * float
-(** [(k, alpha)] for the given frequency, log-interpolated between the
-    tabulated P.838-3 anchor frequencies (4-20 GHz supported; clamped
-    outside). *)
-
 val specific_attenuation_db_per_km :
   f_ghz:float -> polarization -> rain_mm_h:float -> float
-(** gamma = k R^alpha. *)
+(** gamma = k R^alpha, with [(k, alpha)] log-interpolated between the
+    tabulated P.838-3 anchor frequencies (4-20 GHz supported; clamped
+    outside). *)
 
 val effective_path_km : d_km:float -> rain_mm_h:float -> float
 (** ITU-R P.530 distance factor: d_eff = d / (1 + d / d0) with
@@ -23,9 +20,3 @@ val effective_path_km : d_km:float -> rain_mm_h:float -> float
 val path_attenuation_db :
   f_ghz:float -> polarization -> rain_mm_h:float -> d_km:float -> float
 (** Total rain attenuation over a hop: gamma * d_eff. *)
-
-val rain_rate_for_outage :
-  f_ghz:float -> polarization -> d_km:float -> margin_db:float -> float
-(** Smallest rain rate (mm/h) whose path attenuation exceeds
-    [margin_db] — the hop's binary failure threshold in the paper's
-    weather analysis.  Found by bisection. *)

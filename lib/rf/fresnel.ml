@@ -27,19 +27,9 @@ let required_clearance_m ?(k = default_k) ?(f_ghz = default_f_ghz) ~d1_km ~d2_km
    u = t(1−t): bulge = (D² 1000 / 2kR)·u and the Fresnel radius =
    sqrt(lambda·1000·D)·sqrt(u).  Hoisting the pair-constant factors
    out lets a profile walk price each sample with one multiply-add and
-   one sqrt. *)
-let pair_coeffs ?(k = default_k) ?(f_ghz = default_f_ghz) ~d_km () =
-  let bulge_c =
-    d_km *. d_km *. 1000.0 /. (2.0 *. k *. Cisp_util.Units.earth_radius_km)
-  in
-  let lambda_m = Cisp_util.Units.c_vacuum_km_s /. (f_ghz *. 1e6) in
-  let fresnel_c = if d_km <= 0.0 then 0.0 else sqrt (lambda_m *. 1000.0 *. d_km) in
-  (bulge_c, fresnel_c)
-
-(* The allocation-free form of [pair_coeffs] for contracted callers:
-   the coefficients land in [out.(0)]/[out.(1)] instead of a tuple of
-   boxed floats, and every label is required so no call site pays the
-   [Some]-wrapping of the optional-argument form.  [@inline] so the
+   one sqrt.  The coefficients land in [out.(0)]/[out.(1)] instead of a
+   tuple of boxed floats, and every label is required so no call site
+   pays the [Some]-wrapping of optional arguments.  [@inline] so the
    float arguments stay in registers at the (non-flambda) call
    boundary. *)
 let[@inline] [@cisp.zero_alloc] pair_coeffs_into ~k ~f_ghz ~d_km ~out =

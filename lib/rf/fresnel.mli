@@ -32,15 +32,12 @@ val required_clearance_m :
 (** Bulge plus full first-Fresnel radius: the height above the terrain
     surface that the direct ray must attain at this point. *)
 
-val pair_coeffs : ?k:float -> ?f_ghz:float -> d_km:float -> unit -> float * float
-(** [(bulge_c, fresnel_c)] for a hop of length [d_km]: at the point a
-    fraction [t] along the path, with [u = t *. (1. -. t)],
-    [required_clearance_m] equals [bulge_c *. u +. fresnel_c *. sqrt u]
-    (same algebra, hoisted so a profile walk pays one multiply-add and
-    one sqrt per sample). *)
-
 val pair_coeffs_into : k:float -> f_ghz:float -> d_km:float -> out:Float.Array.t -> unit
-(** [pair_coeffs] without the result tuple: writes [bulge_c] to
-    [out.(0)] and [fresnel_c] to [out.(1)].  The zero-allocation form
-    for the LOS profile engine ([@cisp.zero_alloc]); all labels are
-    required so no call site pays optional-argument wrapping. *)
+(** Writes [bulge_c] to [out.(0)] and [fresnel_c] to [out.(1)] for a
+    hop of length [d_km]: at the point a fraction [t] along the path,
+    with [u = t *. (1. -. t)], [required_clearance_m] equals
+    [bulge_c *. u +. fresnel_c *. sqrt u] (same algebra, hoisted so a
+    profile walk pays one multiply-add and one sqrt per sample).  The
+    zero-allocation form for the LOS profile engine
+    ([@cisp.zero_alloc]); all labels are required so no call site pays
+    optional-argument wrapping. *)

@@ -15,12 +15,3 @@ let fade_margin_db ~f_ghz ~d_km =
     tx_power_dbm +. (2.0 *. antenna_gain_dbi) -. fspl_db ~f_ghz ~d_km -. misc_losses_db
   in
   rx -. rx_threshold_dbm
-
-let max_range_km ~f_ghz ~min_margin_db =
-  (* fade_margin is monotone decreasing in distance: solve in closed form.
-     rx_margin(d) = P + 2G - L - threshold - 92.45 - 20log f - 20 log d *)
-  let headroom =
-    tx_power_dbm +. (2.0 *. antenna_gain_dbi) -. misc_losses_db -. rx_threshold_dbm -. 92.45
-    -. (20.0 *. log10 f_ghz) -. min_margin_db
-  in
-  10.0 ** (headroom /. 20.0)

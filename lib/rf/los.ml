@@ -134,7 +134,7 @@ let[@cisp.zero_alloc] fill_positions sc ~lo ~hi =
   end
 
 (* Price samples [lo..hi] of a filled, sampled chunk against the
-   hoisted clearance coefficients ({!Fresnel.pair_coeffs}): with
+   hoisted clearance coefficients ({!Fresnel.pair_coeffs_into}): with
    [u = t (1 - t)] each sample costs one multiply-add and one sqrt.
    Returns true iff the profile is blocked so far; the first
    blockage's position/deficit and the running clearance minimum

@@ -12,7 +12,7 @@
     sampled in bulk through {!Cisp_terrain.Dem_cache.surface_samples}
     into per-domain scratch buffers, the Fresnel + bulge clearance
     requirement is priced per sample from two hoisted pair coefficients
-    ({!Fresnel.pair_coeffs}), and the midpoint — the likeliest
+    ({!Fresnel.pair_coeffs_into}), and the midpoint — the likeliest
     blockage — is tested before the full profile is sampled.  The walk
     takes no lock and allocates nothing outside the DEM evaluations
     themselves.

@@ -45,8 +45,6 @@ let free_space_optics =
 
 type weather = { rain_mm_h : float; fog_visibility_km : float }
 
-let clear_weather = { rain_mm_h = 0.0; fog_visibility_km = 20.0 }
-
 (* Kruse model: fog attenuation ~ 17 / V dB/km at 1550 nm for
    visibility V in km (q-exponent folded into the constant for the
    visibility range of interest). *)
@@ -61,8 +59,6 @@ let hop_attenuation_db m w ~d_km =
     Attenuation.path_attenuation_db ~f_ghz:(Float.min 20.0 m.f_ghz) Attenuation.Horizontal
       ~rain_mm_h:w.rain_mm_h ~d_km
   | Free_space_optics -> fso_fog_db_per_km w.fog_visibility_km *. d_km
-
-let hop_available m w ~d_km ~margin_db = hop_attenuation_db m w ~d_km <= margin_db
 
 type chain_cost = {
   medium : t;

@@ -38,14 +38,10 @@ val free_space_optics : t
 
 type weather = { rain_mm_h : float; fog_visibility_km : float }
 
-val clear_weather : weather
-
 val hop_attenuation_db : t -> weather -> d_km:float -> float
 (** MW / MMW: ITU-R P.838 rain attenuation.  FSO: Kruse-model fog
     attenuation (rain barely matters at optical wavelengths compared
     to fog). *)
-
-val hop_available : t -> weather -> d_km:float -> margin_db:float -> bool
 
 (** {2 Link-level economics (the §4 observation)} *)
 

@@ -163,8 +163,6 @@ let freeze (f : mutable_flow_stats) =
 let zero_stats =
   { sent = 0; delivered = 0; dropped = 0; delay_sum_s = 0.0; delay_max_s = 0.0 }
 
-let flow_stats_opt t id = Option.map freeze (find_flow t id)
-
 let flow_stats t id =
   match find_flow t id with Some f -> freeze f | None -> zero_stats
 
@@ -201,10 +199,6 @@ let utilization t ~src ~dst ~duration_s =
   match Hashtbl.find_opt t.links (key t src dst) with
   | None -> 0.0
   | Some l -> l.busy_s /. duration_s
-
-let max_utilization t ~duration_s =
-  if duration_s <= 0.0 then invalid_arg "Net.max_utilization: duration_s <= 0";
-  Hashtbl.fold (fun _ (l : link) acc -> Float.max acc (l.busy_s /. duration_s)) t.links 0.0
 
 let queue_bytes t ~src ~dst =
   match Hashtbl.find_opt t.links (key t src dst) with None -> 0 | Some l -> l.queue_bytes

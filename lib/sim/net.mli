@@ -52,9 +52,6 @@ val flow_stats : t -> int -> flow_stats
     leaves the flow table untouched (it will not appear in
     {!all_flow_stats}). *)
 
-val flow_stats_opt : t -> int -> flow_stats option
-(** As {!flow_stats} but [None] for an unknown flow id. *)
-
 val all_flow_stats : t -> (int * flow_stats) list
 
 val mean_delay_ms : t -> float
@@ -76,10 +73,6 @@ val utilization : t -> src:int -> dst:int -> duration_s:float -> float
 (** Busy fraction of the link over [duration_s].  Raises
     [Invalid_argument] if [duration_s <= 0] (a zero-length run has no
     well-defined utilization). *)
-
-val max_utilization : t -> duration_s:float -> float
-(** Maximum {!utilization} over every link; raises [Invalid_argument]
-    if [duration_s <= 0]. *)
 
 val queue_bytes : t -> src:int -> dst:int -> int
 (** Instantaneous queue occupancy (for the Fig 6 pacing experiment). *)

@@ -136,8 +136,6 @@ type link = {
   tower_count : int;
 }
 
-let link_stretch l = if l.geodesic_km > 0.0 then l.distance_km /. l.geodesic_km else 1.0
-
 let hops_of_link l =
   let rec pairs = function
     | a :: (b :: _ as rest) -> (a, b) :: pairs rest
@@ -155,9 +153,6 @@ let link_of_path t ~src ~dst (distance_km, node_path) =
     node_path;
     tower_count;
   }
-
-let shortest_link t ~src ~dst =
-  Option.map (link_of_path t ~src ~dst) (Dijkstra.shortest_path t.graph ~src ~dst)
 
 let all_links t =
   Cisp_util.Telemetry.with_span "hops.all_links" (fun () ->

@@ -54,15 +54,8 @@ type link = {
   tower_count : int;            (** interior tower nodes = cost c_ij in towers *)
 }
 
-val link_stretch : link -> float
-(** distance_km / geodesic_km. *)
-
 val hops_of_link : link -> (int * int) list
 (** Consecutive node pairs along the path (physical hops). *)
-
-val shortest_link : t -> src:int -> dst:int -> link option
-(** Single-pair shortest MW link, if the tower graph connects them
-    (one early-exit Dijkstra). *)
 
 val all_links : t -> link option array array
 (** [all_links t].(i).(j) for all site pairs (symmetric up to path

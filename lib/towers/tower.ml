@@ -11,10 +11,6 @@ let make ~id ~position ~height_m ~source =
   if height_m <= 0.0 then invalid_arg "Tower.make: height_m <= 0";
   { id; position; height_m; source }
 
-let pp ppf t =
-  let src = match t.source with Fcc -> "fcc" | Rental -> "rental" | City -> "city" in
-  Format.fprintf ppf "tower#%d %a h=%.0fm %s" t.id Cisp_geo.Coord.pp t.position t.height_m src
-
 let usable_height_m t ~fraction =
   if not (fraction > 0.0 && fraction <= 1.0) then
     invalid_arg "Tower.usable_height_m: fraction outside (0,1]";

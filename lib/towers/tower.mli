@@ -13,7 +13,6 @@ type t = {
 }
 
 val make : id:int -> position:Cisp_geo.Coord.t -> height_m:float -> source:source -> t
-val pp : Format.formatter -> t -> unit
 
 val usable_height_m : t -> fraction:float -> float
 (** Antenna mounting height when only a [fraction] of the structure is

@@ -20,8 +20,6 @@ let split t =
   let s = bits64 t in
   { state = s }
 
-let copy t = { state = t.state }
-
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound <= 0";
   (* Keep 62 bits so the value fits OCaml's 63-bit nonnegative range. *)
@@ -34,8 +32,6 @@ let float t bound =
   r /. 9007199254740992.0 *. bound
 
 let uniform t lo hi = lo +. float t (hi -. lo)
-
-let bool t = Int64.logand (bits64 t) 1L = 1L
 
 let gaussian t =
   let rec u () =

@@ -14,9 +14,6 @@ val create : int -> t
 val split : t -> t
 (** [split t] derives an independent generator, advancing [t]. *)
 
-val copy : t -> t
-(** [copy t] duplicates the current state without advancing [t]. *)
-
 val bits64 : t -> int64
 (** Next raw 64 bits. *)
 
@@ -28,9 +25,6 @@ val float : t -> float -> float
 
 val uniform : t -> float -> float -> float
 (** [uniform t lo hi] is uniform in \[lo, hi). *)
-
-val bool : t -> bool
-(** Fair coin. *)
 
 val gaussian : t -> float
 (** Standard normal via Box-Muller. *)

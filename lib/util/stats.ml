@@ -2,11 +2,6 @@ let mean xs =
   let n = Array.length xs in
   if n = 0 then 0.0 else Array.fold_left ( +. ) 0.0 xs /. float_of_int n
 
-let weighted_mean pairs =
-  let wsum = Array.fold_left (fun acc (w, _) -> acc +. w) 0.0 pairs in
-  if Float.equal wsum 0.0 then 0.0
-  else Array.fold_left (fun acc (w, x) -> acc +. (w *. x)) 0.0 pairs /. wsum
-
 let variance xs =
   let n = Array.length xs in
   if n = 0 then 0.0
@@ -51,21 +46,6 @@ let cdf xs =
   let ys = sorted_copy xs in
   let n = Array.length ys in
   Array.mapi (fun i y -> (y, float_of_int (i + 1) /. float_of_int n)) ys
-
-let histogram xs ~bins =
-  (* invalid_arg, not assert: asserts vanish under -noassert and this
-     guards caller data, not an internal invariant (lint rule L6). *)
-  if bins <= 0 then invalid_arg "Stats.histogram: bins <= 0";
-  let lo, hi = min_max xs in
-  let width = if hi > lo then (hi -. lo) /. float_of_int bins else 1.0 in
-  let counts = Array.make bins 0 in
-  let place x =
-    let b = int_of_float ((x -. lo) /. width) in
-    let b = if b >= bins then bins - 1 else b in
-    counts.(b) <- counts.(b) + 1
-  in
-  Array.iter place xs;
-  Array.mapi (fun i c -> (lo +. (float_of_int i *. width), c)) counts
 
 type summary = {
   n : int;

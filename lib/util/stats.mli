@@ -3,10 +3,6 @@
 val mean : float array -> float
 (** Arithmetic mean; 0 for the empty array. *)
 
-val weighted_mean : (float * float) array -> float
-(** [weighted_mean [| (w, x); ... |]] = sum w*x / sum w; 0 if all
-    weights are 0. *)
-
 val variance : float array -> float
 (** Population variance. *)
 
@@ -24,10 +20,6 @@ val median : float array -> float
 
 val cdf : float array -> (float * float) array
 (** Empirical CDF as (value, cumulative fraction) sorted points. *)
-
-val histogram : float array -> bins:int -> (float * int) array
-(** [histogram xs ~bins] returns (bin lower edge, count).  Raises
-    [Invalid_argument] if [bins <= 0]. *)
 
 type summary = {
   n : int;

@@ -87,8 +87,6 @@ let enable_metrics () =
       state.metrics <- true;
       turn_on ())
 
-let metrics_enabled () = state.metrics
-
 let init_from_env () =
   match Sys.getenv_opt "CISP_TRACE" with
   | Some file when not (String.equal (String.trim file) "") -> enable_trace file
@@ -177,8 +175,6 @@ let series_names () =
   locked (fun () ->
       List.concat_map (fun buf -> List.rev_map fst !buf) state.dbufs)
   |> List.sort_uniq String.compare
-
-let series_summary name = Stats.summarize (samples name)
 
 (* ---------------- spans ---------------- *)
 

@@ -26,8 +26,6 @@ val enable_trace : string -> unit
 val enable_metrics : unit -> unit
 (** Print a summary (to {!finish}'s formatter) at the end of the run. *)
 
-val metrics_enabled : unit -> bool
-
 val init_from_env : unit -> unit
 (** [CISP_TRACE=FILE] fallback for binaries without a [--trace] flag. *)
 
@@ -68,8 +66,6 @@ val samples : string -> float array
 
 val series_names : unit -> string list
 (** Every distribution with at least one recorded sample, sorted. *)
-
-val series_summary : string -> Stats.summary
 
 val span_calls : string -> int
 val span_total_s : string -> float

@@ -87,10 +87,6 @@ let test_gaming_session_stats () =
   Alcotest.(check int) "samples" 5000 s.Cisp_util.Stats.n;
   Alcotest.(check bool) "jitter ordering" true (s.Cisp_util.Stats.p99 >= s.Cisp_util.Stats.p50)
 
-let test_gaming_sweep () =
-  let series = Gaming.sweep Gaming.Thin_conventional ~one_way_ms_list:[ 10.0; 20.0 ] in
-  Alcotest.(check int) "two points" 2 (List.length series)
-
 (* ---------- Econ ---------- *)
 
 let test_econ_search_anchors () =
@@ -146,7 +142,6 @@ let suites =
         Alcotest.test_case "zero coverage" `Quick test_gaming_coverage_zero_equals_conventional;
         Alcotest.test_case "fat client ratio" `Quick test_gaming_fat_client_ratio;
         Alcotest.test_case "session stats" `Quick test_gaming_session_stats;
-        Alcotest.test_case "sweep" `Quick test_gaming_sweep;
       ] );
     ( "apps.econ",
       [

@@ -465,16 +465,6 @@ let test_export_with_plan () =
           js;
         !found))
 
-let test_export_budget_evolution () =
-  let steps =
-    Export.budget_evolution inputs ~budgets:[ 20; 40; 60 ]
-      ~design:(fun inputs ~budget -> Greedy.design inputs ~budget)
-  in
-  Alcotest.(check int) "three frames" 3 (List.length steps);
-  let links = List.map (fun (_, t, _) -> List.length t.Topology.built) steps in
-  Alcotest.(check bool) "network grows with budget" true
-    (List.sort compare links = links)
-
 (* Test-local inverse of Export.json_escape, over the full escape
    vocabulary (named short escapes plus \u00XX). *)
 let json_unescape s =
@@ -533,8 +523,125 @@ let export_suite =
     [
       Alcotest.test_case "geojson wellformed" `Quick test_export_geojson_wellformed;
       Alcotest.test_case "plan annotation" `Quick test_export_with_plan;
-      Alcotest.test_case "budget evolution" `Quick test_export_budget_evolution;
       Alcotest.test_case "json escape round-trip" `Quick test_export_json_escape_roundtrip;
     ] )
 
 let suites = suites @ [ export_suite ]
+
+(* ---------- The pipeline on the 8-site Europe fixture ---------- *)
+
+(* The determinism suite's fixture: [Scenario.artifacts] memoizes it,
+   so both suites share one build. *)
+let europe8 = { Scenario.europe_config with Scenario.n_sites = Some 8 }
+let europe8_artifacts = lazy (Scenario.artifacts ~config:europe8 ())
+let europe8_inputs = lazy (Scenario.population_inputs (Lazy.force europe8_artifacts))
+
+(* With nothing built every pair rides fiber, assumed in Europe at
+   1.93x geodesic (paper §6.2). *)
+let fiber_only_stretch = 1.93
+
+let test_stretch_monotone_in_budget () =
+  (* Fig 4(a): stretch falls as the budget grows, from the fiber-only
+     1.93 at budget 0. *)
+  let inputs = Lazy.force europe8_inputs in
+  let stretch budget = Topology.stretch_of (Scenario.design inputs ~budget) in
+  let s0 = stretch 0 in
+  check_float 1e-9 "budget 0 is fiber only" fiber_only_stretch s0;
+  ignore
+    (List.fold_left
+       (fun (prev_budget, prev) budget ->
+         let s = stretch budget in
+         Alcotest.(check bool)
+           (Printf.sprintf "stretch %.6f at budget %d <= %.6f at %d" s budget prev prev_budget)
+           true (s <= prev);
+         (budget, s))
+       (0, s0)
+       [ 15; 30; 45; 60; 90; 120; 180; 240; 480 ])
+
+(* What every degenerate design input must give: no exception, a
+   finite stretch >= 1 and a finite cost/GB >= 0. *)
+let check_defined label ~stretch ~cost_per_gb =
+  Alcotest.(check bool) (label ^ ": finite stretch >= 1") true
+    (Float.is_finite stretch && stretch >= 1.0);
+  Alcotest.(check bool) (label ^ ": finite cost/GB >= 0") true
+    (Float.is_finite cost_per_gb && cost_per_gb >= 0.0)
+
+(* Nothing is built: every pair rides fiber and no radio is bought. *)
+let check_fiber_only label (r : Scenario.report) =
+  check_defined label ~stretch:r.Scenario.stretch ~cost_per_gb:r.Scenario.cost_per_gb;
+  Alcotest.(check int) (label ^ ": no link built") 0 (List.length r.Scenario.topology.Topology.built);
+  check_float 1e-9 (label ^ ": fiber-only stretch") fiber_only_stretch r.Scenario.stretch;
+  check_float 0.0 (label ^ ": nothing to pay for") 0.0 r.Scenario.cost_per_gb
+
+let test_degenerate_budget () =
+  List.iter
+    (fun budget ->
+      check_fiber_only
+        (Printf.sprintf "budget %d" budget)
+        (Scenario.full_run ~config:europe8 ~budget ~aggregate_gbps:100.0 ()))
+    [ 0; -5 ]
+
+let test_degenerate_short_range () =
+  (* A hop range below Los's minimum hop length: no tower pair is in
+     range, so no MW link exists. *)
+  let config = { europe8 with Scenario.max_range_km = 0.5 } in
+  Alcotest.(check int) "no feasible hop" 0
+    (Scenario.artifacts ~config ()).Scenario.hops.Cisp_towers.Hops.feasible_hops;
+  check_fiber_only "range 0.5 km" (Scenario.full_run ~config ~budget:120 ~aggregate_gbps:100.0 ())
+
+let test_degenerate_everything_culled () =
+  let a = Lazy.force europe8_artifacts in
+  let hops =
+    Cisp_towers.Hops.build ~cache:a.Scenario.cache ~sites:(Array.to_list a.Scenario.sites)
+      ~towers:[] ()
+  in
+  let inputs =
+    Inputs.of_hops ~hops ~fiber:a.Scenario.fiber
+      ~traffic:(Cisp_traffic.Matrix.population_product a.Scenario.sites)
+  in
+  let topology = Scenario.design inputs ~budget:120 in
+  let plan = Capacity.plan inputs topology ~aggregate_gbps:100.0 in
+  check_fiber_only "no towers"
+    {
+      Scenario.topology;
+      stretch = Topology.stretch_of topology;
+      plan;
+      cost_per_gb = Capacity.cost_per_gb Cost.default plan ~aggregate_gbps:100.0;
+    }
+
+let test_degenerate_disconnected_regions () =
+  (* Two site pairs 4,400 km apart: Seattle-Tacoma and Miami-Fort
+     Lauderdale.  Only the pairs within a region can be linked. *)
+  let city name lat lon population = Cisp_data.City.make name ~lat ~lon ~population in
+  let sites =
+    [
+      city "Seattle" 47.6 (-122.3) 750_000;
+      city "Tacoma" 47.2 (-122.4) 220_000;
+      city "Miami" 25.8 (-80.2) 450_000;
+      city "Fort Lauderdale" 26.1 (-80.1) 180_000;
+    ]
+  in
+  let config =
+    { Scenario.default_config with Scenario.region = Scenario.Custom ("disconnected", sites) }
+  in
+  let r = Scenario.full_run ~config ~budget:60 ~aggregate_gbps:100.0 () in
+  let mw_links = (Scenario.population_inputs (Scenario.artifacts ~config ())).Inputs.mw_links in
+  List.iter
+    (fun (i, j) ->
+      Alcotest.(check bool) (Printf.sprintf "no MW link %d-%d" i j) true (mw_links.(i).(j) = None))
+    [ (0, 2); (0, 3); (1, 2); (1, 3) ];
+  check_defined "two regions" ~stretch:r.Scenario.stretch ~cost_per_gb:r.Scenario.cost_per_gb;
+  Alcotest.(check (list (pair int int))) "one link inside each region" [ (0, 1); (2, 3) ]
+    (List.sort compare r.Scenario.topology.Topology.built)
+
+let scenario_suite =
+  ( "design.scenario",
+    [
+      Alcotest.test_case "fig 4a stretch monotone in budget" `Quick test_stretch_monotone_in_budget;
+      Alcotest.test_case "zero and negative budget" `Quick test_degenerate_budget;
+      Alcotest.test_case "range below min_range_km" `Quick test_degenerate_short_range;
+      Alcotest.test_case "everything culled" `Quick test_degenerate_everything_culled;
+      Alcotest.test_case "regions with no MW between them" `Quick test_degenerate_disconnected_regions;
+    ] )
+
+let suites = suites @ [ scenario_suite ]

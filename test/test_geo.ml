@@ -23,8 +23,9 @@ let test_coord_bbox () =
   let b = Coord.bbox_of_points [ nyc; la; chicago ] in
   check_float 1e-9 "min lat" 34.0522 b.min_lat;
   check_float 1e-9 "max lat" 41.8781 b.max_lat;
-  Alcotest.(check bool) "nyc inside" true (Coord.in_bbox b nyc);
-  Alcotest.(check bool) "london outside" false (Coord.in_bbox b london);
+  check_float 1e-9 "min lon" (-118.2437) b.min_lon;
+  check_float 1e-9 "max lon" (-74.006) b.max_lon;
+  Alcotest.(check bool) "london east of the box" true (Coord.lon london > b.max_lon);
   let b' = Coord.expand_bbox b ~margin_deg:2.0 in
   check_float 1e-9 "expanded" 32.0522 b'.min_lat
 
@@ -86,11 +87,17 @@ let test_cross_track () =
 
 (* ---------- Grid ---------- *)
 
+(* Every stored point a query visits, as a list. *)
+let nearby g p ~radius_km =
+  let acc = ref [] in
+  Grid.iter_nearby g p ~radius_km (fun q v -> acc := (q, v) :: !acc);
+  !acc
+
 let test_grid_nearby () =
   let g = Grid.of_list ~cell_deg:0.5 [ (nyc, "nyc"); (la, "la"); (chicago, "chi") ] in
-  let near_nyc = Grid.nearby g nyc ~radius_km:100.0 in
+  let near_nyc = nearby g nyc ~radius_km:100.0 in
   Alcotest.(check int) "one near nyc" 1 (List.length near_nyc);
-  let all = Grid.nearby g nyc ~radius_km:5000.0 in
+  let all = nearby g nyc ~radius_km:5000.0 in
   Alcotest.(check int) "all within 5000km" 3 (List.length all)
 
 let test_grid_antimeridian () =
@@ -101,13 +108,13 @@ let test_grid_antimeridian () =
   let east = coord ~lat:10.0 ~lon:179.9 in
   let west = coord ~lat:10.0 ~lon:(-179.9) in
   let g = Grid.of_list ~cell_deg:0.5 [ (east, "east"); (west, "west") ] in
-  let from_east = Grid.nearby g east ~radius_km:100.0 in
+  let from_east = nearby g east ~radius_km:100.0 in
   Alcotest.(check int) "east sees both" 2 (List.length from_east);
-  let from_west = Grid.nearby g west ~radius_km:100.0 in
+  let from_west = nearby g west ~radius_km:100.0 in
   Alcotest.(check int) "west sees both" 2 (List.length from_west);
   (* A window that covers the wrap plus the stored cells exactly once:
      no duplicates from the two column ranges overlapping. *)
-  let wide = Grid.nearby g east ~radius_km:3000.0 in
+  let wide = nearby g east ~radius_km:3000.0 in
   Alcotest.(check int) "no duplicates in wrapped window" 2 (List.length wide)
 
 let test_grid_matches_brute_force () =
@@ -134,7 +141,7 @@ let test_grid_matches_brute_force () =
           Alcotest.(check (list int))
             (Printf.sprintf "query = linear scan at %.0f km" radius_km)
             (List.sort Int.compare scan)
-            (List.sort Int.compare (List.map snd (Grid.nearby g p ~radius_km))))
+            (List.sort Int.compare (List.map snd (nearby g p ~radius_km))))
         probes)
     [ 10.0; 150.0; 600.0 ];
   (* Within one cell, points are visited in reverse list order. *)
@@ -158,7 +165,7 @@ let test_grid_radius_exact () =
            let b = float_of_int i *. 10.0 in
            (Geodesy.destination center ~bearing_deg:b ~distance_km:99.0, i)))
   in
-  let found = Grid.nearby g center ~radius_km:100.0 in
+  let found = nearby g center ~radius_km:100.0 in
   Alcotest.(check int) "all 36 found" 36 (List.length found)
 
 let prop_destination_distance =

@@ -71,7 +71,7 @@ let test_dijkstra_unreachable () =
   let r = Dijkstra.run g ~src:0 in
   Alcotest.(check bool) "unreachable" true (r.dist.(2) = infinity);
   Alcotest.(check (list int)) "no path" [] (Dijkstra.path r ~dst:2);
-  Alcotest.(check bool) "distance none" true (Dijkstra.distance g ~src:0 ~dst:2 = None)
+  Alcotest.(check bool) "shortest path none" true (Dijkstra.shortest_path g ~src:0 ~dst:2 = None)
 
 let test_dijkstra_early_exit () =
   let g = diamond () in

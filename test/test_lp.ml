@@ -156,7 +156,7 @@ let test_milp_knapsack () =
   (* max 10a + 13b + 7c st 3a + 4b + 2c <= 6, binary.
      Best: a + c (weight 5, value 17) vs b + c (6, 20) -> b + c. *)
   let m = Model.create () in
-  let a = Model.binary m "a" and b = Model.binary m "b" and c = Model.binary m "c" in
+  let a = Model.binary m and b = Model.binary m and c = Model.binary m in
   Model.add_constraint m [ (3.0, a); (4.0, b); (2.0, c) ] Model.Le 6.0;
   Model.set_objective m [ (-10.0, a); (-13.0, b); (-7.0, c) ];
   let r = Milp.solve m in
@@ -170,7 +170,7 @@ let test_milp_knapsack () =
 let test_milp_integer_rounding_matters () =
   (* max x st 2x <= 3, x integer -> x=1 (LP gives 1.5). *)
   let m = Model.create () in
-  let x = Model.add_var m ~ub:10.0 ~integer:true "x" in
+  let x = Model.add_var ~ub:10.0 ~integer:true m in
   Model.add_constraint m [ (2.0, x) ] Model.Le 3.0;
   Model.set_objective m [ (-1.0, x) ];
   let r = Milp.solve m in
@@ -178,7 +178,7 @@ let test_milp_integer_rounding_matters () =
 
 let test_milp_infeasible () =
   let m = Model.create () in
-  let x = Model.binary m "x" in
+  let x = Model.binary m in
   Model.add_constraint m [ (1.0, x) ] Model.Ge 2.0;
   Model.set_objective m [ (1.0, x) ];
   let r = Milp.solve m in
@@ -189,7 +189,7 @@ let test_milp_infeasible () =
 let test_milp_continuous_passthrough () =
   (* Pure LP through the MILP interface. *)
   let m = Model.create () in
-  let x = Model.add_var m "x" and y = Model.add_var m "y" in
+  let x = Model.add_var m and y = Model.add_var m in
   Model.add_constraint m [ (1.0, x); (1.0, y) ] Model.Ge 2.0;
   Model.set_objective m [ (1.0, x); (2.0, y) ];
   let r = Milp.solve m in
@@ -232,7 +232,7 @@ let prop_milp_matches_brute_force =
       in
       let obj = List.init nv (fun j -> (Cisp_util.Rng.uniform rng (-5.0) 5.0, j)) in
       let m = Model.create () in
-      let vars = Array.init nv (fun j -> Model.binary m (Printf.sprintf "x%d" j)) in
+      let vars = Array.init nv (fun _ -> Model.binary m) in
       List.iter
         (fun (coeffs, op, rhs) ->
           Model.add_constraint m (List.map (fun (j, v) -> (v, vars.(j))) coeffs) op rhs)
@@ -348,7 +348,7 @@ let test_milp_budget_limited_has_incumbent () =
   let rng = Cisp_util.Rng.create 99 in
   let m = Model.create () in
   let n = 24 in
-  let xs = Array.init n (fun i -> Model.binary m (Printf.sprintf "k%d" i)) in
+  let xs = Array.init n (fun _ -> Model.binary m) in
   let weights = Array.init n (fun _ -> Cisp_util.Rng.uniform rng 1.0 9.0) in
   let values = Array.init n (fun _ -> Cisp_util.Rng.uniform rng 1.0 9.0) in
   Model.add_constraint m

@@ -38,21 +38,6 @@ let test_positions_move () =
   (* ~7.3 km/s orbital velocity: ~440 km in a minute. *)
   Alcotest.(check bool) (Printf.sprintf "moved %.0f km in 60s" d) true (d > 300.0 && d < 600.0)
 
-let test_visibility_geometry () =
-  let shell = Constellation.starlink_like in
-  let sats = Constellation.positions shell ~t_s:0.0 in
-  (* A satellite is visible from (nearly) its own subpoint and not from
-     the antipode. *)
-  let s = sats.(7) in
-  let sub = s.Constellation.subpoint in
-  Alcotest.(check bool) "visible from subpoint" true (Constellation.visible s sub);
-  let anti =
-    coord
-      ~lat:(-.Cisp_geo.Coord.lat sub)
-      ~lon:(Cisp_geo.Coord.lon sub +. 180.0)
-  in
-  Alcotest.(check bool) "not visible from antipode" false (Constellation.visible s anti)
-
 let test_dense_path_exists () =
   match Constellation.path_latency_ms Constellation.starlink_like ~t_s:0.0 nyc la with
   | None -> Alcotest.fail "dense shell should connect NYC-LA"
@@ -83,7 +68,6 @@ let suites =
         Alcotest.test_case "orbital period" `Quick test_period;
         Alcotest.test_case "positions on shell" `Quick test_positions_on_shell;
         Alcotest.test_case "positions move" `Quick test_positions_move;
-        Alcotest.test_case "visibility geometry" `Quick test_visibility_geometry;
         Alcotest.test_case "dense path" `Quick test_dense_path_exists;
         Alcotest.test_case "density claim" `Quick test_density_claim;
       ] );

@@ -135,12 +135,9 @@ let test_net_stats_read_only () =
   Engine.run eng ~until:1.0;
   let ghost = Net.flow_stats net 999 in
   Alcotest.(check int) "ghost flow reads zero" 0 ghost.Net.sent;
-  Alcotest.(check (option reject)) "ghost flow option is None" None
-    (Net.flow_stats_opt net 999);
   Alcotest.(check int) "table still holds only the real flow" 1
     (List.length (Net.all_flow_stats net));
-  Alcotest.(check bool) "real flow still readable" true
-    (Option.is_some (Net.flow_stats_opt net 1))
+  Alcotest.(check int) "real flow still readable" 1 (Net.flow_stats net 1).Net.sent
 
 let test_net_utilization () =
   let eng = Engine.create () in
@@ -151,8 +148,7 @@ let test_net_utilization () =
     Net.inject net (mk_pkt ~flow:i [| 0; 1 |])
   done;
   Engine.run eng ~until:1.0;
-  check_float 1e-6 "utilization" 0.04 (Net.utilization net ~src:0 ~dst:1 ~duration_s:1.0);
-  check_float 1e-6 "max utilization" 0.04 (Net.max_utilization net ~duration_s:1.0)
+  check_float 1e-6 "utilization" 0.04 (Net.utilization net ~src:0 ~dst:1 ~duration_s:1.0)
 
 let test_net_utilization_guards () =
   let eng = Engine.create () in
@@ -162,8 +158,8 @@ let test_net_utilization_guards () =
     (Invalid_argument "Net.utilization: duration_s <= 0") (fun () ->
       ignore (Net.utilization net ~src:0 ~dst:1 ~duration_s:0.0));
   Alcotest.check_raises "negative duration rejected"
-    (Invalid_argument "Net.max_utilization: duration_s <= 0") (fun () ->
-      ignore (Net.max_utilization net ~duration_s:(-1.0)))
+    (Invalid_argument "Net.utilization: duration_s <= 0") (fun () ->
+      ignore (Net.utilization net ~src:0 ~dst:1 ~duration_s:(-1.0)))
 
 let test_net_delivery_per_flow () =
   (* A delivery runs its own flow's handler and no other; a flow with

@@ -77,11 +77,6 @@ let test_stats_mean () =
   check_float "mean" 2.5 (Stats.mean [| 1.0; 2.0; 3.0; 4.0 |]);
   check_float "empty" 0.0 (Stats.mean [||])
 
-let test_stats_weighted_mean () =
-  check_float "weighted" 3.0 (Stats.weighted_mean [| (1.0, 1.0); (1.0, 5.0) |]);
-  check_float "unequal" 4.0 (Stats.weighted_mean [| (3.0, 5.0); (1.0, 1.0) |]);
-  check_float "zero weights" 0.0 (Stats.weighted_mean [| (0.0, 5.0) |])
-
 let test_stats_percentile () =
   let xs = [| 1.0; 2.0; 3.0; 4.0; 5.0 |] in
   check_float "p0" 1.0 (Stats.percentile xs 0.0);
@@ -109,17 +104,6 @@ let test_stats_cdf () =
   check_float "first value" 1.0 (fst c.(0));
   check_float "first frac" 0.5 (snd c.(0));
   check_float "last frac" 1.0 (snd c.(1))
-
-let test_stats_histogram () =
-  let h = Stats.histogram [| 0.0; 0.5; 1.0; 1.5; 2.0 |] ~bins:2 in
-  Alcotest.(check int) "bins" 2 (Array.length h);
-  Alcotest.(check int) "counts sum" 5 (Array.fold_left (fun a (_, c) -> a + c) 0 h)
-
-let test_stats_histogram_guard () =
-  (* invalid_arg, not assert: the check must survive -noassert. *)
-  Alcotest.check_raises "bins = 0 rejected"
-    (Invalid_argument "Stats.histogram: bins <= 0") (fun () ->
-      ignore (Stats.histogram [| 1.0 |] ~bins:0))
 
 let test_stats_summary () =
   let s = Stats.summarize (Array.init 101 (fun i -> float_of_int i)) in
@@ -184,13 +168,10 @@ let suites =
     ( "util.stats",
       [
         Alcotest.test_case "mean" `Quick test_stats_mean;
-        Alcotest.test_case "weighted mean" `Quick test_stats_weighted_mean;
         Alcotest.test_case "percentile" `Quick test_stats_percentile;
         Alcotest.test_case "variance" `Quick test_stats_variance;
         Alcotest.test_case "min max" `Quick test_stats_min_max;
         Alcotest.test_case "cdf" `Quick test_stats_cdf;
-        Alcotest.test_case "histogram" `Quick test_stats_histogram;
-        Alcotest.test_case "histogram guard" `Quick test_stats_histogram_guard;
         Alcotest.test_case "summary" `Quick test_stats_summary;
         QCheck_alcotest.to_alcotest prop_percentile_monotone;
         QCheck_alcotest.to_alcotest prop_mean_between_min_max;
