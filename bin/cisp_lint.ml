@@ -10,7 +10,6 @@
 module Diag = Cisp_linter.Diag
 module Allowlist = Cisp_linter.Allowlist
 module Engine = Cisp_linter.Engine
-module Hotpaths = Cisp_linter.Hotpaths
 
 let usage =
   "cisp_lint [options] [ROOT...]\n\n\
@@ -23,7 +22,6 @@ let usage =
 
 let () =
   let allowlist_path = ref "" in
-  let hotpaths_path = ref "" in
   let rules_csv = ref "L1,L2,L3,L4,L5,L6,L7,L8,L9,L10,L11,L12,L13,L14,L15" in
   let lock_graph_path = ref "" in
   let verbose = ref false in
@@ -35,7 +33,6 @@ let () =
   let spec =
     [
       ("--allowlist", Arg.Set_string allowlist_path, "FILE suppression list (RULE FILE SYMBOL per line)");
-      ("--hotpaths", Arg.Set_string hotpaths_path, "FILE zero-alloc registry (canonical NAME per line); default: ./lint.hotpaths in repo mode");
       ("--rules", Arg.Set_string rules_csv, "CSV rules to apply in explicit-ROOT mode (default: all)");
       ("--verbose", Arg.Set verbose, " also report suppressed diagnostics");
       ("--json", Arg.Set json, " print diagnostics as JSON Lines (one object per finding)");
@@ -74,15 +71,6 @@ let () =
                  Printf.eprintf "cisp_lint: unknown rule %S\n" s;
                  exit 2)
   in
-  let hotpaths =
-    if String.equal !hotpaths_path "" then None
-    else
-      match Hotpaths.load !hotpaths_path with
-      | Ok entries -> Some (Hotpaths.names entries)
-      | Error msg ->
-          Printf.eprintf "cisp_lint: bad hotpaths registry: %s\n" msg;
-          exit 2
-  in
   let lock_dot =
     if String.equal !lock_graph_path "" then None else Some !lock_graph_path
   in
@@ -94,8 +82,8 @@ let () =
             "cisp_lint: no ROOT given and no lib/ here; run from the build root or pass directories\n";
           exit 2
         end;
-        Engine.run_repo ~allowlist ?hotpaths ?lock_dot ~root:"." ()
-    | roots -> Engine.run ~allowlist ?hotpaths ?lock_dot ~rules roots
+        Engine.run_repo ~allowlist ?lock_dot ~root:"." ()
+    | roots -> Engine.run ~allowlist ?lock_dot ~rules roots
   in
   List.iter (fun e -> Printf.eprintf "cisp_lint: warning: %s\n" e) report.Engine.errors;
   let emit = if !json then fun d -> print_endline (Diag.to_json d)

@@ -70,40 +70,31 @@ let improve (inputs : Inputs.t) ~budget ~candidates topo =
         | [] -> []
         | x :: rest -> if k = 0 then [] else x :: take (k - 1) rest
       in
-      let pool =
-        List.map
-          (fun pair ->
-            let without = Topology.remove !current pair in
-            let obj = objective inputs without in
-            (obj -. !current_obj, pair, without, obj))
-          (take swap_pool ranked_pairs)
+      (* First improvement: the metric closure of each examined
+         removal is computed once, and the scan stops at the first
+         swap that lowers the objective. *)
+      let rec scan = function
+        | [] -> false
+        | removed_pair :: rest -> (
+          let without = Topology.remove !current removed_pair in
+          let d_without = Topology.distances without in
+          let without_obj = Topology.mean_stretch inputs d_without in
+          let slack = budget - without.Topology.cost in
+          let improves (i, j) =
+            (i, j) <> removed_pair
+            && (not (Topology.is_built without i j))
+            && Topology.link_cost inputs i j <= slack
+            && without_obj -. (Greedy.benefit inputs w d_without (i, j) /. den)
+               < !current_obj -. 1e-12
+          in
+          match List.find_opt improves candidates with
+          | Some pair ->
+            current := Topology.add without pair;
+            current_obj := objective inputs !current;
+            true
+          | None -> scan rest)
       in
-      let improved = ref false in
-      List.iter
-        (fun (_, removed_pair, without, without_obj) ->
-          if not !improved then begin
-            let d_without = Topology.distances without in
-            let slack = budget - without.Topology.cost in
-            List.iter
-              (fun (i, j) ->
-                if
-                  (not !improved)
-                  && (i, j) <> removed_pair
-                  && (not (Topology.is_built without i j))
-                  && Topology.link_cost inputs i j <= slack
-                then begin
-                  let gain = Greedy.benefit inputs w d_without (i, j) /. den in
-                  let new_obj = without_obj -. gain in
-                  if new_obj < !current_obj -. 1e-12 then begin
-                    current := Topology.add without (i, j);
-                    current_obj := objective inputs !current;
-                    improved := true
-                  end
-                end)
-              candidates
-          end)
-        pool;
-      !improved
+      scan (take swap_pool ranked_pairs)
     end
   in
   let rec sweep k =

@@ -10,7 +10,7 @@
     ({!rides_mw}): capacity planning, the routing schemes, the packet
     network and the failure replays all read it.  A failed link is a
     link the topology no longer holds: replays build the surviving
-    topology ({!of_links}, {!remove}) and route over it. *)
+    topology ({!remove}) and route over it. *)
 
 module Iset : Set.S with type elt = int
 

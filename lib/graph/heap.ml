@@ -1,6 +1,6 @@
 (* Both columns are flat unboxed arrays, so push and pop allocate
    nothing: Dijkstra's relaxation loop runs under the zero-alloc
-   contract (L10, registered in lint.hotpaths). *)
+   contract (L10), which [push], [pop_min] and [min_key] carry. *)
 
 type t = {
   mutable keys : float array;
@@ -49,18 +49,18 @@ let rec sift_down h i =
     sift_down h smallest
   end
 
-let push h key v =
+let[@cisp.zero_alloc] push h key v =
   if h.size = Array.length h.keys then grow h;
   h.keys.(h.size) <- key;
   h.vals.(h.size) <- v;
   h.size <- h.size + 1;
   sift_up h (h.size - 1)
 
-let[@inline] min_key h =
+let[@inline] [@cisp.zero_alloc] min_key h =
   if h.size = 0 then invalid_arg "Heap.min_key: empty heap";
   h.keys.(0)
 
-let pop_min h =
+let[@cisp.zero_alloc] pop_min h =
   if h.size = 0 then invalid_arg "Heap.pop_min: empty heap";
   let v = h.vals.(0) in
   h.size <- h.size - 1;

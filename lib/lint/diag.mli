@@ -31,9 +31,8 @@
 
     The allocation-discipline family (also interprocedural):
 
-    - L10: a [@cisp.zero_alloc] contract (attribute, or an entry in
-      the [lint.hotpaths] registry) must not reach any heap
-      allocation in its transitive call graph; blamed at the
+    - L10: a function carrying [@cisp.zero_alloc] must not reach any
+      heap allocation in its transitive call graph; blamed at the
       allocation's origin site, like L8.
     - L11: a closure handed to a [Cisp_util.Pool] combinator must not
       allocate a closure, box a float, or build a partial application

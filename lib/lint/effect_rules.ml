@@ -17,9 +17,9 @@
      may be reachable from the design pipeline outside the seeded
      [Cisp_util.Rng].
    - L10 zero-alloc contracts: a function carrying [@cisp.zero_alloc]
-     (or registered in [lint.hotpaths]) must not reach any heap
-     allocation in its transitive call graph; the diagnostic lands at
-     the allocation's origin site, like L8's blame-at-origin.
+     must not reach any heap allocation in its transitive call graph;
+     the diagnostic lands at the allocation's origin site, like L8's
+     blame-at-origin.
    - L11 pool-body allocation: a closure handed to a [Cisp_util.Pool]
      combinator must not allocate a closure, box a float or build a
      partial application per call.
@@ -56,9 +56,6 @@ type config = {
       (* pipeline entry points; L12/L15 reachability uses the same roots *)
   l9_site_ok : string -> bool;  (* source files where L9 reads are flagged *)
   l9_exempt : string -> bool;  (* canonical node names allowed to read *)
-  l10_hotpaths : string list;
-      (* canonical names held to the zero-alloc contract without an
-         attribute (the [lint.hotpaths] registry) *)
   l12_site_ok : string -> bool;  (* source files where L12 sites are flagged *)
   l13_order : string list;
       (* canonical lock order, outermost first; acquisitions jumping
@@ -69,8 +66,7 @@ type config = {
 }
 
 let default_l9_exempt name =
-  (* the repo's seeded, splittable PRNG is the one sanctioned
-     randomness source *)
+  (* the repo's seeded PRNG is the one sanctioned randomness source *)
   String.starts_with ~prefix:"Cisp_util.Rng." name
 
 let default_l15_exempt name =
@@ -93,7 +89,6 @@ let generic =
     l9_root = (fun _ -> true);
     l9_site_ok = (fun _ -> true);
     l9_exempt = default_l9_exempt;
-    l10_hotpaths = [];
     l12_site_ok = (fun _ -> true);
     l13_order = [];
     l15_site_ok = (fun _ -> true);
@@ -237,19 +232,10 @@ let check_l9 cfg (g : Callgraph.t) =
    territory, not L11's. *)
 let l11_kinds = [ "closure"; "boxed float"; "partial application" ]
 
-let check_l10 cfg (g : Callgraph.t) (sums : Effects.t array) =
-  let registry = SS.of_list cfg.l10_hotpaths in
+let check_l10 (g : Callgraph.t) (sums : Effects.t array) =
   Array.to_list g.Callgraph.nodes
   |> List.concat_map (fun (node : Callgraph.node) ->
-         let contracted =
-           node.Callgraph.zero_alloc
-           || SS.mem node.Callgraph.name registry
-              (* under shadowing only the last binding of the name is
-                 the one callers see; [by_name] keeps exactly that *)
-              && SM.find_opt node.Callgraph.name g.Callgraph.by_name
-                 = Some node.Callgraph.id
-         in
-         if not contracted then []
+         if not node.Callgraph.zero_alloc then []
          else
            SM.fold
              (fun kind site acc ->
@@ -701,7 +687,7 @@ let check cfg (g : Callgraph.t) (r : Summary.result) =
   (if cfg.l7 then check_l7 g sums else [])
   @ (if cfg.l8 then check_l8 cfg g sums else [])
   @ (if cfg.l9 then check_l9 cfg g else [])
-  @ (if cfg.l10 then check_l10 cfg g sums else [])
+  @ (if cfg.l10 then check_l10 g sums else [])
   @ (if cfg.l11 then check_l11 g sums else [])
   @ (if cfg.l12 then check_l12 cfg g else [])
   @ (if cfg.l13 then check_l13 cfg g sums else [])

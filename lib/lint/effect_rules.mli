@@ -29,9 +29,6 @@ type config = {
       (** source files where L9 reads are flagged *)
   l9_exempt : string -> bool;
       (** canonical node names allowed to read nondeterminism *)
-  l10_hotpaths : string list;
-      (** canonical names held to the zero-alloc contract without an
-          attribute (the [lint.hotpaths] registry) *)
   l12_site_ok : string -> bool;
       (** source files where L12 sites are flagged *)
   l13_order : string list;

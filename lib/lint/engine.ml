@@ -94,8 +94,7 @@ let lock_dot_sink lock_dot errors =
           with Sys_error msg ->
             errors := Printf.sprintf "lock-graph: %s" msg :: !errors)
 
-let run ?(allowlist = Allowlist.empty) ?(hotpaths = []) ?lock_dot ~rules roots
-    =
+let run ?(allowlist = Allowlist.empty) ?lock_dot ~rules roots =
   let units, errors = Loader.load_roots roots in
   let expr_rules = List.filter (fun r -> not (is_ipa_rule r)) rules in
   let on r = List.mem r rules in
@@ -111,7 +110,6 @@ let run ?(allowlist = Allowlist.empty) ?(hotpaths = []) ?lock_dot ~rules roots
       l13 = on Diag.L13;
       l14 = on Diag.L14;
       l15 = on Diag.L15;
-      l10_hotpaths = hotpaths;
     }
   in
   let passes =
@@ -179,7 +177,7 @@ let canonical_lock_order =
     "Cisp_util.Telemetry.state.mutex";
   ]
 
-let repo_ipa_config ~hotpaths =
+let repo_ipa_config =
   {
     Effect_rules.l7 = true;
     l8 = true;
@@ -200,7 +198,6 @@ let repo_ipa_config ~hotpaths =
           pipeline_prefixes);
     l9_site_ok = in_lib;
     l9_exempt = Effect_rules.default_l9_exempt;
-    l10_hotpaths = hotpaths;
     (* L12, like L9, polices library sources only: a bench harness
        sorting results with polymorphic compare is fine *)
     l12_site_ok = in_lib;
@@ -210,26 +207,13 @@ let repo_ipa_config ~hotpaths =
     l15_exempt = Effect_rules.default_l15_exempt;
   }
 
-let run_repo ?(allowlist = Allowlist.empty) ?hotpaths ?lock_dot ~root () =
+let run_repo ?(allowlist = Allowlist.empty) ?lock_dot ~root () =
   let ( / ) = Filename.concat in
   let existing dirs = List.filter Sys.file_exists dirs in
-  (* default registry: <root>/lint.hotpaths, when present *)
-  let hotpaths, hp_errors =
-    match hotpaths with
-    | Some names -> (names, [])
-    | None -> (
-        let file = root / "lint.hotpaths" in
-        if not (Sys.file_exists file) then ([], [])
-        else
-          match Hotpaths.load file with
-          | Ok entries -> (List.map (fun e -> e.Hotpaths.name) entries, [])
-          | Error msg -> ([], [ msg ]))
-  in
   let units, errors =
     Loader.load_roots
       (existing [ root / "lib"; root / "bin"; root / "bench"; root / "examples" ])
   in
-  let errors = hp_errors @ errors in
   let passes =
     [
       Expr { rules = lib_rules; select = (fun u -> in_lib u.Loader.source) };
@@ -242,7 +226,7 @@ let run_repo ?(allowlist = Allowlist.empty) ?hotpaths ?lock_dot ~root () =
         { rules = exe_rules; select = (fun u -> not (in_lib u.Loader.source)) };
       (* the interprocedural pass sees the whole tree at once:
          executables feed closures to the same pool as the library *)
-      Interprocedural (repo_ipa_config ~hotpaths);
+      Interprocedural repo_ipa_config;
     ]
   in
   let late_errors = ref [] in

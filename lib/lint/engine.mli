@@ -37,7 +37,6 @@ val run_pass :
 
 val run :
   ?allowlist:Allowlist.t ->
-  ?hotpaths:string list ->
   ?lock_dot:string ->
   rules:Diag.rule list ->
   string list ->
@@ -47,14 +46,12 @@ val run :
     interfaces, and — when any of L7-L15 is requested — the
     interprocedural pass with the permissive {!Effect_rules.generic}
     policy (every node an L9/L12/L15 root, empty canonical lock
-    order).  [hotpaths] adds canonical names to the L10 contract set
-    (see {!Hotpaths}); [lock_dot] writes the derived lock-acquisition
+    order).  [lock_dot] writes the derived lock-acquisition
     graph to that path in Graphviz DOT (a write failure lands in
     [errors]). *)
 
 val run_repo :
   ?allowlist:Allowlist.t ->
-  ?hotpaths:string list ->
   ?lock_dot:string ->
   root:string ->
   unit ->
@@ -67,9 +64,7 @@ val run_repo :
     L7/L10/L11/L13/L14 everywhere, L8 on library units, L9/L12/L15
     seeded at the design pipeline entry points with sites flagged in
     library sources, and L13 checked against the canonical lock order
-    of DESIGN.md §7e.  When [hotpaths] is absent,
-    [<root>/lint.hotpaths] is loaded if it exists (a load error is
-    reported in [errors]); [lock_dot] as in {!run}. *)
+    of DESIGN.md §7e.  [lock_dot] as in {!run}. *)
 
 val exit_code : report -> int
 (** 0 clean, 1 violations, 2 no violations but load errors. *)

@@ -5,7 +5,6 @@ type t = {
   name : string;
   max_range_km : float;
   hop_gbps : float;
-  f_ghz : float;
   radio_usd : float;
   max_parallel_chains : int option;
 }
@@ -16,7 +15,6 @@ let microwave =
     name = "microwave 11GHz";
     max_range_km = 100.0;
     hop_gbps = Capacity.hop_gbps;
-    f_ghz = 11.0;
     radio_usd = 150_000.0;
     max_parallel_chains = Some 8;
   }
@@ -27,7 +25,6 @@ let millimeter_wave =
     name = "mmw e-band";
     max_range_km = 15.0;
     hop_gbps = 10.0;
-    f_ghz = 80.0;
     radio_usd = 60_000.0;
     max_parallel_chains = None;
   }
@@ -38,27 +35,9 @@ let free_space_optics =
     name = "free-space optics";
     max_range_km = 3.0;
     hop_gbps = 40.0;
-    f_ghz = 193_000.0;
     radio_usd = 40_000.0;
     max_parallel_chains = None;
   }
-
-type weather = { rain_mm_h : float; fog_visibility_km : float }
-
-(* Kruse model: fog attenuation ~ 17 / V dB/km at 1550 nm for
-   visibility V in km (q-exponent folded into the constant for the
-   visibility range of interest). *)
-let fso_fog_db_per_km visibility_km = 17.0 /. Float.max 0.05 visibility_km
-
-let hop_attenuation_db m w ~d_km =
-  match m.technology with
-  | Microwave | Millimeter_wave ->
-    (* P.838 tops out at our table's 20 GHz anchor; for MMW the
-       coefficients are clamped there, which understates attenuation a
-       little — MMW hops are short, so the margin test still behaves. *)
-    Attenuation.path_attenuation_db ~f_ghz:(Float.min 20.0 m.f_ghz) Attenuation.Horizontal
-      ~rain_mm_h:w.rain_mm_h ~d_km
-  | Free_space_optics -> fso_fog_db_per_km w.fog_visibility_km *. d_km
 
 type chain_cost = {
   medium : t;

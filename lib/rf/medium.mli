@@ -10,7 +10,7 @@
     MMW or free-space optics more cost-effective."
 
     This module captures the per-technology envelope the design
-    pipeline needs: range, per-hop bandwidth, and weather response. *)
+    pipeline needs: range, per-hop bandwidth and cost. *)
 
 type technology = Microwave | Millimeter_wave | Free_space_optics
 
@@ -19,7 +19,6 @@ type t = {
   name : string;
   max_range_km : float;     (** practical hop length at high availability *)
   hop_gbps : float;         (** data rate of one hop *)
-  f_ghz : float;            (** carrier (FSO: nominal ~193 THz, unused by P.838) *)
   radio_usd : float;        (** per hop, both ends, installed *)
   max_parallel_chains : int option;
       (** siting / angular-separation cap on parallel chains; the 6-degree
@@ -35,13 +34,6 @@ val millimeter_wave : t
 
 val free_space_optics : t
 (** ~3 km hops, 40 Gbps; rain-insensitive but fog-limited. *)
-
-type weather = { rain_mm_h : float; fog_visibility_km : float }
-
-val hop_attenuation_db : t -> weather -> d_km:float -> float
-(** MW / MMW: ITU-R P.838 rain attenuation.  FSO: Kruse-model fog
-    attenuation (rain barely matters at optical wavelengths compared
-    to fog). *)
 
 (** {2 Link-level economics (the §4 observation)} *)
 

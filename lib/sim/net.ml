@@ -194,12 +194,6 @@ let link_stats t ~src ~dst =
       { bytes_sent = l.bytes_sent; drops = l.drops; queue_peak_bytes = l.queue_peak; busy_s = l.busy_s })
     (Hashtbl.find_opt t.links (key t src dst))
 
-let utilization t ~src ~dst ~duration_s =
-  if duration_s <= 0.0 then invalid_arg "Net.utilization: duration_s <= 0";
-  match Hashtbl.find_opt t.links (key t src dst) with
-  | None -> 0.0
-  | Some l -> l.busy_s /. duration_s
-
 let queue_bytes t ~src ~dst =
   match Hashtbl.find_opt t.links (key t src dst) with None -> 0 | Some l -> l.queue_bytes
 

@@ -69,11 +69,6 @@ type link_stats = {
 
 val link_stats : t -> src:int -> dst:int -> link_stats option
 
-val utilization : t -> src:int -> dst:int -> duration_s:float -> float
-(** Busy fraction of the link over [duration_s].  Raises
-    [Invalid_argument] if [duration_s <= 0] (a zero-length run has no
-    well-defined utilization). *)
-
 val queue_bytes : t -> src:int -> dst:int -> int
 (** Instantaneous queue occupancy (for the Fig 6 pacing experiment). *)
 

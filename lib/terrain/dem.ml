@@ -1,5 +1,4 @@
 module Coord = Cisp_geo.Coord
-module Geodesy = Cisp_geo.Geodesy
 
 type relief = {
   center : Coord.t;
@@ -180,13 +179,3 @@ let clutter_m t p =
   Float.max 0.0 h
 
 let surface_m t p = elevation_m t p +. clutter_m t p
-
-let profile t a b ~step_km =
-  let pts = Geodesy.sample_path a b ~step_km in
-  let total = Geodesy.distance_km a b in
-  let n = Array.length pts in
-  Array.mapi
-    (fun i p ->
-      let d = total *. float_of_int i /. float_of_int (n - 1) in
-      (d, surface_m t p))
-    pts

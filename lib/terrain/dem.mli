@@ -34,13 +34,6 @@ val surface_m : t -> Cisp_geo.Coord.t -> float
 (** [elevation_m + clutter_m]: the height an unobstructed ray must
     clear. *)
 
-val profile :
-  t -> Cisp_geo.Coord.t -> Cisp_geo.Coord.t -> step_km:float ->
-  (float * float) array
-(** [profile t a b ~step_km] samples the surface along the great
-    circle: (distance from [a] in km, surface height in m) pairs,
-    endpoints included. *)
-
 val ruggedness : t -> Cisp_geo.Coord.t -> float
 (** Local relief amplitude in metres — proxy for how hard tower siting
     and line-of-sight are around this point (used to modulate synthetic

@@ -16,10 +16,6 @@ let mix z =
 
 let bits64 t = mix (next_seed t)
 
-let split t =
-  let s = bits64 t in
-  { state = s }
-
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound <= 0";
   (* Keep 62 bits so the value fits OCaml's 63-bit nonnegative range. *)

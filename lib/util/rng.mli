@@ -3,16 +3,13 @@
     All randomness in the cISP libraries flows through this module so
     that every scenario, test, and benchmark is reproducible
     bit-for-bit from a fixed seed.  The generator is splitmix64, which
-    is fast, has a 64-bit state, and supports cheap stream splitting. *)
+    is fast and has a 64-bit state. *)
 
 type t
 (** Mutable generator state. *)
 
 val create : int -> t
 (** [create seed] makes a fresh generator from [seed]. *)
-
-val split : t -> t
-(** [split t] derives an independent generator, advancing [t]. *)
 
 val bits64 : t -> int64
 (** Next raw 64 bits. *)

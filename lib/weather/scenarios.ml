@@ -57,52 +57,46 @@ let standard_suite ?(intervals = 8) ~climate ~hurricane_center () =
     Correlated_towers { blobs = 2; radius_km = 150.0; intervals };
   ]
 
-(* The per-interval outage set, a pure function of (spec, seed,
-   interval): writes [fails.(b)] for every built-link index [b]. *)
-let interval_failures ~seed ~pos ~hops (inputs : Inputs.t) ~links spec iv fails =
-  let fail_under field =
-    Array.iteri
-      (fun b l ->
-        fails.(b) <-
-          Failure.built_link_failed ~node_position:pos ~sites:inputs.Inputs.sites field l)
-      links
+let surviving ~seed ~hops (topo : Topology.t) spec iv =
+  let inputs = topo.Topology.inputs in
+  let sites = inputs.Inputs.sites in
+  let pos = Hops.node_position hops in
+  let fails_under field ((i, j) as pair) =
+    Failure.built_link_failed ~node_position:pos ~sites field (pair, inputs.Inputs.mw_links.(i).(j))
   in
-  match spec with
-  | Uniform_rain { mm_h } -> fail_under (Rainfield.uniform ~mm_h)
-  | Rain_replay { climate; intervals } ->
-    let day = iv * 365 / intervals in
-    fail_under (Rainfield.sample ~seed climate ~day)
-  | Hurricane { center; track_bearing_deg; step_km; _ } ->
-    let eye =
-      Geodesy.destination center ~bearing_deg:track_bearing_deg
-        ~distance_km:(step_km *. float_of_int iv)
-    in
-    fail_under (Rainfield.hurricane ~center:eye)
-  | Correlated_towers { blobs; radius_km; _ } ->
-    let rng = Cisp_util.Rng.create (seed + (iv * 7919)) in
-    let n_towers = Array.length hops.Hops.towers in
-    let centers =
-      Array.init blobs (fun _ ->
-          if n_towers > 0 then
-            hops.Hops.towers.(Cisp_util.Rng.int rng n_towers).Cisp_towers.Tower.position
-          else
-            inputs.Inputs.sites.(Cisp_util.Rng.int rng (Array.length inputs.Inputs.sites))
-              .Cisp_data.City.coord)
-    in
-    let hit p = Array.exists (fun c -> Geodesy.distance_km c p <= radius_km) centers in
-    Array.iteri
-      (fun b ((i, j), link) ->
-        fails.(b) <-
-          (match link with
-          | Some l ->
-            (* A regional outage takes down the towers inside the blob;
-               a link dies when any of its relay towers does. *)
-            List.exists (fun node -> node >= hops.Hops.n_sites && hit (pos node)) l.Hops.node_path
-          | None ->
-            hit
-              (Geodesy.midpoint inputs.Inputs.sites.(i).Cisp_data.City.coord
-                 inputs.Inputs.sites.(j).Cisp_data.City.coord)))
-      links
+  let failed =
+    match spec with
+    | Uniform_rain { mm_h } -> fails_under (Rainfield.uniform ~mm_h)
+    | Rain_replay { climate; intervals } ->
+      let day = iv * 365 / intervals in
+      fails_under (Rainfield.sample ~seed climate ~day)
+    | Hurricane { center; track_bearing_deg; step_km; _ } ->
+      let eye =
+        Geodesy.destination center ~bearing_deg:track_bearing_deg
+          ~distance_km:(step_km *. float_of_int iv)
+      in
+      fails_under (Rainfield.hurricane ~center:eye)
+    | Correlated_towers { blobs; radius_km; _ } -> (
+      let rng = Cisp_util.Rng.create (seed + (iv * 7919)) in
+      let n_towers = Array.length hops.Hops.towers in
+      let centers =
+        Array.init blobs (fun _ ->
+            if n_towers > 0 then
+              hops.Hops.towers.(Cisp_util.Rng.int rng n_towers).Cisp_towers.Tower.position
+            else sites.(Cisp_util.Rng.int rng (Array.length sites)).Cisp_data.City.coord)
+      in
+      let hit p = Array.exists (fun c -> Geodesy.distance_km c p <= radius_km) centers in
+      fun (i, j) ->
+        match inputs.Inputs.mw_links.(i).(j) with
+        | Some l ->
+          (* A regional outage takes down the towers inside the blob;
+             a link dies when any of its relay towers does. *)
+          List.exists (fun node -> node >= hops.Hops.n_sites && hit (pos node)) l.Hops.node_path
+        | None ->
+          hit (Geodesy.midpoint sites.(i).Cisp_data.City.coord sites.(j).Cisp_data.City.coord))
+  in
+  let down = List.filter failed topo.Topology.built in
+  (List.fold_left Topology.remove topo down, List.length down)
 
 let run ?(seed = 99) ~schemes ~hops ~(model : Routing.network_model) ~demands_gbps spec =
   let intervals = spec_intervals spec in
@@ -121,10 +115,6 @@ let run ?(seed = 99) ~schemes ~hops ~(model : Routing.network_model) ~demands_gb
   let commodities = Array.of_list !commodities in
   if Array.length commodities = 0 then invalid_arg "Scenarios.run: no commodities";
   Cisp_util.Telemetry.with_span "scenarios.run" (fun () ->
-      let built = model.Routing.topology.Topology.built in
-      let links =
-        Array.of_list (List.map (fun (i, j) -> ((i, j), inputs.Inputs.mw_links.(i).(j))) built)
-      in
       let nc = Array.length commodities in
       let n_schemes = List.length schemes in
       (* Precompute the fair-weather multipath tables once, one per k
@@ -160,22 +150,14 @@ let run ?(seed = 99) ~schemes ~hops ~(model : Routing.network_model) ~demands_gb
          domains. *)
       let samples = Array.make intervals [||] in
       let failed_per_interval = Array.make intervals 0 in
-      let pos = Hops.node_position hops in
       (* Intervals are independent trials: each derives its outage set
          purely from (seed, interval) and writes only its own row of
          [samples] and slot of [failed_per_interval], so the loop is
          bit-identical at any pool width. *)
       Cisp_util.Pool.parallel_for (Cisp_util.Pool.get ()) ~n:intervals (fun iv ->
           let row = Array.make (n_schemes * nc) Float.nan in
-          let fails = Array.make (Array.length links) false in
-          interval_failures ~seed ~pos ~hops inputs ~links spec iv fails;
-          let failed_here = ref 0 in
-          Array.iter (fun f -> if f then incr failed_here) fails;
-          failed_per_interval.(iv) <- !failed_here;
-          (* The interval's network: the built links that survive. *)
-          let up =
-            Topology.of_links inputs (List.filteri (fun b _ -> not fails.(b)) built)
-          in
+          let up, failed_here = surviving ~seed ~hops model.Routing.topology spec iv in
+          failed_per_interval.(iv) <- failed_here;
           let up_model = { model with Routing.topology = up } in
           Array.iteri
             (fun si sch ->

@@ -8,7 +8,7 @@
     multipath load-splitting over whole-recompute reroute.
 
     Each interval's failed links are the built links its surviving
-    topology omits ({!Cisp_design.Topology.of_links} over the rest).
+    topology omits ({!surviving}).
     Semantics per scheme (see {!Cisp_sim.Routing}):
     - single-path schemes ([Shortest_path], ...) model the global
       recompute baseline: routes are recomputed from scratch on the
@@ -81,6 +81,21 @@ val standard_suite :
     window, and two correlated tower outages ([intervals] defaults to
     8 per multi-interval spec). *)
 
+val surviving :
+  seed:int ->
+  hops:Cisp_towers.Hops.t ->
+  Cisp_design.Topology.t ->
+  spec ->
+  int ->
+  Cisp_design.Topology.t * int
+(** [surviving ~seed ~hops topo spec iv] is interval [iv]'s outage
+    process, a pure function of ([spec], [seed], [iv]): [topo] without
+    the built links the process takes down (the rest keep their
+    construction order), and how many it took down.  [hops] supplies
+    node positions for the built links' tower paths; a link without
+    hop data is judged at the midpoint of its two sites (under rain,
+    as one 60 km hop there). *)
+
 val run :
   ?seed:int ->
   schemes:(string * Cisp_sim.Routing.scheme) list ->
@@ -89,10 +104,8 @@ val run :
   demands_gbps:Cisp_traffic.Matrix.t ->
   spec ->
   result
-(** Replay one spec.  [hops] supplies node positions for the physical
-    tower paths of built links (links without hop data are
-    approximated by a single 60 km hop at the link midpoint, exactly
-    like {!Year.run}).  Raises [Invalid_argument] on a non-positive
+(** Replay one spec, taking each interval's outages from
+    {!surviving}.  Raises [Invalid_argument] on a non-positive
     interval count, an empty scheme list, or demands with no
     commodity (no site pair with positive demand and distance). *)
 

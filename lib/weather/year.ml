@@ -1,4 +1,3 @@
-module Hops = Cisp_towers.Hops
 module Inputs = Cisp_design.Inputs
 module Topology = Cisp_design.Topology
 
@@ -25,11 +24,6 @@ let run ?(seed = 99) ?(intervals = 365) ~climate ~hops (inputs : Inputs.t) (topo
   if np = 0 then invalid_arg "Year.run: no site pair with traffic";
   Cisp_util.Telemetry.with_span "weather.year" (fun () ->
   let base = Topology.fiber_baseline inputs in
-  let links =
-    Array.map
-      (fun (i, j) -> ((i, j), inputs.Inputs.mw_links.(i).(j)))
-      (Array.of_list topo.Topology.built)
-  in
   (* Interval-major storage: each trial allocates and owns a whole
      row.  The old pair-major matrix had parallel trials writing
      adjacent floats of every row (column [interval] of each pair),
@@ -37,32 +31,26 @@ let run ?(seed = 99) ?(intervals = 365) ~climate ~hops (inputs : Inputs.t) (topo
      length of the run. *)
   let samples = Array.make intervals [||] in
   let failed_per_interval = Array.make intervals 0 in
-  let pos = Hops.node_position hops in
-  (* Each interval is an independent trial: its rain field is a pure
-     function of (seed, day) — its own RNG stream — and it writes only
-     its own row of [samples] and slot of [failed_per_interval], so
-     the trials run in parallel with bit-identical results at any pool
-     width.  A trial costs roughly a rain-field sample plus one O(n^2)
-     metric relaxation per surviving link: batch a few per claim of
-     the pool's chunk counter. *)
+  let storm = Scenarios.Rain_replay { climate; intervals } in
+  (* Each interval is an independent trial: its outages are a pure
+     function of (seed, interval) ({!Scenarios.surviving}), and it
+     writes only its own row of [samples] and slot of
+     [failed_per_interval], so the trials run in parallel with
+     bit-identical results at any pool width.  A trial costs roughly a
+     rain-field sample plus one O(n^2) metric relaxation per surviving
+     link: batch a few per claim of the pool's chunk counter. *)
   Cisp_util.Pool.parallel_for (Cisp_util.Pool.get ()) ~min_chunk:4 ~n:intervals
     (fun interval ->
-      let day = interval * 365 / intervals in
-      let field = Rainfield.sample ~seed climate ~day in
+      let up, failed_here = Scenarios.surviving ~seed ~hops topo storm interval in
       (* Distances over surviving links. *)
-      let d = ref base in
-      let failed_here = ref 0 in
-      Array.iter
-        (fun (((i, j), _) as link) ->
-          if Failure.built_link_failed ~node_position:pos ~sites:inputs.sites field link then
-            incr failed_here
-          else d := Topology.distances_incremental inputs !d (i, j))
-        links;
-      failed_per_interval.(interval) <- !failed_here;
-      let dm = !d in
+      let d =
+        List.fold_left (fun d pair -> Topology.distances_incremental inputs d pair) base
+          up.Topology.built
+      in
+      failed_per_interval.(interval) <- failed_here;
       let row = Array.make np 0.0 in
       Array.iteri
-        (fun k (s, t) -> row.(k) <- dm.(s).(t) /. inputs.geodesic_km.(s).(t))
+        (fun k (s, t) -> row.(k) <- d.(s).(t) /. inputs.geodesic_km.(s).(t))
         pairs;
       samples.(interval) <- row);
   let failed_total = Array.fold_left ( + ) 0 failed_per_interval in

@@ -28,7 +28,9 @@ val run :
   Cisp_design.Inputs.t ->
   Cisp_design.Topology.t ->
   result
-(** [intervals] defaults to 365 (one per day).  Raises
+(** Each interval's outages are those of {!Scenarios.surviving} under
+    [Rain_replay { climate; intervals }].  [intervals] defaults to 365
+    (one per day).  Raises
     [Invalid_argument] if [intervals <= 0] or if no site pair has
     both traffic and a positive distance. *)
 

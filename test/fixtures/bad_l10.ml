@@ -1,4 +1,4 @@
-(* L10: zero-alloc contracts, attribute and registry flavours. *)
+(* L10: zero-alloc contracts. *)
 
 (* direct violation: the tuple result boxes both floats *)
 let[@cisp.zero_alloc] pair x y = (x +. y, x -. y)
@@ -8,9 +8,6 @@ let[@cisp.zero_alloc] deep a b = Bad_l10_helper.boxed a b
 
 (* honest contract: register float math only *)
 let[@cisp.zero_alloc] clean x y = (x *. y) +. 1.0
-
-(* no attribute here; the tests contract it via the hotpaths registry *)
-let registry_entry x = [ x; x + 1 ]
 
 (* [@cisp.alloc_ok] stops allocation evidence at a justified cold path *)
 let[@cisp.alloc_ok "cold: error formatting"] cold x = string_of_int x

@@ -205,6 +205,47 @@ let test_local_search_fills_budget () =
   in
   Alcotest.(check bool) "built links" true (improved.Topology.built <> [])
 
+(* Golden of the swap path: [Scenario.design]'s three steps on a
+   seeded 40-site instance where local search trades seed links for
+   better ones.  The MD5 covers the built pairs in construction order,
+   the cost and the stretch bits. *)
+let test_local_search_swap_golden () =
+  let n = 40 in
+  let rng = Cisp_util.Rng.create 9 in
+  let sites =
+    Array.init n (fun i ->
+        let lat = Cisp_util.Rng.uniform rng 30.0 46.0 in
+        let lon = Cisp_util.Rng.uniform rng (-122.0) (-72.0) in
+        let population = 50_000 + Cisp_util.Rng.int rng 5_000_000 in
+        Cisp_data.City.make (Printf.sprintf "W%d" i) ~lat ~lon ~population)
+  in
+  let inp =
+    Inputs.synthetic ~sites ~mw_stretch:1.02 ~mw_cost_per_km:0.02 ~fiber_stretch:1.9
+      ~traffic:(Cisp_traffic.Matrix.population_product sites)
+  in
+  let budget = 27 * n in
+  let _, order = Greedy.design_ordered inp ~budget:(2 * budget) in
+  let seed =
+    List.fold_left
+      (fun topo (i, j) ->
+        if topo.Topology.cost + Topology.link_cost inp i j <= budget then Topology.add topo (i, j)
+        else topo)
+      (Topology.empty inp) order
+  in
+  let t = Local_search.improve inp ~budget ~candidates:order seed in
+  let removed =
+    List.filter (fun (i, j) -> not (Topology.is_built t i j)) seed.Topology.built
+  in
+  Alcotest.(check bool) "a seed link swapped out" true (removed <> []);
+  Alcotest.(check bool) "within budget" true (t.Topology.cost <= budget);
+  let b = Buffer.create 1024 in
+  List.iter (fun (i, j) -> Buffer.add_string b (Printf.sprintf "%d-%d;" i j)) t.Topology.built;
+  Buffer.add_string b
+    (Printf.sprintf "cost=%d;stretch=%Ld" t.Topology.cost
+       (Int64.bits_of_float (Topology.stretch_of t)));
+  Alcotest.(check string) "swap golden" "460662e7a2b1b39ac3183d166f443f1a"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 (* ---------- Capacity & cost ---------- *)
 
 let test_route_loads_conserve () =
@@ -357,6 +398,7 @@ let suites =
       [
         Alcotest.test_case "never worse" `Quick test_local_search_never_worse;
         Alcotest.test_case "fills budget" `Quick test_local_search_fills_budget;
+        Alcotest.test_case "swap path golden" `Quick test_local_search_swap_golden;
       ] );
     ( "design.capacity",
       [

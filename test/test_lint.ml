@@ -180,7 +180,6 @@ module Callgraph = Cisp_linter.Callgraph
 module Summary = Cisp_linter.Summary
 module Effects = Cisp_linter.Effects
 module Loader = Cisp_linter.Loader
-module Hotpaths = Cisp_linter.Hotpaths
 
 let contains s sub =
   let ls = String.length s and lu = String.length sub in
@@ -295,54 +294,13 @@ let test_l10_positive () =
     (contains m "Bad_l10.deep")
 
 let test_l10_negative () =
-  (* [clean] holds its contract, [damped]'s callee is [@cisp.alloc_ok],
-     and [registry_entry] is unflagged without the registry: only the
-     two kinds at [pair]'s line remain *)
+  (* [clean] holds its contract and [damped]'s callee is
+     [@cisp.alloc_ok]: only the two kinds at [pair]'s line remain *)
   Alcotest.(check int) "two L10 hits in bad_l10.ml" 2
     (count ~rule:Diag.L10 ~file:"bad_l10.ml");
   Alcotest.(check int) "two L10 hits at the helper origin" 2
     (count ~rule:Diag.L10 ~file:"bad_l10_helper.ml");
   Alcotest.(check int) "no L10 in good.ml" 0 (count ~rule:Diag.L10 ~file:"good.ml")
-
-let test_l10_registry () =
-  let r =
-    Engine.run
-      ~hotpaths:[ "Lint_fixtures.Bad_l10.registry_entry" ]
-      ~rules:Diag.all_rules [ fixtures_root ]
-  in
-  let hits =
-    List.filter
-      (fun (d : Diag.t) ->
-        d.rule = Diag.L10 && in_file "bad_l10.ml" d && d.line = 13)
-      r.Engine.diagnostics
-  in
-  Alcotest.(check bool) "registry contracts fire without an attribute" true
-    (hits <> []);
-  List.iter
-    (fun (d : Diag.t) ->
-      Alcotest.(check bool) "names the registered entry" true
-        (contains d.Diag.message "registry_entry"))
-    hits
-
-let test_hotpaths_parse () =
-  (match
-     Hotpaths.parse_string
-       "# registry header\nCisp_rf.Los.check  # LOS walk\n\nCisp_geo.Geodesy.distance_km\n"
-   with
-  | Error e -> Alcotest.fail e
-  | Ok entries -> (
-      Alcotest.(check (list string))
-        "names in file order"
-        [ "Cisp_rf.Los.check"; "Cisp_geo.Geodesy.distance_km" ]
-        (Hotpaths.names entries);
-      match entries with
-      | e :: _ ->
-          Alcotest.(check int) "line tracked" 2 e.Hotpaths.line;
-          Alcotest.(check string) "reason tracked" "LOS walk" e.Hotpaths.reason
-      | [] -> Alcotest.fail "no entries"));
-  match Hotpaths.parse_string "Cisp_rf.Los.check extra_token\n" with
-  | Ok _ -> Alcotest.fail "expected a parse error for two tokens"
-  | Error e -> Alcotest.(check bool) "error cites the line" true (contains e ":1:")
 
 let test_l11_positive () =
   check_hit ~rule:Diag.L11 ~file:"bad_l11.ml" ~line:7;
@@ -652,8 +610,6 @@ let suites =
       [
         Alcotest.test_case "L10 positive" `Quick test_l10_positive;
         Alcotest.test_case "L10 negative" `Quick test_l10_negative;
-        Alcotest.test_case "L10 hotpaths registry" `Quick test_l10_registry;
-        Alcotest.test_case "hotpaths parsing" `Quick test_hotpaths_parse;
         Alcotest.test_case "L11 positive" `Quick test_l11_positive;
         Alcotest.test_case "L11 negative" `Quick test_l11_negative;
         Alcotest.test_case "L12 positive" `Quick test_l12_positive;

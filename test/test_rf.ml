@@ -363,24 +363,6 @@ let test_media_envelopes () =
     (Medium.free_space_optics.Medium.hop_gbps > Medium.millimeter_wave.Medium.hop_gbps
     && Medium.millimeter_wave.Medium.hop_gbps > Medium.microwave.Medium.hop_gbps)
 
-let test_media_weather_response () =
-  let rain = { Medium.rain_mm_h = 40.0; fog_visibility_km = 20.0 } in
-  let fog = { Medium.rain_mm_h = 0.0; fog_visibility_km = 0.2 } in
-  (* Rain hits radio links, not optics. *)
-  let mw_rain = Medium.hop_attenuation_db Medium.microwave rain ~d_km:30.0 in
-  let fso_rain = Medium.hop_attenuation_db Medium.free_space_optics rain ~d_km:2.0 in
-  Alcotest.(check bool) "rain hurts mw" true (mw_rain > 5.0);
-  Alcotest.(check bool) "rain spares fso" true (fso_rain < 3.0);
-  (* Fog hits optics, not radio. *)
-  let mw_fog = Medium.hop_attenuation_db Medium.microwave fog ~d_km:30.0 in
-  let fso_fog = Medium.hop_attenuation_db Medium.free_space_optics fog ~d_km:2.0 in
-  Alcotest.(check bool) "fog spares mw" true (mw_fog < 1.0);
-  Alcotest.(check bool) "fog kills fso" true (fso_fog > 30.0);
-  let clear = { Medium.rain_mm_h = 0.0; fog_visibility_km = 20.0 } in
-  Alcotest.(check bool) "clear weather fine for both" true
-    (Medium.hop_attenuation_db Medium.microwave clear ~d_km:50.0 <= 30.0
-    && Medium.hop_attenuation_db Medium.free_space_optics clear ~d_km:2.0 <= 10.0)
-
 let test_media_crossover () =
   (* The section-4 observation: at low bandwidth long-range MW wins;
      at very high bandwidth on the same link, denser high-rate chains
@@ -401,7 +383,6 @@ let media_suite =
   ( "rf.medium",
     [
       Alcotest.test_case "envelopes" `Quick test_media_envelopes;
-      Alcotest.test_case "weather response" `Quick test_media_weather_response;
       Alcotest.test_case "bandwidth crossover" `Quick test_media_crossover;
     ] )
 

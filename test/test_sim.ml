@@ -148,18 +148,9 @@ let test_net_utilization () =
     Net.inject net (mk_pkt ~flow:i [| 0; 1 |])
   done;
   Engine.run eng ~until:1.0;
-  check_float 1e-6 "utilization" 0.04 (Net.utilization net ~src:0 ~dst:1 ~duration_s:1.0)
-
-let test_net_utilization_guards () =
-  let eng = Engine.create () in
-  let net = Net.create eng ~n_nodes:2 in
-  Net.add_duplex net 0 1 ~gbps:1.0 ~delay_ms:1.0 ~buffer_bytes:1_000_000;
-  Alcotest.check_raises "zero duration rejected"
-    (Invalid_argument "Net.utilization: duration_s <= 0") (fun () ->
-      ignore (Net.utilization net ~src:0 ~dst:1 ~duration_s:0.0));
-  Alcotest.check_raises "negative duration rejected"
-    (Invalid_argument "Net.utilization: duration_s <= 0") (fun () ->
-      ignore (Net.utilization net ~src:0 ~dst:1 ~duration_s:(-1.0)))
+  match Net.link_stats net ~src:0 ~dst:1 with
+  | Some l -> check_float 1e-6 "busy time" 0.04 l.Net.busy_s
+  | None -> Alcotest.fail "link missing"
 
 let test_net_delivery_per_flow () =
   (* A delivery runs its own flow's handler and no other; a flow with
@@ -464,7 +455,6 @@ let suites =
         Alcotest.test_case "broken route" `Quick test_net_broken_route;
         Alcotest.test_case "stats are read-only" `Quick test_net_stats_read_only;
         Alcotest.test_case "utilization" `Quick test_net_utilization;
-        Alcotest.test_case "utilization guards" `Quick test_net_utilization_guards;
         Alcotest.test_case "telemetry flush" `Quick test_net_flush_telemetry;
         Alcotest.test_case "delivery runs its own flow's handler" `Quick test_net_delivery_per_flow;
         Alcotest.test_case "one delivery handler per flow" `Quick test_net_delivery_handler_unique;

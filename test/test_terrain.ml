@@ -97,21 +97,6 @@ let test_dem_west_ramp () =
   Alcotest.(check bool) "denver above st louis" true
     (Dem.elevation_m us denver > Dem.elevation_m us stlouis +. 400.0)
 
-let test_dem_profile () =
-  let a = coord ~lat:39.0 ~lon:(-100.0) and b = coord ~lat:39.0 ~lon:(-99.0) in
-  let prof = Dem.profile us a b ~step_km:1.0 in
-  Alcotest.(check bool) "enough samples" true (Array.length prof >= 80);
-  let d0, _ = prof.(0) in
-  let dn, _ = prof.(Array.length prof - 1) in
-  check_float 1e-6 "starts at 0" 0.0 d0;
-  check_float 0.5 "ends at distance" (Cisp_geo.Geodesy.distance_km a b) dn;
-  (* distances strictly increasing *)
-  let mono = ref true in
-  for i = 0 to Array.length prof - 2 do
-    if fst prof.(i) >= fst prof.(i + 1) then mono := false
-  done;
-  Alcotest.(check bool) "monotone distances" true !mono
-
 let test_dem_ruggedness () =
   let rockies = coord ~lat:39.5 ~lon:(-106.5) in
   let kansas = coord ~lat:38.5 ~lon:(-98.0) in
@@ -324,7 +309,6 @@ let suites =
         Alcotest.test_case "nonnegative" `Quick test_dem_nonnegative;
         Alcotest.test_case "mountains higher" `Quick test_dem_mountains_higher_than_plains;
         Alcotest.test_case "west ramp" `Quick test_dem_west_ramp;
-        Alcotest.test_case "profile" `Quick test_dem_profile;
         Alcotest.test_case "ruggedness" `Quick test_dem_ruggedness;
         Alcotest.test_case "flat region" `Quick test_dem_flat_region;
       ] );

@@ -84,10 +84,28 @@ let test_hops_link_properties () =
     | first :: _ -> Alcotest.(check int) "starts at src" 0 first
     | [] -> Alcotest.fail "empty path");
     Alcotest.(check int) "ends at dst" 1 (List.nth l.node_path (List.length l.node_path - 1));
-    (* every hop within LoS range *)
-    List.iter
-      (fun (_, _) -> ())
-      (Hops.hops_of_link l);
+    (* Tower-tower hops lie in the fixture's LOS range window and
+       site-tower hops within the 40 km attach radius; the hop lengths
+       add up to the link's length. *)
+    let h = Lazy.force hops in
+    let range = h.config.los_params in
+    let total =
+      List.fold_left
+        (fun acc (u, v) ->
+          let d =
+            Cisp_geo.Geodesy.distance_km (Hops.node_position h u) (Hops.node_position h v)
+          in
+          if Hops.is_tower_node h u && Hops.is_tower_node h v then
+            Alcotest.(check bool)
+              (Printf.sprintf "tower hop %.2f km in range" d)
+              true
+              (d >= range.Cisp_rf.Los.min_range_km && d <= range.Cisp_rf.Los.max_range_km)
+          else
+            Alcotest.(check bool) (Printf.sprintf "site hop %.2f km attached" d) true (d <= 40.0);
+          acc +. d)
+        0.0 (Hops.hops_of_link l)
+    in
+    Alcotest.(check (float 1e-6)) "hops sum to distance" l.distance_km total;
     Alcotest.(check int) "hops = path - 1" (List.length l.node_path - 1)
       (List.length (Hops.hops_of_link l))
 

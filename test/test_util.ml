@@ -29,13 +29,6 @@ let test_rng_float_bounds () =
     Alcotest.(check bool) "in [0,2.5)" true (v >= 0.0 && v < 2.5)
   done
 
-let test_rng_split_independent () =
-  let a = Rng.create 5 in
-  let b = Rng.split a in
-  let xs = List.init 10 (fun _ -> Rng.bits64 a) in
-  let ys = List.init 10 (fun _ -> Rng.bits64 b) in
-  Alcotest.(check bool) "streams differ" true (xs <> ys)
-
 let test_rng_gaussian_moments () =
   let rng = Rng.create 6 in
   let xs = Array.init 50_000 (fun _ -> Rng.gaussian rng) in
@@ -157,7 +150,6 @@ let suites =
         Alcotest.test_case "seeds differ" `Quick test_rng_seeds_differ;
         Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
         Alcotest.test_case "float bounds" `Quick test_rng_float_bounds;
-        Alcotest.test_case "split independent" `Quick test_rng_split_independent;
         Alcotest.test_case "gaussian moments" `Quick test_rng_gaussian_moments;
         Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
         Alcotest.test_case "poisson mean" `Quick test_rng_poisson_mean;
