@@ -17,12 +17,12 @@ let usage =
    using the checked-in policy (lib/ strictly; bin/, bench/, examples/\n\
    for unit-safety only; pool closures, public raises and pipeline\n\
    determinism interprocedurally).  With ROOT arguments, applies\n\
-   --rules to all .cmt/.cmti files found under the given directories.\n\n\
+   every rule, everywhere, to all .cmt/.cmti files found under the\n\
+   given directories.\n\n\
    Options:"
 
 let () =
   let allowlist_path = ref "" in
-  let rules_csv = ref "L1,L2,L3,L4,L5,L6,L7,L8,L9,L10,L11,L12,L13,L14,L15" in
   let lock_graph_path = ref "" in
   let verbose = ref false in
   let list_rules = ref false in
@@ -33,7 +33,6 @@ let () =
   let spec =
     [
       ("--allowlist", Arg.Set_string allowlist_path, "FILE suppression list (RULE FILE SYMBOL per line)");
-      ("--rules", Arg.Set_string rules_csv, "CSV rules to apply in explicit-ROOT mode (default: all)");
       ("--verbose", Arg.Set verbose, " also report suppressed diagnostics");
       ("--json", Arg.Set json, " print diagnostics as JSON Lines (one object per finding)");
       ("--lock-graph", Arg.Set_string lock_graph_path, "FILE write the derived lock-acquisition graph as Graphviz DOT");
@@ -58,19 +57,6 @@ let () =
           Printf.eprintf "cisp_lint: bad allowlist: %s\n" msg;
           exit 2
   in
-  (* validated up front so a typo'd --rules errors in repo mode too,
-     where the checked-in policy overrides the rule selection *)
-  let rules =
-    String.split_on_char ',' !rules_csv
-    |> List.filter_map (fun s ->
-           if String.equal (String.trim s) "" then None
-           else
-             match Diag.rule_of_string s with
-             | Some r -> Some r
-             | None ->
-                 Printf.eprintf "cisp_lint: unknown rule %S\n" s;
-                 exit 2)
-  in
   let lock_dot =
     if String.equal !lock_graph_path "" then None else Some !lock_graph_path
   in
@@ -83,7 +69,7 @@ let () =
           exit 2
         end;
         Engine.run_repo ~allowlist ?lock_dot ~root:"." ()
-    | roots -> Engine.run ~allowlist ?lock_dot ~rules roots
+    | roots -> Engine.run ~allowlist ?lock_dot roots
   in
   List.iter (fun e -> Printf.eprintf "cisp_lint: warning: %s\n" e) report.Engine.errors;
   let emit = if !json then fun d -> print_endline (Diag.to_json d)

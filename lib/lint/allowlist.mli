@@ -2,7 +2,7 @@
 
     One entry per line: [RULE FILE SYMBOL  # reason]
 
-    - [RULE] is [L1]..[L9] or [*] for any rule;
+    - [RULE] is [L1]..[L15] or [*] for any rule;
     - [FILE] matches the diagnostic's source path exactly or as a
       path suffix at a ['/'] boundary ([*] for any file);
     - [SYMBOL] is the enclosing value / signature-item name the

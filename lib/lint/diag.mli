@@ -1,4 +1,6 @@
-(** Lint diagnostics: the six repo rules and [file:line:col] reports.
+(** Lint diagnostics: the fifteen repo rules and [file:line:col] reports.
+
+    The per-expression rules, one unit at a time ({!Rules}):
 
     - L1: no polymorphic compare / equality ([compare], [min], [max],
       [=], [<>]) instantiated at a float-bearing type.
@@ -14,8 +16,9 @@
       vanish under [-noassert], so inputs must be checked with
       [invalid_arg].  [assert false] (unreachable marker) is exempt.
 
-    The last three rules consume the interprocedural effect analysis
-    ({!Callgraph}, {!Effects}, {!Summary}):
+    The effect family, the first of three interprocedural families
+    consuming the call graph and effect summaries ({!Callgraph},
+    {!Effects}, {!Summary}, checked by {!Effect_rules}):
 
     - L7: a closure handed to [Cisp_util.Pool.parallel_for] /
       [parallel_for_default] must not transitively mutate shared state

@@ -1,4 +1,4 @@
-(* Phase 2: the three summary-consuming rules.
+(* Phase 2: the summary-consuming rules.
 
    - L7 domain-safety: every closure handed to a [Cisp_util.Pool]
      combinator must not transitively mutate shared state — neither
@@ -24,112 +24,36 @@
      combinator must not allocate a closure, box a float or build a
      partial application per call.
    - L12 polymorphic-comparison taint: no polymorphic compare/hash at
-     a monomorphizable type reachable from the design pipeline; same
-     BFS as L9.
+     a monomorphizable type reachable from the design pipeline.
    - L13 lock-order consistency: the global acquisition graph (lock
      held -> lock taken, direct or through any call chain) must be
-     acyclic and agree with the canonical order of [l13_order].
+     acyclic and agree with the canonical order of [lock_order].
    - L14 blocking-under-lock: no call that may park the domain (mutex
      acquisition, [Domain.join], [Condition.wait], IO, [Unix]) while
      a lock is held or inside a [Pool] combinator body; submitting a
      pool job while holding a lock is its own variant.
    - L15 float-merge determinism: no float accumulation over an
-     unordered source reachable from the design pipeline; same BFS as
-     L9/L12. *)
+     unordered source reachable from the design pipeline.
+
+   L9, L12 and L15 share one reachability walk, and L7, L11 and L14's
+   pool-body check one walk over the pool call sites. *)
 
 module SM = Effects.SM
 module SS = Effects.SS
 
 type config = {
-  l7 : bool;
-  l8 : bool;
-  l9 : bool;
-  l10 : bool;
-  l11 : bool;
-  l12 : bool;
-  l13 : bool;
-  l14 : bool;
-  l15 : bool;
-  l8_unit_ok : string -> bool;
-      (* is this source file held to the public-raise convention? *)
-  l9_root : Callgraph.node -> bool;
-      (* pipeline entry points; L12/L15 reachability uses the same roots *)
-  l9_site_ok : string -> bool;  (* source files where L9 reads are flagged *)
-  l9_exempt : string -> bool;  (* canonical node names allowed to read *)
-  l12_site_ok : string -> bool;  (* source files where L12 sites are flagged *)
-  l13_order : string list;
+  in_scope : string -> bool;
+      (* source files held to L8 and whose L9/L12/L15 sites are flagged *)
+  root : Callgraph.node -> bool;  (* pipeline entry points *)
+  lock_order : string list;
       (* canonical lock order, outermost first; acquisitions jumping
          backwards in this list are flagged even without a cycle *)
-  l15_site_ok : string -> bool;  (* source files where L15 sites are flagged *)
-  l15_exempt : string -> bool;
-      (* canonical node names allowed to fold unordered containers *)
 }
 
-let default_l9_exempt name =
-  (* the repo's seeded PRNG is the one sanctioned randomness source *)
-  String.starts_with ~prefix:"Cisp_util.Rng." name
-
-let default_l15_exempt name =
-  (* [Cisp_util.Tbl] is the sorted-view shim: it folds the raw table
-     precisely so nobody else has to *)
-  String.starts_with ~prefix:"Cisp_util.Tbl." name
-
 let generic =
-  {
-    l7 = true;
-    l8 = true;
-    l9 = true;
-    l10 = true;
-    l11 = true;
-    l12 = true;
-    l13 = true;
-    l14 = true;
-    l15 = true;
-    l8_unit_ok = (fun _ -> true);
-    l9_root = (fun _ -> true);
-    l9_site_ok = (fun _ -> true);
-    l9_exempt = default_l9_exempt;
-    l12_site_ok = (fun _ -> true);
-    l13_order = [];
-    l15_site_ok = (fun _ -> true);
-    l15_exempt = default_l15_exempt;
-  }
+  { in_scope = (fun _ -> true); root = (fun _ -> true); lock_order = [] }
 
 (* ------------------------------------------------------------------ *)
-
-let check_l7 (g : Callgraph.t) (sums : Effects.t array) =
-  List.concat_map
-    (fun (ps : Callgraph.pool_site) ->
-      let caller = g.Callgraph.nodes.(ps.Callgraph.ps_caller) in
-      let combinator =
-        (* "Cisp_util.Pool.parallel_for" -> "Pool.parallel_for" *)
-        match String.index_opt ps.Callgraph.ps_combinator '.' with
-        | Some i ->
-            String.sub ps.Callgraph.ps_combinator (i + 1)
-              (String.length ps.Callgraph.ps_combinator - i - 1)
-        | None -> ps.Callgraph.ps_combinator
-      in
-      List.concat_map
-        (fun tid ->
-          let s = sums.(tid) in
-          let mk what site =
-            Diag.make ~rule:Diag.L7 ~symbol:caller.Callgraph.symbol
-              ~message:
-                (Printf.sprintf
-                   "closure passed to %s mutates shared %s (write at %s)"
-                   combinator what
-                   (Effects.site_to_string site))
-              (Effects.loc_of_site ps.Callgraph.ps_site)
-          in
-          SM.fold
-            (fun name site acc -> mk ("`" ^ name ^ "'") site :: acc)
-            s.Effects.mut_global []
-          @ SM.fold
-              (fun _ (name, site) acc ->
-                mk (Printf.sprintf "captured local `%s'" name) site :: acc)
-              s.Effects.mut_free [])
-        ps.Callgraph.ps_targets)
-    g.Callgraph.pool_sites
 
 let check_l8 cfg (g : Callgraph.t) (sums : Effects.t array) =
   Array.to_list g.Callgraph.nodes
@@ -144,7 +68,7 @@ let check_l8 cfg (g : Callgraph.t) (sums : Effects.t array) =
               exported one; [by_name] keeps exactly that binding *)
            && SM.find_opt node.Callgraph.name g.Callgraph.by_name
               = Some node.Callgraph.id
-           && cfg.l8_unit_ok node.Callgraph.unit_source
+           && cfg.in_scope node.Callgraph.unit_source
          in
          if not is_public then []
          else
@@ -168,15 +92,14 @@ let check_l8 cfg (g : Callgraph.t) (sums : Effects.t array) =
              sums.(node.Callgraph.id).Effects.raises [])
 
 (* Multi-source BFS from the pipeline entry points, roots seeded in
-   name order so the "reachable from" witness is deterministic.
-   Shared by L9 and L12; [via.(i)] is the root that first reached
-   node [i]. *)
+   name order so the "reachable from" witness is deterministic;
+   [via.(i)] is the root that first reached node [i]. *)
 let pipeline_reachability cfg (g : Callgraph.t) =
   let n = Array.length g.Callgraph.nodes in
   let via = Array.make n None in
   let q = Queue.create () in
   Array.to_list g.Callgraph.nodes
-  |> List.filter cfg.l9_root
+  |> List.filter cfg.root
   |> List.sort (fun (a : Callgraph.node) b ->
          String.compare a.Callgraph.name b.Callgraph.name)
   |> List.iter (fun (r : Callgraph.node) ->
@@ -203,34 +126,54 @@ let pipeline_reachability cfg (g : Callgraph.t) =
   drain ();
   via
 
-let check_l9 cfg (g : Callgraph.t) =
-  let via = pipeline_reachability cfg g in
-  Array.to_list g.Callgraph.nodes
-  |> List.concat_map (fun (node : Callgraph.node) ->
-         match via.(node.Callgraph.id) with
-         | None -> []
-         | Some root ->
-             if cfg.l9_exempt node.Callgraph.name then []
-             else
-               Effects.RS.elements node.Callgraph.direct.Effects.nondet
-               |> List.filter_map (fun (what, site) ->
-                      if not (cfg.l9_site_ok site.Effects.file) then None
-                      else
-                        Some
-                          (Diag.make ~rule:Diag.L9 ~symbol:node.Callgraph.symbol
-                             ~message:
-                               (Printf.sprintf
-                                  "reads ambient nondeterminism (%s); \
-                                   reachable from pipeline entry `%s'"
-                                  what root)
-                             (Effects.loc_of_site site))))
+(* L9, L12 and L15 are one rule over three kinds of direct evidence: a
+   site of the kind, in scope, inside a node reachable from a pipeline
+   entry.  Two kinds have a sanctioned shim whose nodes are exempt:
+   the seeded [Cisp_util.Rng] is the one randomness source, and
+   [Cisp_util.Tbl] folds the raw table precisely so nobody else has
+   to. *)
+let reachable_rules =
+  let shim prefix name = String.starts_with ~prefix name in
+  [
+    ( Diag.L9,
+      (fun (e : Effects.t) -> e.Effects.nondet),
+      shim "Cisp_util.Rng.",
+      Printf.sprintf
+        "reads ambient nondeterminism (%s); reachable from pipeline entry `%s'"
+    );
+    ( Diag.L12,
+      (fun (e : Effects.t) -> e.Effects.poly_cmp),
+      (fun _ -> false),
+      Printf.sprintf
+        "%s; reachable from pipeline entry `%s' — use a monomorphic \
+         comparison" );
+    ( Diag.L15,
+      (fun (e : Effects.t) -> e.Effects.float_merges),
+      shim "Cisp_util.Tbl.",
+      Printf.sprintf
+        "%s; reachable from pipeline entry `%s' — fold a sorted view \
+         (Cisp_util.Tbl) or fill per-index slots with parallel_for and \
+         fold them in index order" );
+  ]
 
-(* The kinds of per-call garbage that serialize a parallel worker on
-   the minor allocator: environment blocks, float boxes, and the
-   closures [Texp_apply] builds for unsaturated calls.  Plain data
-   allocation in a worker (filling an output list, say) is L7/L10
-   territory, not L11's. *)
-let l11_kinds = [ "closure"; "boxed float"; "partial application" ]
+let check_reachable cfg (g : Callgraph.t) =
+  let via = pipeline_reachability cfg g in
+  List.concat_map
+    (fun (rule, evidence, exempt, message) ->
+      Array.to_list g.Callgraph.nodes
+      |> List.concat_map (fun (node : Callgraph.node) ->
+             match via.(node.Callgraph.id) with
+             | Some root when not (exempt node.Callgraph.name) ->
+                 Effects.RS.elements (evidence node.Callgraph.direct)
+                 |> List.filter_map (fun (what, site) ->
+                        if not (cfg.in_scope site.Effects.file) then None
+                        else
+                          Some
+                            (Diag.make ~rule ~symbol:node.Callgraph.symbol
+                               ~message:(message what root)
+                               (Effects.loc_of_site site)))
+             | _ -> []))
+    reachable_rules
 
 let check_l10 (g : Callgraph.t) (sums : Effects.t array) =
   Array.to_list g.Callgraph.nodes
@@ -249,56 +192,6 @@ let check_l10 (g : Callgraph.t) (sums : Effects.t array) =
                  (Effects.loc_of_site site)
                :: acc)
              sums.(node.Callgraph.id).Effects.allocs [])
-
-let check_l11 (g : Callgraph.t) (sums : Effects.t array) =
-  List.concat_map
-    (fun (ps : Callgraph.pool_site) ->
-      let caller = g.Callgraph.nodes.(ps.Callgraph.ps_caller) in
-      let combinator =
-        match String.index_opt ps.Callgraph.ps_combinator '.' with
-        | Some i ->
-            String.sub ps.Callgraph.ps_combinator (i + 1)
-              (String.length ps.Callgraph.ps_combinator - i - 1)
-        | None -> ps.Callgraph.ps_combinator
-      in
-      List.concat_map
-        (fun tid ->
-          SM.fold
-            (fun kind site acc ->
-              if not (List.mem kind l11_kinds) then acc
-              else
-                Diag.make ~rule:Diag.L11 ~symbol:caller.Callgraph.symbol
-                  ~message:
-                    (Printf.sprintf
-                       "closure passed to %s allocates per call: %s at %s"
-                       combinator kind
-                       (Effects.site_to_string site))
-                  (Effects.loc_of_site ps.Callgraph.ps_site)
-                :: acc)
-            sums.(tid).Effects.allocs [])
-        ps.Callgraph.ps_targets)
-    g.Callgraph.pool_sites
-
-let check_l12 cfg (g : Callgraph.t) =
-  let via = pipeline_reachability cfg g in
-  Array.to_list g.Callgraph.nodes
-  |> List.concat_map (fun (node : Callgraph.node) ->
-         match via.(node.Callgraph.id) with
-         | None -> []
-         | Some root ->
-             Effects.RS.elements node.Callgraph.direct.Effects.poly_cmp
-             |> List.filter_map (fun (what, site) ->
-                    if not (cfg.l12_site_ok site.Effects.file) then None
-                    else
-                      Some
-                        (Diag.make ~rule:Diag.L12
-                           ~symbol:node.Callgraph.symbol
-                           ~message:
-                             (Printf.sprintf
-                                "%s; reachable from pipeline entry `%s' — \
-                                 use a monomorphic comparison"
-                                what root)
-                           (Effects.loc_of_site site))))
 
 (* ------------------------------------------------------------------ *)
 (* L13/L14: the lock world                                             *)
@@ -496,7 +389,7 @@ let check_l13 cfg (g : Callgraph.t) (sums : Effects.t array) =
       | x :: _ when String.equal x l -> Some i
       | _ :: tl -> go (i + 1) tl
     in
-    go 0 cfg.l13_order
+    go 0 cfg.lock_order
   in
   List.filter_map
     (fun e ->
@@ -521,175 +414,187 @@ let check_l13 cfg (g : Callgraph.t) (sums : Effects.t array) =
         why)
     edges
 
+(* "Cisp_util.Pool.parallel_for" -> "Pool.parallel_for" *)
 let combinator_short name =
   match String.index_opt name '.' with
   | Some i -> String.sub name (i + 1) (String.length name - i - 1)
   | None -> name
 
+let blocks_chain (g : Callgraph.t) (sums : Effects.t array) kind start =
+  witness_chain g
+    ~direct_of:(fun (m : Callgraph.node) ->
+      SM.find_opt kind m.Callgraph.direct.Effects.blocks)
+    ~sum_of:(fun k -> SM.find_opt kind sums.(k).Effects.blocks)
+    start
+
+(* L14 outside pool bodies: blocking while a lock is held. *)
 let check_l14 (g : Callgraph.t) (sums : Effects.t array) =
   let held_str held =
     String.concat ", "
       (List.map (fun h -> "`" ^ h ^ "'") (SS.elements held))
   in
-  let blocks_chain kind start =
-    witness_chain g
-      ~direct_of:(fun (m : Callgraph.node) ->
-        SM.find_opt kind m.Callgraph.direct.Effects.blocks)
-      ~sum_of:(fun k -> SM.find_opt kind sums.(k).Effects.blocks)
-      start
-  in
-  let per_node =
-    Array.to_list g.Callgraph.nodes
-    |> List.concat_map (fun (n : Callgraph.node) ->
-           (* direct blocking calls under a syntactically held lock *)
-           let direct =
-             List.map
-               (fun (kind, held, site) ->
-                 Diag.make ~rule:Diag.L14 ~symbol:n.Callgraph.symbol
-                   ~message:
-                     (Printf.sprintf "may block (%s) while holding %s" kind
-                        (held_str held))
-                   (Effects.loc_of_site site))
-               n.Callgraph.blocked_sites
-           in
-           (* direct blocking sites in a body that runs under a
-              guard's internally-taken lock ([locked (fun () -> ...)]) *)
-           let guard_held =
-             let extra =
-               SS.diff (entry_held_full g n) n.Callgraph.entry_held
-             in
-             if SS.is_empty extra then []
-             else
-               SM.fold
-                 (fun kind site acc ->
-                   if
-                     List.exists
-                       (fun (_, _, s) -> Effects.compare_site s site = 0)
-                       n.Callgraph.blocked_sites
-                   then acc
-                   else
-                     Diag.make ~rule:Diag.L14 ~symbol:n.Callgraph.symbol
-                       ~message:
-                         (Printf.sprintf "may block (%s) while holding %s"
-                            kind (held_str extra))
-                       (Effects.loc_of_site site)
-                     :: acc)
-                 n.Callgraph.direct.Effects.blocks []
-           in
-           (* calls whose callee may block, made while holding *)
-           let eh = entry_held_full g n in
-           let transitive =
-             List.concat_map
-               (fun (e : Callgraph.edge) ->
-                 let held = SS.union e.Callgraph.e_held eh in
-                 if SS.is_empty held then []
+  Array.to_list g.Callgraph.nodes
+  |> List.concat_map (fun (n : Callgraph.node) ->
+         (* direct blocking calls under a syntactically held lock *)
+         let direct =
+           List.map
+             (fun (kind, held, site) ->
+               Diag.make ~rule:Diag.L14 ~symbol:n.Callgraph.symbol
+                 ~message:
+                   (Printf.sprintf "may block (%s) while holding %s" kind
+                      (held_str held))
+                 (Effects.loc_of_site site))
+             n.Callgraph.blocked_sites
+         in
+         let eh = entry_held_full g n in
+         (* direct blocking sites in a body that runs under a
+            guard's internally-taken lock ([locked (fun () -> ...)]) *)
+         let guard_held =
+           let extra = SS.diff eh n.Callgraph.entry_held in
+           if SS.is_empty extra then []
+           else
+             SM.fold
+               (fun kind site acc ->
+                 if
+                   List.exists
+                     (fun (_, _, s) -> Effects.compare_site s site = 0)
+                     n.Callgraph.blocked_sites
+                 then acc
                  else
-                   match e.Callgraph.callee with
-                   | Callgraph.Internal j when not e.Callgraph.boundary -> (
-                       let callee = g.Callgraph.nodes.(j) in
-                       match callee.Callgraph.kind with
-                       | Callgraph.Lambda _ ->
-                           (* the lambda's own walk already carries the
-                              held set; flagging here would double-report *)
-                           []
-                       | _ ->
-                           SM.fold
-                             (fun kind _ acc ->
-                               Diag.make ~rule:Diag.L14
-                                 ~symbol:n.Callgraph.symbol
-                                 ~witness:(blocks_chain kind j)
-                                 ~message:
-                                   (Printf.sprintf
-                                      "calls `%s', which may block (%s), \
-                                       while holding %s"
-                                      callee.Callgraph.name kind
-                                      (held_str held))
-                                 (Effects.loc_of_site e.Callgraph.call_site)
-                               :: acc)
-                             sums.(j).Effects.blocks [])
-                   | c ->
-                       (* submitting a parallel job blocks until every
-                          chunk completes — with the lock still held *)
-                       let cname =
-                         match c with
-                         | Callgraph.Internal j ->
-                             g.Callgraph.nodes.(j).Callgraph.name
-                         | Callgraph.External s -> s
-                       in
-                       if List.mem cname Callgraph.pool_combinators then
-                         [
-                           Diag.make ~rule:Diag.L14 ~symbol:n.Callgraph.symbol
-                             ~message:
-                               (Printf.sprintf
-                                  "submits a %s job (blocks until the pool \
-                                   drains) while holding %s"
-                                  (combinator_short cname) (held_str held))
-                             (Effects.loc_of_site e.Callgraph.call_site);
-                         ]
-                       else [])
-               n.Callgraph.edges
-           in
-           direct @ guard_held @ transitive)
-  in
-  (* a blocking call anywhere in a pool body stalls its whole chunk,
-     and the submitter with it *)
-  let pool_bodies =
-    List.concat_map
-      (fun (ps : Callgraph.pool_site) ->
-        let caller = g.Callgraph.nodes.(ps.Callgraph.ps_caller) in
-        List.concat_map
-          (fun tid ->
+                   Diag.make ~rule:Diag.L14 ~symbol:n.Callgraph.symbol
+                     ~message:
+                       (Printf.sprintf "may block (%s) while holding %s"
+                          kind (held_str extra))
+                     (Effects.loc_of_site site)
+                   :: acc)
+               n.Callgraph.direct.Effects.blocks []
+         in
+         (* calls whose callee may block, made while holding *)
+         let transitive =
+           List.concat_map
+             (fun (e : Callgraph.edge) ->
+               let held = SS.union e.Callgraph.e_held eh in
+               if SS.is_empty held then []
+               else
+                 match e.Callgraph.callee with
+                 | Callgraph.Internal j when not e.Callgraph.boundary -> (
+                     let callee = g.Callgraph.nodes.(j) in
+                     match callee.Callgraph.kind with
+                     | Callgraph.Lambda _ ->
+                         (* the lambda's own walk already carries the
+                            held set; flagging here would double-report *)
+                         []
+                     | _ ->
+                         SM.fold
+                           (fun kind _ acc ->
+                             Diag.make ~rule:Diag.L14
+                               ~symbol:n.Callgraph.symbol
+                               ~witness:(blocks_chain g sums kind j)
+                               ~message:
+                                 (Printf.sprintf
+                                    "calls `%s', which may block (%s), \
+                                     while holding %s"
+                                    callee.Callgraph.name kind
+                                    (held_str held))
+                               (Effects.loc_of_site e.Callgraph.call_site)
+                             :: acc)
+                           sums.(j).Effects.blocks [])
+                 | c ->
+                     (* submitting a parallel job blocks until every
+                        chunk completes — with the lock still held *)
+                     let cname =
+                       match c with
+                       | Callgraph.Internal j ->
+                           g.Callgraph.nodes.(j).Callgraph.name
+                       | Callgraph.External s -> s
+                     in
+                     if List.mem cname Callgraph.pool_combinators then
+                       [
+                         Diag.make ~rule:Diag.L14 ~symbol:n.Callgraph.symbol
+                           ~message:
+                             (Printf.sprintf
+                                "submits a %s job (blocks until the pool \
+                                 drains) while holding %s"
+                                (combinator_short cname) (held_str held))
+                           (Effects.loc_of_site e.Callgraph.call_site);
+                       ]
+                     else [])
+             n.Callgraph.edges
+         in
+         direct @ guard_held @ transitive)
+
+(* The kinds of per-call garbage that serialize a parallel worker on
+   the minor allocator: environment blocks, float boxes, and the
+   closures [Texp_apply] builds for unsaturated calls.  Plain data
+   allocation in a worker (filling an output list, say) is L7/L10
+   territory, not L11's. *)
+let l11_kinds = [ "closure"; "boxed float"; "partial application" ]
+
+(* One walk over the closures handed to a [Cisp_util.Pool] combinator,
+   each finding landing on the pool call site: a body must not mutate
+   shared state (L7), allocate per call (L11) or block — a blocking
+   call anywhere in a pool body stalls its whole chunk, and the
+   submitter with it (L14). *)
+let check_pool_bodies (g : Callgraph.t) (sums : Effects.t array) =
+  List.concat_map
+    (fun (ps : Callgraph.pool_site) ->
+      let symbol = g.Callgraph.nodes.(ps.Callgraph.ps_caller).Callgraph.symbol in
+      let combinator = combinator_short ps.Callgraph.ps_combinator in
+      let at = Effects.loc_of_site ps.Callgraph.ps_site in
+      List.concat_map
+        (fun tid ->
+          let s = sums.(tid) in
+          let mutates what site =
+            Diag.make ~rule:Diag.L7 ~symbol
+              ~message:
+                (Printf.sprintf
+                   "closure passed to %s mutates shared %s (write at %s)"
+                   combinator what
+                   (Effects.site_to_string site))
+              at
+          in
+          let l7 =
+            SM.fold
+              (fun name site acc -> mutates ("`" ^ name ^ "'") site :: acc)
+              s.Effects.mut_global []
+            @ SM.fold
+                (fun _ (name, site) acc ->
+                  mutates (Printf.sprintf "captured local `%s'" name) site :: acc)
+                s.Effects.mut_free []
+          in
+          let l11 =
             SM.fold
               (fun kind site acc ->
-                Diag.make ~rule:Diag.L14 ~symbol:caller.Callgraph.symbol
-                  ~witness:(blocks_chain kind tid)
+                if not (List.mem kind l11_kinds) then acc
+                else
+                  Diag.make ~rule:Diag.L11 ~symbol
+                    ~message:
+                      (Printf.sprintf
+                         "closure passed to %s allocates per call: %s at %s"
+                         combinator kind
+                         (Effects.site_to_string site))
+                    at
+                  :: acc)
+              s.Effects.allocs []
+          in
+          let l14 =
+            SM.fold
+              (fun kind site acc ->
+                Diag.make ~rule:Diag.L14 ~symbol
+                  ~witness:(blocks_chain g sums kind tid)
                   ~message:
-                    (Printf.sprintf
-                       "closure passed to %s may block (%s at %s)"
-                       (combinator_short ps.Callgraph.ps_combinator)
-                       kind
+                    (Printf.sprintf "closure passed to %s may block (%s at %s)"
+                       combinator kind
                        (Effects.site_to_string site))
-                  (Effects.loc_of_site ps.Callgraph.ps_site)
+                  at
                 :: acc)
-              sums.(tid).Effects.blocks [])
-          ps.Callgraph.ps_targets)
-      g.Callgraph.pool_sites
-  in
-  per_node @ pool_bodies
-
-let check_l15 cfg (g : Callgraph.t) =
-  let via = pipeline_reachability cfg g in
-  Array.to_list g.Callgraph.nodes
-  |> List.concat_map (fun (node : Callgraph.node) ->
-         match via.(node.Callgraph.id) with
-         | None -> []
-         | Some root ->
-             if cfg.l15_exempt node.Callgraph.name then []
-             else
-               Effects.RS.elements node.Callgraph.direct.Effects.float_merges
-               |> List.filter_map (fun (what, site) ->
-                      if not (cfg.l15_site_ok site.Effects.file) then None
-                      else
-                        Some
-                          (Diag.make ~rule:Diag.L15
-                             ~symbol:node.Callgraph.symbol
-                             ~message:
-                               (Printf.sprintf
-                                  "%s; reachable from pipeline entry `%s' — \
-                                   fold a sorted view (Cisp_util.Tbl) or \
-                                   fill per-index slots with parallel_for \
-                                   and fold them in index order"
-                                  what root)
-                             (Effects.loc_of_site site))))
+              s.Effects.blocks []
+          in
+          l7 @ l11 @ l14)
+        ps.Callgraph.ps_targets)
+    g.Callgraph.pool_sites
 
 let check cfg (g : Callgraph.t) (r : Summary.result) =
   let sums = r.Summary.summaries in
-  (if cfg.l7 then check_l7 g sums else [])
-  @ (if cfg.l8 then check_l8 cfg g sums else [])
-  @ (if cfg.l9 then check_l9 cfg g else [])
-  @ (if cfg.l10 then check_l10 g sums else [])
-  @ (if cfg.l11 then check_l11 g sums else [])
-  @ (if cfg.l12 then check_l12 cfg g else [])
-  @ (if cfg.l13 then check_l13 cfg g sums else [])
-  @ (if cfg.l14 then check_l14 g sums else [])
-  @ if cfg.l15 then check_l15 cfg g else []
+  check_pool_bodies g sums @ check_l8 cfg g sums @ check_reachable cfg g
+  @ check_l10 g sums @ check_l13 cfg g sums @ check_l14 g sums

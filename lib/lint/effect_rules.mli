@@ -4,51 +4,27 @@
     (polymorphic-comparison taint), L13 (lock-order consistency), L14
     (blocking-under-lock) and L15 (float-merge determinism).
 
-    Policies are injected through {!config}; {!generic} checks
-    everything everywhere (the fixture/test mode), while
-    {!Engine.run_repo} narrows L8/L9/L12/L15 to library sources, seeds
-    reachability at the design-pipeline entry points, and supplies the
-    repo's canonical lock order. *)
+    Every rule always runs; a policy ({!config}) only says where.
+    {!generic} checks everything everywhere (the fixture/test mode),
+    while {!Engine.run_repo} narrows L8/L9/L12/L15 to library sources,
+    seeds reachability at the design-pipeline entry points, and
+    supplies the repo's canonical lock order. *)
 
 type config = {
-  l7 : bool;
-  l8 : bool;
-  l9 : bool;
-  l10 : bool;
-  l11 : bool;
-  l12 : bool;
-  l13 : bool;
-  l14 : bool;
-  l15 : bool;
-  l8_unit_ok : string -> bool;
-      (** is this source file held to the public-raise convention? *)
-  l9_root : Callgraph.node -> bool;
-      (** pipeline entry points; L12/L15 reachability uses the same
-          roots *)
-  l9_site_ok : string -> bool;
-      (** source files where L9 reads are flagged *)
-  l9_exempt : string -> bool;
-      (** canonical node names allowed to read nondeterminism *)
-  l12_site_ok : string -> bool;
-      (** source files where L12 sites are flagged *)
-  l13_order : string list;
+  in_scope : string -> bool;
+      (** source files held to L8's public-raise convention and whose
+          L9/L12/L15 sites are flagged *)
+  root : Callgraph.node -> bool;
+      (** pipeline entry points, the seeds of the one reachability
+          walk behind L9, L12 and L15 *)
+  lock_order : string list;
       (** canonical lock order, outermost first; acquisitions jumping
           backwards in this list are flagged even without a cycle *)
-  l15_site_ok : string -> bool;
-      (** source files where L15 sites are flagged *)
-  l15_exempt : string -> bool;
-      (** canonical node names allowed to fold unordered containers *)
 }
 
-val default_l9_exempt : string -> bool
-(** [Cisp_util.Rng] — the sanctioned, seeded randomness source. *)
-
-val default_l15_exempt : string -> bool
-(** [Cisp_util.Tbl] — the sorted-view shim over [Hashtbl]. *)
-
 val generic : config
-(** Every rule on, all nodes are reachability roots, only the default
-    exemptions, empty canonical lock order. *)
+(** Everything in scope, every node a reachability root, empty
+    canonical lock order. *)
 
 (** {2 The derived lock-acquisition graph} *)
 

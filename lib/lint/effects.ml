@@ -175,9 +175,6 @@ let equal a b =
   && SM.equal site_eq a.blocks b.blocks
   && RS.equal a.float_merges b.float_merges
 
-let has_mut t =
-  not (SM.is_empty t.mut_global && IM.is_empty t.mut_param && SM.is_empty t.mut_free)
-
 let drop_mut t =
   { t with mut_global = SM.empty; mut_param = IM.empty; mut_free = SM.empty }
 

@@ -82,7 +82,6 @@ type t = {
 val bottom : t
 val union : t -> t -> t
 val equal : t -> t -> bool
-val has_mut : t -> bool
 val drop_mut : t -> t
 val drop_allocs : t -> t
 

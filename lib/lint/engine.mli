@@ -20,7 +20,6 @@ type report = {
 }
 
 val empty_report : report
-val merge : report -> report -> report
 
 type pass =
   | Expr of { rules : Diag.rule list; select : Loader.unit_ -> bool }
@@ -32,23 +31,17 @@ val run_pass :
   pass ->
   Diag.t list
 (** One pass, unsorted diagnostics; exposed for tests.  [on_graph] is
-    invoked with the call graph and finalized summaries when the
-    interprocedural pass actually runs (the [--lock-graph] hook). *)
+    invoked with the call graph and finalized summaries of an
+    interprocedural pass (the [--lock-graph] hook). *)
 
-val run :
-  ?allowlist:Allowlist.t ->
-  ?lock_dot:string ->
-  rules:Diag.rule list ->
-  string list ->
-  report
-(** [run ~rules roots] lints every [.cmt]/[.cmti] under [roots] with
-    the given rules: expression rules on implementations, L4 on
-    interfaces, and — when any of L7-L15 is requested — the
-    interprocedural pass with the permissive {!Effect_rules.generic}
-    policy (every node an L9/L12/L15 root, empty canonical lock
-    order).  [lock_dot] writes the derived lock-acquisition
-    graph to that path in Graphviz DOT (a write failure lands in
-    [errors]). *)
+val run : ?allowlist:Allowlist.t -> ?lock_dot:string -> string list -> report
+(** [run roots] lints every [.cmt]/[.cmti] under [roots] with every
+    rule: the expression rules on implementations, L4 on interfaces,
+    and the interprocedural pass with the permissive
+    {!Effect_rules.generic} policy (everything in scope, every node
+    an L9/L12/L15 root, empty canonical lock order).  [lock_dot]
+    writes the derived lock-acquisition graph to that path in
+    Graphviz DOT (a write failure lands in [errors]). *)
 
 val run_repo :
   ?allowlist:Allowlist.t ->

@@ -1,4 +1,5 @@
-(** The five cISP lint rules over typed ASTs (see {!Diag.rule}).
+(** The six per-expression lint rules (L1-L6) over typed ASTs (see
+    {!Diag.rule}).
 
     Detection is structural: L1 inspects the instantiated type of each
     reference to a polymorphic comparison primitive (so passing bare
@@ -28,7 +29,7 @@ val is_units_source : string -> bool
 
 val check_impl :
   rules:Diag.rule list -> source:string -> Typedtree.structure -> Diag.t list
-(** Run the expression-level rules (L1, L2, L3, L5) requested in
+(** Run the expression-level rules (L1, L2, L3, L5, L6) requested in
     [rules] over an implementation. *)
 
 val check_intf :

@@ -101,27 +101,33 @@ let shortest t ~usable ~height =
     in
     Some (d, List.map translate path)
 
+(* One Monte-Carlo draw: a confirmed tower keeps its ground truth, an
+   unknown one is acquired with its prior probability at a uniform
+   height fraction; the shortest path over what the draw left usable. *)
+let draw t rng =
+  let n = Array.length t.sub_tower in
+  let ok = Array.make n false and h = Array.make n 0.0 in
+  Array.iteri
+    (fun k reg ->
+      match t.knowledge.(reg) with
+      | Rejected -> ()
+      | Acquired hf ->
+        ok.(k) <- true;
+        h.(k) <- hf
+      | Unknown ->
+        let tw = t.hops.Hops.towers.(reg) in
+        if Rng.float rng 1.0 < acquisition_prob tw then begin
+          ok.(k) <- true;
+          h.(k) <- Rng.uniform rng height_lo height_hi
+        end)
+    t.sub_tower;
+  shortest t ~usable:(fun k -> ok.(k)) ~height:(fun k -> h.(k))
+
 let sample_paths ?(samples = 200) t =
   let rng = Rng.create seed in
   let found : (int list, float) Hashtbl.t = Hashtbl.create 32 in
   for _ = 1 to samples do
-    let drawn_height = Array.make (Array.length t.sub_tower) 0.0 in
-    let drawn_ok = Array.make (Array.length t.sub_tower) false in
-    Array.iteri
-      (fun k reg ->
-        match t.knowledge.(reg) with
-        | Rejected -> ()
-        | Acquired h ->
-          drawn_ok.(k) <- true;
-          drawn_height.(k) <- h
-        | Unknown ->
-          let tw = t.hops.Hops.towers.(reg) in
-          if Rng.float rng 1.0 < acquisition_prob tw then begin
-            drawn_ok.(k) <- true;
-            drawn_height.(k) <- Rng.uniform rng height_lo height_hi
-          end)
-      t.sub_tower;
-    match shortest t ~usable:(fun k -> drawn_ok.(k)) ~height:(fun k -> drawn_height.(k)) with
+    match draw t rng with
     | None -> ()
     | Some (d, path) ->
       (match Hashtbl.find_opt found path with
@@ -146,23 +152,7 @@ let stats ?(samples = 200) t =
   let hits = ref 0 in
   let paths : (int list, unit) Hashtbl.t = Hashtbl.create 32 in
   for _ = 1 to samples do
-    let n = Array.length t.sub_tower in
-    let ok = Array.make n false and h = Array.make n 0.0 in
-    Array.iteri
-      (fun k reg ->
-        match t.knowledge.(reg) with
-        | Rejected -> ()
-        | Acquired hf ->
-          ok.(k) <- true;
-          h.(k) <- hf
-        | Unknown ->
-          let tw = t.hops.Hops.towers.(reg) in
-          if Rng.float rng 1.0 < acquisition_prob tw then begin
-            ok.(k) <- true;
-            h.(k) <- Rng.uniform rng height_lo height_hi
-          end)
-      t.sub_tower;
-    match shortest t ~usable:(fun k -> ok.(k)) ~height:(fun k -> h.(k)) with
+    match draw t rng with
     | None -> ()
     | Some (d, path) ->
       incr hits;

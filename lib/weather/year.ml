@@ -10,6 +10,7 @@ type result = {
 }
 
 let run ?(seed = 99) ?(intervals = 365) ~climate ~hops (inputs : Inputs.t) (topo : Topology.t) =
+  if inputs != topo.Topology.inputs then invalid_arg "Year.run: topology built over other inputs";
   if intervals <= 0 then invalid_arg "Year.run: intervals <= 0";
   let n = Inputs.n_sites inputs in
   let pairs = ref [] in
@@ -25,10 +26,9 @@ let run ?(seed = 99) ?(intervals = 365) ~climate ~hops (inputs : Inputs.t) (topo
   Cisp_util.Telemetry.with_span "weather.year" (fun () ->
   let base = Topology.fiber_baseline inputs in
   (* Interval-major storage: each trial allocates and owns a whole
-     row.  The old pair-major matrix had parallel trials writing
-     adjacent floats of every row (column [interval] of each pair),
-     false-sharing each row's cache lines across all domains for the
-     length of the run. *)
+     row.  A pair-major matrix would have parallel trials writing
+     adjacent floats of every row, false-sharing its cache lines
+     across all domains for the length of the run. *)
   let samples = Array.make intervals [||] in
   let failed_per_interval = Array.make intervals 0 in
   let storm = Scenarios.Rain_replay { climate; intervals } in

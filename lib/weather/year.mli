@@ -30,9 +30,12 @@ val run :
   result
 (** Each interval's outages are those of {!Scenarios.surviving} under
     [Rain_replay { climate; intervals }].  [intervals] defaults to 365
-    (one per day).  Raises
-    [Invalid_argument] if [intervals <= 0] or if no site pair has
-    both traffic and a positive distance. *)
+    (one per day).  [inputs] must be the very record [topo] was built
+    over: the outages read [topo]'s inputs while the pairs, the fiber
+    baseline and the metric read [inputs].  Raises [Invalid_argument]
+    if [inputs] is not [topo.inputs] (physically), if
+    [intervals <= 0] or if no site pair has both traffic and a
+    positive distance. *)
 
 val stretch_cdfs : result -> (string * (float * float) array) list
 (** Fig 7's curves: CDFs across city pairs of best / median / 99th /

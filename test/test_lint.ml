@@ -1,5 +1,5 @@
 (* The lint pass (lib/lint) against the seeded fixtures in
-   test/fixtures: every rule L1-L5 must fire on its bad_l*.ml at the
+   test/fixtures: every rule L1-L15 must fire on its bad_l*.ml at the
    expected file:line, and must stay silent on good.ml/good.mli. *)
 
 module Diag = Cisp_linter.Diag
@@ -19,8 +19,7 @@ let fixtures_root =
   | Some p -> p
   | None -> "fixtures"
 
-let report =
-  lazy (Engine.run ~rules:Diag.all_rules [ fixtures_root ])
+let report = lazy (Engine.run [ fixtures_root ])
 
 let diags () = (Lazy.force report).Engine.diagnostics
 
@@ -130,7 +129,7 @@ let parse_allowlist text =
 
 let test_allowlist_wildcard () =
   let allowlist = parse_allowlist "L2 bad_l2.ml *  # suppress the whole file\n" in
-  let r = Engine.run ~allowlist ~rules:Diag.all_rules [ fixtures_root ] in
+  let r = Engine.run ~allowlist [ fixtures_root ] in
   let l2 =
     List.filter (fun (d : Diag.t) -> d.rule = Diag.L2) r.Engine.diagnostics
   in
@@ -140,7 +139,7 @@ let test_allowlist_wildcard () =
 
 let test_allowlist_symbol () =
   let allowlist = parse_allowlist "L5 bad_l5.ml shout  # only this value\n" in
-  let r = Engine.run ~allowlist ~rules:Diag.all_rules [ fixtures_root ] in
+  let r = Engine.run ~allowlist [ fixtures_root ] in
   let l5 =
     List.filter (fun (d : Diag.t) -> d.rule = Diag.L5) r.Engine.diagnostics
   in
@@ -174,7 +173,7 @@ let test_protected_constants () =
   Alcotest.(check bool) "other literals pass" false (protected 300000.0);
   Alcotest.(check bool) "units.ml is exempt" true (Rules.is_units_source "lib/util/units.ml")
 
-(* ---------------- interprocedural: L7-L9 ---------------- *)
+(* ---------------- effect discipline: L7-L9 ---------------- *)
 
 module Callgraph = Cisp_linter.Callgraph
 module Summary = Cisp_linter.Summary
@@ -352,7 +351,7 @@ let test_alloc_allowlist_and_json () =
   let allowlist =
     parse_allowlist "L10 bad_l10.ml pair  # fixture\nL11 bad_l11.ml *  # fixture\n"
   in
-  let r = Engine.run ~allowlist ~rules:Diag.all_rules [ fixtures_root ] in
+  let r = Engine.run ~allowlist [ fixtures_root ] in
   let left rule file =
     List.length
       (List.filter
@@ -374,8 +373,8 @@ let test_alloc_allowlist_and_json () =
 
 let test_ordering_stable () =
   let strings (r : Engine.report) = List.map Diag.to_string r.Engine.diagnostics in
-  let r1 = Engine.run ~rules:Diag.all_rules [ fixtures_root ] in
-  let r2 = Engine.run ~rules:Diag.all_rules [ fixtures_root ] in
+  let r1 = Engine.run [ fixtures_root ] in
+  let r2 = Engine.run [ fixtures_root ] in
   Alcotest.(check (list string)) "two runs byte-identical" (strings r1) (strings r2);
   Alcotest.(check (list string)) "sorted by (file, line, col, rule)"
     (List.map Diag.to_string (List.sort Diag.order r1.Engine.diagnostics))
@@ -394,7 +393,7 @@ let test_allowlist_stale () =
   let allowlist =
     parse_allowlist "L2 bad_l2.ml *  # live\nL5 no_such_file.ml *  # stale\n"
   in
-  let r = Engine.run ~allowlist ~rules:Diag.all_rules [ fixtures_root ] in
+  let r = Engine.run ~allowlist [ fixtures_root ] in
   match r.Engine.stale with
   | [ e ] ->
       Alcotest.(check string) "stale file" "no_such_file.ml" e.Allowlist.file;
@@ -410,7 +409,7 @@ let test_allowlist_prune () =
   let allowlist =
     match Allowlist.load path with Ok t -> t | Error e -> Alcotest.fail e
   in
-  let r = Engine.run ~allowlist ~rules:Diag.all_rules [ fixtures_root ] in
+  let r = Engine.run ~allowlist [ fixtures_root ] in
   (match Allowlist.prune ~path r.Engine.stale with
   | Ok n -> Alcotest.(check int) "one line pruned" 1 n
   | Error e -> Alcotest.fail e);
@@ -446,15 +445,7 @@ let test_l13_canonical_order () =
   let cfg =
     {
       Effect_rules.generic with
-      Effect_rules.l7 = false;
-      l8 = false;
-      l9 = false;
-      l10 = false;
-      l11 = false;
-      l12 = false;
-      l14 = false;
-      l15 = false;
-      l13_order =
+      Effect_rules.lock_order =
         [ "Lint_fixtures.Bad_l13.lock_c"; "Lint_fixtures.Bad_l13.lock_a" ];
     }
   in
@@ -563,6 +554,26 @@ let test_block_summaries () =
           (fun k _ -> contains k "mutex acquisition")
           r.Summary.summaries.(lp.Callgraph.id).Effects.blocks))
 
+(* Every finding on the fixture tree, witnesses included, and the
+   fixtures' lock-acquisition graph: a refactor of the linter must
+   leave both byte-identical. *)
+let test_findings_golden () =
+  let b = Buffer.create 16384 in
+  List.iter
+    (fun d ->
+      Buffer.add_string b (Diag.to_json d);
+      Buffer.add_char b '\n')
+    (diags ());
+  Alcotest.(check int) "finding count" 57 (List.length (diags ()));
+  Alcotest.(check string) "findings JSON"
+    "46a1f300fd92d9d0d1662e005bc41696"
+    (Digest.to_hex (Digest.string (Buffer.contents b)));
+  let g, r = Lazy.force graph_and_sums in
+  Alcotest.(check string) "lock graph DOT"
+    "62ce40a9af712be31914599f82d678c3"
+    (Digest.to_hex
+       (Digest.string (Effect_rules.lock_graph_dot g r.Summary.summaries)))
+
 let suites =
   [
     ( "lint.rules",
@@ -630,6 +641,7 @@ let suites =
         Alcotest.test_case "lock graph" `Quick test_lock_graph;
         Alcotest.test_case "witness JSON" `Quick test_witness_json;
         Alcotest.test_case "blocking summaries" `Quick test_block_summaries;
+        Alcotest.test_case "fixture findings golden" `Quick test_findings_golden;
       ] );
     ( "lint.vocabulary",
       [

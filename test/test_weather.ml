@@ -139,9 +139,20 @@ let test_year_validation () =
     { inputs with
       Cisp_design.Inputs.traffic = Array.map (Array.map (fun _ -> 0.0)) inputs.traffic }
   in
+  let no_traffic_topo = Cisp_design.Topology.of_links no_traffic topo.Cisp_design.Topology.built in
   Alcotest.check_raises "no traffic rejected"
     (Invalid_argument "Year.run: no site pair with traffic") (fun () ->
-      ignore (Year.run ~intervals:2 ~climate:Rainfield.us_climate ~hops no_traffic topo))
+      ignore
+        (Year.run ~intervals:2 ~climate:Rainfield.us_climate ~hops no_traffic no_traffic_topo))
+
+(* The outages read the topology's inputs while the pairs, baseline
+   and metric read the argument: an equal-looking copy is refused. *)
+let test_year_instance () =
+  let inputs, topo, hops = Lazy.force fixture in
+  let copy = { inputs with Cisp_design.Inputs.traffic = inputs.Cisp_design.Inputs.traffic } in
+  Alcotest.check_raises "topology over other inputs rejected"
+    (Invalid_argument "Year.run: topology built over other inputs") (fun () ->
+      ignore (Year.run ~intervals:2 ~climate:Rainfield.us_climate ~hops copy topo))
 
 (* ---------- HFT relay ---------- *)
 
@@ -328,6 +339,7 @@ let suites =
         Alcotest.test_case "bounds" `Slow test_year_bounds;
         Alcotest.test_case "cdf shape" `Slow test_year_cdfs_shape;
         Alcotest.test_case "validation" `Quick test_year_validation;
+        Alcotest.test_case "instance mismatch" `Quick test_year_instance;
       ] );
     ("weather.hft", [ Alcotest.test_case "hurricane-driven loss" `Quick test_hft_shape ]);
   ]
