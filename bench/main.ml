@@ -4,7 +4,7 @@
      dune exec bench/main.exe                 # everything, full scale
      dune exec bench/main.exe -- --quick      # trimmed sweeps
      dune exec bench/main.exe -- fig5 fig7    # selected experiments
-     dune exec bench/main.exe -- --jobs 4 par # domain-pool width *)
+     dune exec bench/main.exe -- --jobs 4     # domain-pool width *)
 
 let experiments : (string * (Ctx.t -> unit)) list =
   [
@@ -24,8 +24,6 @@ let experiments : (string * (Ctx.t -> unit)) list =
     ("sec8", Sec8.run);
     ("ablation", Ablation.run);
     ("alt", Alt.run);
-    ("micro", Micro.run);
-    ("par", Par.run);
   ]
 
 (* Consume "--jobs N" (pool width), "--trace FILE" and "--metrics"

@@ -36,15 +36,6 @@ val benefit : Inputs.t -> float array array -> float array array -> int * int ->
 (** [benefit inputs w d (i, j)]: decrease of the un-normalized
     objective sum w_st D_st when link (i,j) is added to metric [d]. *)
 
-val score_candidates :
-  Inputs.t -> float array array -> float array array -> budget:int ->
-  (int * int) array -> (int * float) option array
-(** [score_candidates inputs w d ~budget cands]: per-candidate
-    [(cost, benefit)] against metric [d] ([None] when unaffordable or
-    useless), computed in parallel on the default {!Cisp_util.Pool} —
-    one entry per candidate, in input order.  The round's hot loop,
-    exposed for the [par] benchmark. *)
-
 val design_ordered : ?rule:rule -> Inputs.t -> budget:int -> Topology.t * (int * int) list
 (** Like {!design}, also returning the links in selection order — the
     order doubles as a quality ranking for seeding local search. *)

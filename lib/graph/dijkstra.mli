@@ -8,9 +8,6 @@ type result = {
 val run : Graph.t -> src:int -> result
 (** Single-source Dijkstra. *)
 
-val run_to : Graph.t -> src:int -> dst:int -> result
-(** Early-exit variant: distances beyond [dst] may be missing. *)
-
 val path : result -> dst:int -> int list
 (** Node sequence from the source to [dst]; [] if unreachable. *)
 

@@ -106,7 +106,13 @@ let order a b =
       if c <> 0 then c
       else
         let c = String.compare (rule_id a.rule) (rule_id b.rule) in
-        if c <> 0 then c else String.compare a.message b.message
+        if c <> 0 then c
+        else
+          let c = String.compare a.message b.message in
+          if c <> 0 then c
+          else
+            let c = String.compare a.symbol b.symbol in
+            if c <> 0 then c else List.compare String.compare a.witness b.witness
 
 let to_string d =
   let where =

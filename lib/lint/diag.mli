@@ -107,7 +107,9 @@ val make :
 (** Diagnostic at the start of [loc]. *)
 
 val order : t -> t -> int
-(** Sort key: file, line, column, rule. *)
+(** Total order: file, line, column, rule, message, symbol, then
+    witness.  Two diagnostics compare equal only when every field is
+    equal, so deduplicating with it drops exact duplicates only. *)
 
 val to_string : t -> string
 (** ["file:line:col: [L2] message (in `symbol')"]. *)

@@ -57,10 +57,11 @@ let lock_dot_sink lock_dot errors =
           with Sys_error msg ->
             errors := Printf.sprintf "lock-graph: %s" msg :: !errors)
 
-(* Diagnostics are sorted by (file, line, col, rule) and deduplicated
-   before the allowlist partitions them, so output is byte-stable no
-   matter in which order the [.cmt] files were discovered or the
-   passes emitted. *)
+(* Diagnostics are sorted by [Diag.order] (file, line, col, rule,
+   then every other field) and exact duplicates dropped before the
+   allowlist partitions them, so output is byte-stable no matter in
+   which order the [.cmt] files were discovered or the passes
+   emitted. *)
 let report ~allowlist ?lock_dot (units, errors) passes =
   let late_errors = ref [] in
   let on_graph = lock_dot_sink lock_dot late_errors in

@@ -9,9 +9,9 @@
 
 type report = {
   diagnostics : Diag.t list;
-      (** violations, sorted by (file, line, col, rule) and
-          deduplicated — byte-stable regardless of [.cmt] discovery
-          order — with the allowlist applied *)
+      (** violations, sorted by {!Diag.order} with exact duplicates
+          dropped — byte-stable regardless of [.cmt] discovery order —
+          with the allowlist applied *)
   suppressed : Diag.t list;  (** matched by the allowlist *)
   stale : Allowlist.entry list;
       (** allowlist entries that matched no diagnostic this run *)

@@ -1,6 +1,5 @@
 module Coord = Cisp_geo.Coord
 module Geodesy = Cisp_geo.Geodesy
-module Dem = Cisp_terrain.Dem
 module Dem_cache = Cisp_terrain.Dem_cache
 module Units = Cisp_util.Units
 
@@ -16,63 +15,45 @@ let step_km = 1.0
 
 type endpoint = { position : Coord.t; ground_m : float; antenna_m : float }
 
-type verdict =
-  | Clear of float
-  | Out_of_range
-  | Blocked of { at_km : float; deficit_m : float }
-
-let endpoint_of_tower ~dem position ~antenna_m =
-  { position; ground_m = Dem.elevation_m dem position; antenna_m }
-
 (* Per-domain profile buffers: sample positions as scalar lat/lon, the
-   sampled surface heights, plus two small fixed floatarrays — the
-   per-pair constants ([pair], see the p_* slots) and the walk results
-   ([acc], see the a_* slots).  Keeping every per-pair float in
-   unboxed domain-local storage (instead of function arguments or
-   captured locals) is what lets the whole walk below run closure-free
-   and allocation-free: floats handed across a non-flambda call
-   boundary are boxed, floats read out of a floatarray stay in
-   registers.  Domain-private ([Cisp_util.Scratch]), and only ever an
-   input to the computation — contents are overwritten for the sample
-   range before each read — so reuse cannot leak state between pairs
-   or domains. *)
+   sampled surface heights, plus one small fixed floatarray of the
+   per-pair constants ([pair], see the p_* slots).  Keeping every
+   per-pair float in unboxed domain-local storage (instead of function
+   arguments or captured locals) is what lets the whole walk below run
+   closure-free and allocation-free: floats handed across a
+   non-flambda call boundary are boxed, floats read out of a
+   floatarray stay in registers.  Domain-private ([Cisp_util.Scratch]),
+   and only ever an input to the computation — contents are
+   overwritten for the sample range before each read — so reuse cannot
+   leak state between pairs or domains. *)
 type scratch = {
   mutable lats : Float.Array.t;
   mutable lons : Float.Array.t;
   mutable surf : Float.Array.t;
   pair : Float.Array.t;
-  acc : Float.Array.t;
 }
 
 (* Slots in [scratch.pair].  0/1 are written by
-   {!Fresnel.pair_coeffs_into}; 6..15 hoist the pair-constant slerp
-   trigonometry out of the fill loop; 16/17 carry the degenerate
+   {!Fresnel.pair_coeffs_into}; 5..14 hoist the pair-constant slerp
+   trigonometry out of the fill loop; 15/16 carry the degenerate
    (near-zero angular distance) endpoint. *)
 let p_bulge = 0
 let p_fres = 1
-let p_total = 2
-let p_fn = 3
-let p_ha = 4
-let p_dh = 5
-let p_d = 6
-let p_sind = 7
-let p_cp1 = 8
-let p_sp1 = 9
-let p_cl1 = 10
-let p_sl1 = 11
-let p_cp2 = 12
-let p_sp2 = 13
-let p_cl2 = 14
-let p_sl2 = 15
-let p_lat1 = 16
-let p_lon1 = 17
-
-(* Slots in [scratch.acc]: the running clearance minimum, and the
-   first blockage's position/deficit guarded by a 0/1 flag. *)
-let a_margin = 0
-let a_at = 1
-let a_deficit = 2
-let a_blocked = 3
+let p_fn = 2
+let p_ha = 3
+let p_dh = 4
+let p_d = 5
+let p_sind = 6
+let p_cp1 = 7
+let p_sp1 = 8
+let p_cl1 = 9
+let p_sl1 = 10
+let p_cp2 = 11
+let p_sp2 = 12
+let p_cl2 = 13
+let p_sl2 = 14
+let p_lat1 = 15
+let p_lon1 = 16
 
 let scratch_key =
   Cisp_util.Scratch.create (fun () ->
@@ -80,8 +61,7 @@ let scratch_key =
         lats = Float.Array.create 256;
         lons = Float.Array.create 256;
         surf = Float.Array.create 256;
-        pair = Float.Array.create 18;
-        acc = Float.Array.create 4;
+        pair = Float.Array.create 17;
       })
 
 let[@cisp.alloc_ok "amortized: grow-once domain-local sample buffers"] ensure sc n =
@@ -133,48 +113,32 @@ let[@cisp.zero_alloc] fill_positions sc ~lo ~hi =
     done
   end
 
-(* Price samples [lo..hi] of a filled, sampled chunk against the
-   hoisted clearance coefficients ({!Fresnel.pair_coeffs_into}): with
-   [u = t (1 - t)] each sample costs one multiply-add and one sqrt.
-   Returns true iff the profile is blocked so far; the first
-   blockage's position/deficit and the running clearance minimum
-   accumulate in [sc.acc].  Samples after the first blockage still
-   fold into the minimum, which is harmless: the margin is only read
-   on fully-clear profiles. *)
-let[@cisp.zero_alloc] walk_chunk sc ~lo ~hi =
-  let pair = sc.pair and surf = sc.surf and acc = sc.acc in
+(* True iff one of samples [lo..hi] of a filled, sampled chunk is
+   blocked, priced against the hoisted clearance coefficients
+   ({!Fresnel.pair_coeffs_into}): with [u = t (1 - t)] each sample
+   costs one multiply-add and one sqrt.  Stops at the first blocked
+   sample.  A top-level recursion reading the pair constants back out
+   of [sc.pair], so no float crosses a call boundary boxed. *)
+let[@cisp.zero_alloc] rec walk_chunk sc ~lo ~hi =
+  lo <= hi
+  &&
+  let pair = sc.pair in
   let bulge_c = Float.Array.get pair p_bulge
   and fres_c = Float.Array.get pair p_fres in
-  let total = Float.Array.get pair p_total
-  and fn = Float.Array.get pair p_fn in
   let ha = Float.Array.get pair p_ha
   and dh = Float.Array.get pair p_dh in
-  for i = lo to hi do
-    let t = float_of_int i /. fn in
-    let u = t *. (1.0 -. t) in
-    let m =
-      ha +. (t *. dh)
-      -. (Float.Array.get surf i +. ((bulge_c *. u) +. (fres_c *. sqrt u)))
-    in
-    if m < 0.0 then begin
-      (* The blocked flag is exactly 0.0 or 1.0; ordering comparisons
-         stay monomorphic and unboxed where `=` would be polymorphic
-         equality at float (L1). *)
-      if Float.Array.get acc a_blocked < 0.5 then begin
-        Float.Array.set acc a_at (total *. t);
-        Float.Array.set acc a_deficit (-.m);
-        Float.Array.set acc a_blocked 1.0
-      end
-    end
-    else if m < Float.Array.get acc a_margin then Float.Array.set acc a_margin m
-  done;
-  Float.Array.get acc a_blocked > 0.5
+  let t = float_of_int lo /. Float.Array.get pair p_fn in
+  let u = t *. (1.0 -. t) in
+  let m =
+    ha +. (t *. dh)
+    -. (Float.Array.get sc.surf lo +. ((bulge_c *. u) +. (fres_c *. sqrt u)))
+  in
+  m < 0.0 || walk_chunk sc ~lo:(lo + 1) ~hi
 
-(* Compute and store every per-pair constant in [sc.pair], reset
-   [sc.acc], and size the sample buffers.  Returns the step count [n],
-   or 0 when the pair is out of range.  [@inline] keeps the float
-   intermediates in registers across the (non-flambda) call
-   boundary. *)
+(* Compute and store every per-pair constant in [sc.pair] and size the
+   sample buffers.  Returns the step count [n], or 0 when the pair is
+   out of range.  [@inline] keeps the float intermediates in registers
+   across the (non-flambda) call boundary. *)
 let[@inline] [@cisp.zero_alloc] begin_profile sc ~params a b =
   let total = Geodesy.distance_km a.position b.position in
   if total > params.max_range_km || total < params.min_range_km then 0
@@ -185,7 +149,6 @@ let[@inline] [@cisp.zero_alloc] begin_profile sc ~params a b =
     Fresnel.pair_coeffs_into ~k:k_factor ~f_ghz ~d_km:total ~out:pair;
     let ha = a.ground_m +. a.antenna_m in
     let hb = b.ground_m +. b.antenna_m in
-    Float.Array.set pair p_total total;
     Float.Array.set pair p_fn (float_of_int n);
     Float.Array.set pair p_ha ha;
     Float.Array.set pair p_dh (hb -. ha);
@@ -206,8 +169,6 @@ let[@inline] [@cisp.zero_alloc] begin_profile sc ~params a b =
     Float.Array.set pair p_sl2 (sin lam2);
     Float.Array.set pair p_lat1 (Coord.lat a.position);
     Float.Array.set pair p_lon1 (Coord.lon a.position);
-    Float.Array.set sc.acc a_margin infinity;
-    Float.Array.set sc.acc a_blocked 0.0;
     n
   end
 
@@ -215,53 +176,35 @@ let[@inline] [@cisp.zero_alloc] begin_profile sc ~params a b =
    so a blockage early in the walk stops the sweep before paying for
    the rest of the path — most of a sweep's terrain evaluations are on
    paths that fail within a few samples.  Chunking changes no result
-   (every computed value is a pure function of its index).  A
-   top-level recursive function, not a local one: a local [rec scan]
-   would capture its environment and allocate a closure per check. *)
+   (every computed value is a pure function of its index).  True iff
+   a sample from [lo] on is blocked.  A top-level recursive function,
+   not a local one: a local [rec scan] would capture its environment
+   and allocate a closure per check. *)
 let rec scan_cached cache sc ~n ~lo =
-  if lo >= n then 0
-  else begin
-    let hi = min (n - 1) (lo + 7) in
-    fill_positions sc ~lo ~hi;
-    Dem_cache.surface_samples cache ~lats:sc.lats ~lons:sc.lons ~out:sc.surf ~lo ~hi;
-    if walk_chunk sc ~lo ~hi then 2 else scan_cached cache sc ~n ~lo:(hi + 1)
-  end
+  lo < n
+  &&
+  let hi = min (n - 1) (lo + 7) in
+  fill_positions sc ~lo ~hi;
+  Dem_cache.surface_samples cache ~lats:sc.lats ~lons:sc.lons ~out:sc.surf ~lo ~hi;
+  walk_chunk sc ~lo ~hi || scan_cached cache sc ~n ~lo:(hi + 1)
 
-(* Status-int engine behind [check_cached]/[feasible_cached]: 0 =
-   clear, 1 = out of range, 2 = blocked, details in the domain
-   scratch's [acc].  This is the zero-allocation core the hop sweeps
-   drive from pool workers; the verdict-shaped wrapper below allocates
-   its constructor, the engine itself allocates nothing once the
-   scratch buffers have grown (the DEM evaluations behind
-   [Dem_cache.surface_samples] allocate on their own account).  The
-   cheap rejection: the midpoint has the deepest curvature bulge and
-   is the likeliest blockage, so it is positioned and sampled alone
-   before paying for the full profile. *)
+(* True iff the pair is in range and no sample is blocked.  This is
+   the zero-allocation core the hop sweeps drive from pool workers: it
+   allocates nothing once the scratch buffers have grown (the DEM
+   evaluations behind [Dem_cache.surface_samples] allocate on their
+   own account).  The cheap rejection: the midpoint has the deepest
+   curvature bulge and is the likeliest blockage, so it is positioned
+   and sampled alone before paying for the full profile. *)
 let[@cisp.zero_alloc] profile_status_cached ~params ~cache a b =
   let sc = Cisp_util.Scratch.get scratch_key in
   let n = begin_profile sc ~params a b in
-  if n = 0 then 1
-  else begin
-    let mid = n / 2 in
-    fill_positions sc ~lo:mid ~hi:mid;
-    Dem_cache.surface_samples cache ~lats:sc.lats ~lons:sc.lons ~out:sc.surf
-      ~lo:mid ~hi:mid;
-    if walk_chunk sc ~lo:mid ~hi:mid then 2 else scan_cached cache sc ~n ~lo:1
-  end
-
-let check_cached ?(params = default_params) ~cache a b =
-  match profile_status_cached ~params ~cache a b with
-  | 1 -> Out_of_range
-  | 2 ->
-    let sc = Cisp_util.Scratch.get scratch_key in
-    Blocked
-      {
-        at_km = Float.Array.get sc.acc a_at;
-        deficit_m = Float.Array.get sc.acc a_deficit;
-      }
-  | _ ->
-    let sc = Cisp_util.Scratch.get scratch_key in
-    Clear (Float.Array.get sc.acc a_margin)
+  n > 0
+  &&
+  let mid = n / 2 in
+  fill_positions sc ~lo:mid ~hi:mid;
+  Dem_cache.surface_samples cache ~lats:sc.lats ~lons:sc.lons ~out:sc.surf
+    ~lo:mid ~hi:mid;
+  not (walk_chunk sc ~lo:mid ~hi:mid || scan_cached cache sc ~n ~lo:1)
 
 (* [?params] without default sugar: `?(params = default_params)`
    desugars to a let binding between the parameter lambdas, turning
@@ -269,4 +212,4 @@ let check_cached ?(params = default_params) ~cache a b =
    call — the explicit match keeps the parameter chain intact. *)
 let[@cisp.zero_alloc] feasible_cached ?params ~cache a b =
   let params = match params with Some p -> p | None -> default_params in
-  profile_status_cached ~params ~cache a b = 0
+  profile_status_cached ~params ~cache a b

@@ -34,23 +34,10 @@ type endpoint = {
   antenna_m : float;      (** antenna height above ground *)
 }
 
-type verdict =
-  | Clear of float        (** minimum clearance margin over requirement, m *)
-  | Out_of_range
-  | Blocked of { at_km : float; deficit_m : float }
-      (** first sample that violates clearance, and by how much *)
-
-val check_cached :
-  ?params:params -> cache:Cisp_terrain.Dem_cache.t -> endpoint -> endpoint -> verdict
-(** Full profile check between two endpoints over the raster view's
-    surface (ground + clutter at each sample's cell centre). *)
-
 val feasible_cached :
   ?params:params -> cache:Cisp_terrain.Dem_cache.t -> endpoint -> endpoint -> bool
-(** [true] iff [check_cached] returns [Clear _]: the entry the tower
-    LOS sweep drives from pool workers, allocation-free once the
-    scratch buffers have grown. *)
-
-val endpoint_of_tower :
-  dem:Cisp_terrain.Dem.t -> Cisp_geo.Coord.t -> antenna_m:float -> endpoint
-(** Convenience constructor reading ground elevation from the DEM. *)
+(** [true] iff the hop is within range and every profile sample
+    clears the raster view's surface (ground + clutter at the sample's
+    cell centre) plus the Earth bulge and the first Fresnel zone.  The
+    one LOS entry: the tower LOS sweep drives it from pool workers,
+    allocation-free once the scratch buffers have grown. *)

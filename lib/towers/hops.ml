@@ -38,14 +38,14 @@ let build ?(config = default_config) ~cache ~sites ~towers () =
   let n_sites = Array.length sites in
   let n = n_sites + Array.length towers in
   let graph = Graph.create n in
-  let endpoint_of_tower (tw : Tower.t) =
+  let tower_endpoint (tw : Tower.t) =
     {
       Los.position = tw.position;
       ground_m = Dem_cache.elevation_m cache tw.position;
       antenna_m = Tower.usable_height_m tw ~fraction:config.height_fraction;
     }
   in
-  let endpoint_of_site (c : City.t) =
+  let site_endpoint (c : City.t) =
     {
       Los.position = c.coord;
       ground_m = Dem_cache.elevation_m cache c.coord;
@@ -59,7 +59,7 @@ let build ?(config = default_config) ~cache ~sites ~towers () =
   in
   (* Endpoints are pair-invariant: build them once per tower, O(towers),
      instead of once per tested pair, O(pairs). *)
-  let tower_eps = Array.map endpoint_of_tower towers in
+  let tower_eps = Array.map tower_endpoint towers in
   let pool = Cisp_util.Pool.get () in
   (* Tower-tower hops: each unordered pair within range tested once.
      The LOS + Fresnel walks are pure (the DEM view holds no lock),
@@ -106,7 +106,7 @@ let build ?(config = default_config) ~cache ~sites ~towers () =
   Cisp_util.Telemetry.with_span "hops.site_attach" (fun () ->
       Cisp_util.Pool.parallel_for pool ~n:n_sites (fun i ->
           let c = sites.(i) in
-          let ep_site = endpoint_of_site c in
+          let ep_site = site_endpoint c in
           let acc = ref [] in
           Grid.iter_nearby grid c.coord ~radius_km:site_attach_radius_km
             (fun _ k ->

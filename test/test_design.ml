@@ -676,6 +676,76 @@ let test_degenerate_disconnected_regions () =
   Alcotest.(check (list (pair int int))) "one link inside each region" [ (0, 1); (2, 3) ]
     (List.sort compare r.Scenario.topology.Topology.built)
 
+(* A random small instance: 0-6 sites, all co-located half the time,
+   any budget from -5 up and any MW/fiber stretch and MW cost. *)
+type degenerate = {
+  sites : (float * float * int) list;  (** lat, lon, population *)
+  budget : int;
+  mw_stretch : float;
+  fiber_stretch : float;
+  mw_cost_per_km : float;
+  aggregate_gbps : float;
+}
+
+let degenerate_gen =
+  let open QCheck.Gen in
+  let site =
+    triple (float_range 30.0 48.0) (float_range (-120.0) (-75.0)) (int_range 1 1_000_000)
+  in
+  let* n = int_range 0 6 in
+  let* colocated = bool in
+  let* spread = list_repeat n site in
+  let sites =
+    match spread with
+    | (lat, lon, _) :: _ when colocated -> List.map (fun (_, _, pop) -> (lat, lon, pop)) spread
+    | _ -> spread
+  in
+  let* budget = int_range (-5) 200 in
+  let* mw_stretch = float_range 1.0 2.5 in
+  let* fiber_stretch = float_range 1.0 2.0 in
+  let* mw_cost_per_km = float_range 0.0 0.05 in
+  let* aggregate_gbps = float_range 1.0 100.0 in
+  return { sites; budget; mw_stretch; fiber_stretch; mw_cost_per_km; aggregate_gbps }
+
+let print_degenerate d =
+  Printf.sprintf "sites [%s], budget %d, MW x%h, fiber x%h, %h towers/km, %h Gbps"
+    (String.concat "; "
+       (List.map (fun (lat, lon, pop) -> Printf.sprintf "(%h, %h, %d)" lat lon pop) d.sites))
+    d.budget d.mw_stretch d.fiber_stretch d.mw_cost_per_km d.aggregate_gbps
+
+(* Design, stretch, capacity plan and cost/GB on any such instance:
+   nothing but [Invalid_argument] is raised, and every result is
+   defined (cost/GB is [infinity] only at 0 Gbps, which is not
+   drawn). *)
+let prop_degenerate_defined =
+  QCheck.Test.make ~name:"random degenerate instances are defined" ~count:200
+    (QCheck.make ~print:print_degenerate degenerate_gen)
+    (fun d ->
+      let sites =
+        Array.of_list
+          (List.mapi
+             (fun i (lat, lon, population) ->
+               Cisp_data.City.make (Printf.sprintf "S%d" i) ~lat ~lon ~population)
+             d.sites)
+      in
+      match
+        let inputs =
+          Inputs.synthetic ~sites ~mw_stretch:d.mw_stretch ~mw_cost_per_km:d.mw_cost_per_km
+            ~fiber_stretch:d.fiber_stretch
+            ~traffic:(Cisp_traffic.Matrix.population_product sites)
+        in
+        let topology = Scenario.design inputs ~budget:d.budget in
+        let plan = Capacity.plan inputs topology ~aggregate_gbps:d.aggregate_gbps in
+        ( Topology.stretch_of topology,
+          plan.Capacity.mw_carried_fraction,
+          Capacity.cost_per_gb Cost.default plan ~aggregate_gbps:d.aggregate_gbps )
+      with
+      | exception Invalid_argument _ -> true
+      | stretch, mw_fraction, cost_per_gb ->
+        Float.is_finite stretch && stretch >= 1.0
+        && Float.is_finite cost_per_gb && cost_per_gb >= 0.0
+        && mw_fraction >= 0.0 && mw_fraction <= 1.0)
+
 let scenario_suite =
   ( "design.scenario",
     [
@@ -684,6 +754,7 @@ let scenario_suite =
       Alcotest.test_case "range below min_range_km" `Quick test_degenerate_short_range;
       Alcotest.test_case "everything culled" `Quick test_degenerate_everything_culled;
       Alcotest.test_case "regions with no MW between them" `Quick test_degenerate_disconnected_regions;
+      QCheck_alcotest.to_alcotest prop_degenerate_defined;
     ] )
 
 let suites = suites @ [ scenario_suite ]

@@ -190,6 +190,12 @@ let test_weather_width_invariant () =
         (r1.Cisp_weather.Year.per_pair = rw.Cisp_weather.Year.per_pair))
     [ 2; 4; 8 ]
 
+(* Work the design run does at any width, pinned exactly: a change
+   meant to alter the work edits these, so its diff shows by how
+   much. *)
+let golden_design_work =
+  [ ("apsp.sources", 40); ("greedy.candidates", 28); ("greedy.links_built", 19) ]
+
 let test_telemetry_bit_identity () =
   (* The telemetry layer's core contract: enabling it changes nothing.
      Same design run with telemetry off and on, at jobs 1 and 4 — the
@@ -200,7 +206,16 @@ let test_telemetry_bit_identity () =
   Fun.protect ~finally:Telemetry.reset (fun () ->
       let off1 = run_design 1 and off4 = run_design 4 in
       Telemetry.enable_metrics ();
-      let on1 = run_design 1 and on4 = run_design 4 in
+      let work () = List.map (fun (name, _) -> Telemetry.counter name) golden_design_work in
+      let on1 = run_design 1 in
+      let work1 = work () in
+      let on4 = run_design 4 in
+      let work4 = List.map2 ( - ) (work ()) work1 in
+      List.iter2
+        (fun (name, expected) (got1, got4) ->
+          Alcotest.(check int) (name ^ " (jobs=1)") expected got1;
+          Alcotest.(check int) (name ^ " (jobs=4)") expected got4)
+        golden_design_work (List.combine work1 work4);
       List.iter
         (fun (label, ((t_off, s_off, g_off, _) as off), ((t_on, s_on, g_on, _) as on)) ->
           Alcotest.(check (list (pair int int)))
@@ -349,11 +364,18 @@ let hop_graph_fingerprint (h : Hops.t) =
    tower sweep at jobs=1. *)
 let golden_hop_graph_fingerprint = "46934bba79370be361fcaa91f342dc57"
 
+(* Work of that sweep, pinned exactly: the DEM evaluations and LOS
+   tests of one cold build.  A change meant to alter the work edits
+   these, so its diff shows by how much. *)
+let golden_sweep_dem_evaluations = 14_879_779
+let golden_sweep_los_tests = 566_655
+
 let test_los_sweep_width_invariant () =
   (* Rebuild the tower hop graph from a fresh [Dem_cache] at several
      pool widths: covers the LOS + Fresnel sweep and the cell-centre
      terrain sampling.  The hop graph must match the golden digest at
-     jobs=1 and be identical at every other width. *)
+     jobs=1 and be identical at every other width, and every width
+     must make the same DEM evaluations. *)
   let a = Lazy.force artifacts in
   let build w =
     Pool.with_default_jobs w (fun () ->
@@ -364,17 +386,30 @@ let test_los_sweep_width_invariant () =
             ~towers:(Array.to_list a.Scenario.hops.Hops.towers)
             ()
         in
-        (h.Hops.feasible_hops, Hops.all_links h, hop_graph_fingerprint h))
+        ( h.Hops.feasible_hops,
+          Hops.all_links h,
+          hop_graph_fingerprint h,
+          snd (Cisp_terrain.Dem_cache.stats cache) ))
   in
-  let f1, l1, fp1 = build 1 in
+  let module Telemetry = Cisp_util.Telemetry in
+  Telemetry.reset ();
+  let (f1, l1, fp1, ev1), los_tests =
+    Fun.protect ~finally:Telemetry.reset (fun () ->
+        Telemetry.enable_metrics ();
+        let r = build 1 in
+        (r, Telemetry.counter "hops.los_tests"))
+  in
   Alcotest.(check string) "golden hop-graph fingerprint (jobs=1)"
     golden_hop_graph_fingerprint fp1;
+  Alcotest.(check int) "DEM evaluations (jobs=1)" golden_sweep_dem_evaluations ev1;
+  Alcotest.(check int) "LOS tests (jobs=1)" golden_sweep_los_tests los_tests;
   List.iter
     (fun w ->
-      let fw, lw, fpw = build w in
+      let fw, lw, fpw, evw = build w in
       Alcotest.(check int) (Printf.sprintf "feasible hops, jobs=1 vs %d" w) f1 fw;
       Alcotest.(check bool) (Printf.sprintf "MW links, jobs=1 vs %d" w) true (l1 = lw);
-      Alcotest.(check string) (Printf.sprintf "hop-graph fingerprint, jobs=1 vs %d" w) fp1 fpw)
+      Alcotest.(check string) (Printf.sprintf "hop-graph fingerprint, jobs=1 vs %d" w) fp1 fpw;
+      Alcotest.(check int) (Printf.sprintf "DEM evaluations, jobs=1 vs %d" w) ev1 evw)
     [ 2; 4; 8 ]
 
 let suites =

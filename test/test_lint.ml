@@ -380,6 +380,26 @@ let test_ordering_stable () =
     (List.map Diag.to_string (List.sort Diag.order r1.Engine.diagnostics))
     (strings r1)
 
+let test_order_total () =
+  (* Engine.report deduplicates with [sort_uniq Diag.order]: findings
+     that differ only in symbol or witness must all survive it, and
+     only exact duplicates collapse. *)
+  let at ?witness symbol =
+    Diag.make ?witness ~rule:Diag.L14 ~symbol ~message:"may block"
+      (Effects.loc_of_site { Effects.file = "a.ml"; line = 3; col = 7 })
+  in
+  let ds =
+    [ at "f"; at "g"; at ~witness:[ "x" ] "f"; at ~witness:[ "x"; "y" ] "f"; at "f" ]
+  in
+  Alcotest.(check (list string)) "ties broken on symbol, then witness"
+    [
+      {|{"file":"a.ml","line":3,"col":7,"rule":"L14","symbol":"f","message":"may block"}|};
+      {|{"file":"a.ml","line":3,"col":7,"rule":"L14","symbol":"f","message":"may block","witness":["x"]}|};
+      {|{"file":"a.ml","line":3,"col":7,"rule":"L14","symbol":"f","message":"may block","witness":["x","y"]}|};
+      {|{"file":"a.ml","line":3,"col":7,"rule":"L14","symbol":"g","message":"may block"}|};
+    ]
+    (List.map Diag.to_json (List.sort_uniq Diag.order ds))
+
 let test_json_format () =
   let d =
     Diag.make ~rule:Diag.L9 ~symbol:"f" ~message:"says \"hi\"\there"
@@ -613,6 +633,7 @@ let suites =
         Alcotest.test_case "recursive call graph" `Quick test_callgraph_recursive;
         Alcotest.test_case "fixpoint converges" `Quick test_fixpoint_convergence;
         Alcotest.test_case "stable ordering" `Quick test_ordering_stable;
+        Alcotest.test_case "total order" `Quick test_order_total;
         Alcotest.test_case "JSON output" `Quick test_json_format;
         Alcotest.test_case "stale allowlist entries" `Quick test_allowlist_stale;
         Alcotest.test_case "allowlist pruning" `Quick test_allowlist_prune;

@@ -65,37 +65,48 @@ let test_pair_coeffs_match_clearance () =
 let flat_dem = Cisp_terrain.Dem.create ~seed:1 Cisp_terrain.Dem.Flat
 let flat_cache = Cisp_terrain.Dem_cache.create flat_dem
 
-let ep lat lon h =
-  Los.endpoint_of_tower ~dem:flat_dem (Cisp_geo.Coord.make ~lat ~lon) ~antenna_m:h
+(* An antenna [h] m above the DEM's ground at ([lat], [lon]). *)
+let endpoint dem lat lon h =
+  let position = Cisp_geo.Coord.make ~lat ~lon in
+  { Los.position; ground_m = Cisp_terrain.Dem.elevation_m dem position; antenna_m = h }
+
+let ep lat lon h = endpoint flat_dem lat lon h
+let feasible ?params ?(cache = flat_cache) a b = Los.feasible_cached ?params ~cache a b
 
 let test_los_clear_short_hop () =
   (* 30 km hop with 100 m towers over flat terrain: bulge ~13.8m +
-     fresnel ~14.3m << 100m - clutter(~30m). *)
-  let a = ep 40.0 (-100.0) 100.0 and b = ep 40.0 (-99.65) 100.0 in
-  match Los.check_cached ~cache:flat_cache a b with
-  | Los.Clear margin -> Alcotest.(check bool) "positive margin" true (margin > 0.0)
-  | _ -> Alcotest.fail "expected clear"
+     fresnel ~14.3m << 100m - clutter(~30m).  Control: 40 m towers
+     fall short of that clearance. *)
+  let a h = ep 40.0 (-100.0) h and b h = ep 40.0 (-99.65) h in
+  Alcotest.(check bool) "100 m towers clear" true (feasible (a 100.0) (b 100.0));
+  Alcotest.(check bool) "40 m towers blocked" false (feasible (a 40.0) (b 40.0))
 
 let test_los_blocked_long_low () =
-  (* 100 km hop with 40 m towers: midpoint bulge alone is ~154 m. *)
-  let a = ep 40.0 (-100.0) 40.0 and b = ep 40.0 (-98.83) 40.0 in
-  match Los.check_cached ~cache:flat_cache a b with
-  | Los.Blocked _ -> ()
-  | Los.Clear _ -> Alcotest.fail "expected blocked"
-  | Los.Out_of_range -> Alcotest.fail "unexpected out of range"
+  (* 100 km hop with 40 m towers: midpoint bulge alone is ~154 m.
+     Control: 300 m towers clear it, so the hop is in range and
+     blocked by its height. *)
+  let a h = ep 40.0 (-100.0) h and b h = ep 40.0 (-98.83) h in
+  Alcotest.(check bool) "40 m towers blocked" false (feasible (a 40.0) (b 40.0));
+  Alcotest.(check bool) "300 m towers clear" true (feasible (a 300.0) (b 300.0))
 
 let test_los_out_of_range () =
+  (* ~170 km apart.  The range check comes before any terrain sample;
+     control: a 200 km range walks the profile. *)
   let a = ep 40.0 (-100.0) 300.0 and b = ep 40.0 (-98.0) 300.0 in
-  (* ~170 km apart *)
-  match Los.check_cached ~cache:flat_cache a b with
-  | Los.Out_of_range -> ()
-  | _ -> Alcotest.fail "expected out of range"
+  let cache = Cisp_terrain.Dem_cache.create flat_dem in
+  Alcotest.(check bool) "beyond 100 km" false (feasible ~cache a b);
+  Alcotest.(check (pair int int)) "rejected unsampled" (0, 0)
+    (Cisp_terrain.Dem_cache.stats cache);
+  ignore (feasible ~params:{ Los.default_params with max_range_km = 200.0 } ~cache a b);
+  Alcotest.(check bool) "a 200 km range samples terrain" true
+    (snd (Cisp_terrain.Dem_cache.stats cache) > 0)
 
 let test_los_min_range () =
+  (* ~85 m apart.  Control: a 50 m minimum range admits the hop. *)
   let a = ep 40.0 (-100.0) 100.0 and b = ep 40.0 (-100.001) 100.0 in
-  match Los.check_cached ~cache:flat_cache a b with
-  | Los.Out_of_range -> ()
-  | _ -> Alcotest.fail "expected below min range"
+  Alcotest.(check bool) "below 1 km" false (feasible a b);
+  Alcotest.(check bool) "a 50 m minimum admits it" true
+    (feasible ~params:{ Los.default_params with min_range_km = 0.05 } a b)
 
 let test_los_taller_towers_help () =
   (* Find a marginal distance where 60 m fails but 180 m clears. *)
@@ -106,7 +117,10 @@ let test_los_taller_towers_help () =
   Alcotest.(check bool) "short blocked" false short
 
 let test_los_mountain_blocks () =
-  (* Custom single peak between the endpoints. *)
+  (* Custom single peak between the endpoints.  Raising both antennas
+     by 100 m raises the ray by 100 m everywhere, so a hop still
+     blocked then has a deficit above 100 m.  Control: the same
+     towers clear [Dem.Flat]. *)
   let peak =
     {
       Cisp_terrain.Dem.center = Cisp_geo.Coord.make ~lat:40.0 ~lon:(-99.5);
@@ -116,14 +130,16 @@ let test_los_mountain_blocks () =
       peak_m = 2500.0;
     }
   in
-  let dem = Cisp_terrain.Dem.create ~seed:2 (Cisp_terrain.Dem.Custom [ peak ]) in
-  let a = Los.endpoint_of_tower ~dem (Cisp_geo.Coord.make ~lat:40.0 ~lon:(-100.0)) ~antenna_m:150.0 in
-  let b = Los.endpoint_of_tower ~dem (Cisp_geo.Coord.make ~lat:40.0 ~lon:(-99.0)) ~antenna_m:150.0 in
-  match Los.check_cached ~cache:(Cisp_terrain.Dem_cache.create dem) a b with
-  | Los.Blocked { at_km; deficit_m } ->
-    Alcotest.(check bool) "blocked mid-path" true (at_km > 10.0 && at_km < 80.0);
-    Alcotest.(check bool) "large deficit" true (deficit_m > 100.0)
-  | _ -> Alcotest.fail "expected blocked by mountain"
+  let hop dem h =
+    feasible
+      ~cache:(Cisp_terrain.Dem_cache.create dem)
+      (endpoint dem 40.0 (-100.0) h) (endpoint dem 40.0 (-99.0) h)
+  in
+  let mountain = Cisp_terrain.Dem.create ~seed:2 (Cisp_terrain.Dem.Custom [ peak ]) in
+  let flat = Cisp_terrain.Dem.create ~seed:2 Cisp_terrain.Dem.Flat in
+  Alcotest.(check bool) "150 m towers blocked" false (hop mountain 150.0);
+  Alcotest.(check bool) "250 m towers still blocked" false (hop mountain 250.0);
+  Alcotest.(check bool) "250 m towers clear flat terrain" true (hop flat 250.0)
 
 let test_cached_check_allocation_per_evaluation () =
   (* Runtime cross-check of the static [@cisp.zero_alloc] contracts
@@ -164,15 +180,12 @@ let test_cached_check_allocation_per_evaluation () =
       Array.init 24 (fun _ ->
           let lat = Cisp_util.Rng.uniform rng 34.0 42.0 in
           let lon = Cisp_util.Rng.uniform rng (-104.0) (-90.0) in
-          let a =
-            Los.endpoint_of_tower ~dem (Cisp_geo.Coord.make ~lat ~lon) ~antenna_m:60.0
-          in
+          let a = endpoint dem lat lon 60.0 in
           let b =
-            Los.endpoint_of_tower ~dem
-              (Cisp_geo.Coord.make
-                 ~lat:(lat +. Cisp_util.Rng.uniform rng (-0.3) 0.3)
-                 ~lon:(lon +. Cisp_util.Rng.uniform rng (-0.3) 0.3))
-              ~antenna_m:60.0
+            endpoint dem
+              (lat +. Cisp_util.Rng.uniform rng (-0.3) 0.3)
+              (lon +. Cisp_util.Rng.uniform rng (-0.3) 0.3)
+              60.0
           in
           (a, b))
     in
@@ -212,7 +225,9 @@ let test_cached_check_allocation_per_evaluation () =
 let test_blocked_midpoint_samples_once () =
   (* A path whose midpoint is obstructed must be rejected after a
      single terrain sample (regression: the blocked branch used to
-     evaluate the midpoint margin twice). *)
+     evaluate the midpoint margin twice).  Raising both antennas by
+     1,000 m leaves it blocked, so the deficit is the wall's; control:
+     those towers clear [Dem.Flat]. *)
   let wall =
     {
       Cisp_terrain.Dem.center = Cisp_geo.Coord.make ~lat:40.0 ~lon:(-99.5);
@@ -222,18 +237,21 @@ let test_blocked_midpoint_samples_once () =
       peak_m = 10_000.0;
     }
   in
-  let cache =
-    Cisp_terrain.Dem_cache.create
-      (Cisp_terrain.Dem.create ~seed:3 (Cisp_terrain.Dem.Custom [ wall ]))
+  let hop region h =
+    let cache = Cisp_terrain.Dem_cache.create (Cisp_terrain.Dem.create ~seed:3 region) in
+    let at lon =
+      { Los.position = Cisp_geo.Coord.make ~lat:40.0 ~lon; ground_m = 0.0; antenna_m = h }
+    in
+    let clear = feasible ~cache (at (-100.0)) (at (-99.0)) in
+    (clear, Cisp_terrain.Dem_cache.stats cache)
   in
-  let a = { Los.position = Cisp_geo.Coord.make ~lat:40.0 ~lon:(-100.0); ground_m = 0.0; antenna_m = 100.0 } in
-  let b = { Los.position = Cisp_geo.Coord.make ~lat:40.0 ~lon:(-99.0); ground_m = 0.0; antenna_m = 100.0 } in
-  (match Los.check_cached ~cache a b with
-  | Los.Blocked { deficit_m; _ } ->
-    (* The base terrain alone stays within a few hundred metres. *)
-    Alcotest.(check bool) "deficit reflects the wall" true (deficit_m > 1000.0)
-  | _ -> Alcotest.fail "expected blocked");
-  Alcotest.(check (pair int int)) "one terrain sample" (0, 1) (Cisp_terrain.Dem_cache.stats cache)
+  let walled = Cisp_terrain.Dem.Custom [ wall ] in
+  Alcotest.(check (pair bool (pair int int))) "blocked after one terrain sample"
+    (false, (0, 1)) (hop walled 100.0);
+  Alcotest.(check (pair bool (pair int int))) "1,100 m towers: still one blocked sample"
+    (false, (0, 1)) (hop walled 1100.0);
+  Alcotest.(check bool) "1,100 m towers clear flat terrain" true
+    (fst (hop Cisp_terrain.Dem.Flat 1100.0))
 
 (* ---------- Attenuation (ITU-R P.838) ---------- *)
 
