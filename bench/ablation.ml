@@ -18,9 +18,9 @@ let run ctx =
   Printf.printf "%-16s %-12s %-12s %-12s\n" "pruning" "flow vars" "time (s)" "stretch";
   List.iter
     (fun oracle_pruning ->
-      let limits = { Cisp_lp.Milp.default_limits with max_seconds = 30.0 } in
       let (topo, stats), secs =
-        Ctx.time (fun () -> Ilp.design ~limits ~oracle_pruning sub ~budget ~candidates)
+        Ctx.time (fun () ->
+            Ilp.design ~time_limit_s:30.0 ~oracle_pruning sub ~budget ~candidates)
       in
       Printf.printf "%-16b %-12d %-12.2f %-12.4f\n%!" oracle_pruning stats.Ilp.flow_vars secs
         (Topology.stretch_of topo))
@@ -30,9 +30,9 @@ let run ctx =
   Printf.printf "%-16s %-12s %-12s %-12s\n" "linking" "lp solves" "time (s)" "stretch";
   List.iter
     (fun strong_linking ->
-      let limits = { Cisp_lp.Milp.default_limits with max_seconds = 30.0 } in
       let (topo, stats), secs =
-        Ctx.time (fun () -> Ilp.design ~limits ~strong_linking sub ~budget ~candidates)
+        Ctx.time (fun () ->
+            Ilp.design ~time_limit_s:30.0 ~strong_linking sub ~budget ~candidates)
       in
       Printf.printf "%-16s %-12d %-12.2f %-12.4f\n%!"
         (if strong_linking then "strong" else "aggregated")

@@ -28,8 +28,9 @@ let run ctx =
       let inputs = subset_inputs ctx n in
       let budget = budget_per_site * n in
       let candidates = Greedy.candidate_set inputs ~budget ~inflation:2.0 in
-      let limits = { Cisp_lp.Milp.default_limits with max_seconds = ilp_cap } in
-      let (topo, stats), secs = Ctx.time (fun () -> Ilp.design ~limits inputs ~budget ~candidates) in
+      let (topo, stats), secs =
+        Ctx.time (fun () -> Ilp.design ~time_limit_s:ilp_cap inputs ~budget ~candidates)
+      in
       ilp_results := (n, topo, stats) :: !ilp_results;
       Printf.printf "%-8d %-12.2f %-14s (commodities=%d flows=%d nodes=%d)\n%!" n secs
         (status_string stats.Ilp.milp_status)

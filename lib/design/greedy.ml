@@ -53,7 +53,7 @@ let score_candidates (inputs : Inputs.t) w d ~budget cands =
       let n = Array.length cands in
       Cisp_util.Telemetry.add "greedy.candidates" n;
       let scored = Array.make n None in
-      Cisp_util.Pool.parallel_for (Cisp_util.Pool.get ()) ~n (fun idx ->
+      Cisp_util.Pool.parallel_for ~n (fun idx ->
           let i, j = cands.(idx) in
           let c = Topology.link_cost inputs i j in
           if c <= budget then begin

@@ -4,7 +4,6 @@ module Milp = Cisp_lp.Milp
 type stats = {
   commodities : int;
   flow_vars : int;
-  constraints : int;
   nodes_explored : int;
   lp_solves : int;
   milp_status : [ `Optimal | `Feasible_gap of float | `Infeasible | `Unbounded | `No_solution ];
@@ -137,10 +136,10 @@ let formulate ?(strong_linking = false) ?(oracle_pruning = true) (inputs : Input
   Model.set_objective m !objective_terms;
   { model = m; x; cands; f_commodities = !commodities; f_flow_vars = !flow_vars }
 
-let design ?(limits = Milp.default_limits) ?strong_linking ?oracle_pruning (inputs : Inputs.t)
-    ~budget ~candidates =
+let design ?time_limit_s ?strong_linking ?oracle_pruning (inputs : Inputs.t) ~budget
+    ~candidates =
   let f = formulate ?strong_linking ?oracle_pruning inputs ~budget ~candidates in
-  let outcome = Milp.solve ~limits f.model in
+  let outcome = Milp.solve ?time_limit_s f.model in
   let built =
     match outcome.Milp.x with
     | None -> []
@@ -154,7 +153,6 @@ let design ?(limits = Milp.default_limits) ?strong_linking ?oracle_pruning (inpu
     {
       commodities = f.f_commodities;
       flow_vars = f.f_flow_vars;
-      constraints = Model.n_vars f.model;
       nodes_explored = outcome.Milp.nodes_explored;
       lp_solves = outcome.Milp.lp_solves;
       milp_status = outcome.Milp.status;

@@ -23,24 +23,24 @@
 type stats = {
   commodities : int;         (** after pruning *)
   flow_vars : int;
-  constraints : int;
   nodes_explored : int;
   lp_solves : int;
   milp_status : [ `Optimal | `Feasible_gap of float | `Infeasible | `Unbounded | `No_solution ];
 }
 
 val design :
-  ?limits:Cisp_lp.Milp.limits ->
+  ?time_limit_s:float ->
   ?strong_linking:bool ->
   ?oracle_pruning:bool ->
   Inputs.t ->
   budget:int ->
   candidates:(int * int) list ->
   Topology.t * stats
-(** Exact (up to [limits]) selection among [candidates] within
-    [budget].  [strong_linking] (default false) uses one linking row
-    per commodity-link instead of one aggregated row per link:
-    tighter LP bounds, bigger tableaux.  [oracle_pruning] (default
+(** Exact selection among [candidates] within [budget], unless the
+    search stops early ([time_limit_s], see {!Cisp_lp.Milp.solve}).
+    [strong_linking] (default false) uses one linking row per
+    commodity-link instead of one aggregated row per link: tighter LP
+    bounds, bigger tableaux.  [oracle_pruning] (default
     true) can be disabled to measure how much the paper's
     variable-elimination observation buys (see the ablation bench). *)
 

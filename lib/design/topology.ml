@@ -69,15 +69,12 @@ let remove t pair =
     }
   end
 
-(* Below this size the per-pass synchronization of the pool costs more
-   than the row updates it spreads out. *)
-let par_threshold = 64
-
 (* One row relaxation is ~n flops over contiguous floats — far cheaper
    than a claim of the pool's shared chunk counter.  Batch enough rows
    per claim that each costs on the order of a few thousand flops;
    small matrices fall back to sequential via the pool's short-circuit
-   rather than spinning every worker on chunk = 1. *)
+   rather than spinning every worker on chunk = 1 (up to 64 sites the
+   whole matrix is one chunk, so every pass runs inline). *)
 let row_chunk n = max 8 (4096 / max 1 n)
 
 (* Metric closure of the complete fiber mesh.  Fiber route matrices
@@ -101,19 +98,10 @@ let fiber_baseline (inputs : Inputs.t) =
       done
     end
   in
-  if n < par_threshold then
-    for k = 0 to n - 1 do
-      for i = 0 to n - 1 do
-        pass k i
-      done
-    done
-  else begin
-    let pool = Cisp_util.Pool.get () in
-    let min_chunk = row_chunk n in
-    for k = 0 to n - 1 do
-      Cisp_util.Pool.parallel_for ~min_chunk pool ~n (pass k)
-    done
-  end;
+  let min_chunk = row_chunk n in
+  for k = 0 to n - 1 do
+    Cisp_util.Pool.parallel_for ~min_chunk ~n (pass k)
+  done;
   d
 
 (* Exact closure after adding one extra edge (i,j,w) to a closed
@@ -135,11 +123,7 @@ let distances_incremental (inputs : Inputs.t) d (i, j) =
     done
   in
   (* Rows of [out] are written independently; [d] is only read. *)
-  if n < par_threshold then
-    for s = 0 to n - 1 do
-      relax s
-    done
-  else Cisp_util.Pool.parallel_for_default ~min_chunk:(row_chunk n) ~n relax;
+  Cisp_util.Pool.parallel_for ~min_chunk:(row_chunk n) ~n relax;
   out
 
 let distances t =

@@ -55,19 +55,20 @@ let shortest_path g ~src ~dst =
 (* Each source's Dijkstra is independent and only reads the graph, so
    the rows compute in parallel; every row is bit-identical to the
    sequential run.  The weather replay calls this from inside a pool
-   body ([Scenarios.run] -> [Routing.paths] -> [Topology.routes]), so
-   it submits through [parallel_for_default], which runs such a nested
-   call on the calling domain without touching the pool registry. *)
+   body ([Scenarios.run] -> [Routing.paths] -> [Topology.routes]),
+   where the loop runs on the calling domain without touching the
+   pool registry. *)
 let all_pairs_results g ~sources =
   Cisp_util.Telemetry.with_span "apsp" (fun () ->
       let n = Array.length sources in
       Cisp_util.Telemetry.add "apsp.sources" n;
       let out = Array.make n { dist = [||]; prev = [||] } in
       (* One source is a whole Dijkstra — thousands of heap operations
-         — so the finest chunk wins: a claim of the shared counter is
-         noise next to the work it buys, and coarser chunks would only
-         worsen load balance across sources of uneven degree. *)
-      Cisp_util.Pool.parallel_for_default ~min_chunk:1 ~n (fun k ->
+         — so the finest (default) chunk wins: a claim of the shared
+         counter is noise next to the work it buys, and coarser chunks
+         would only worsen load balance across sources of uneven
+         degree. *)
+      Cisp_util.Pool.parallel_for ~n (fun k ->
           out.(k) <- run g ~src:sources.(k));
       out)
 

@@ -96,11 +96,7 @@ type t = {
   by_name : int SM.t;
 }
 
-let pool_combinators =
-  [
-    "Cisp_util.Pool.parallel_for";
-    "Cisp_util.Pool.parallel_for_default";
-  ]
+let pool_combinators = [ "Cisp_util.Pool.parallel_for" ]
 
 (* ------------------------------------------------------------------ *)
 (* Canonical names                                                     *)

@@ -20,9 +20,9 @@
     consuming the call graph and effect summaries ({!Callgraph},
     {!Effects}, {!Summary}, checked by {!Effect_rules}):
 
-    - L7: a closure handed to [Cisp_util.Pool.parallel_for] /
-      [parallel_for_default] must not transitively mutate shared state
-      that is neither [Atomic] nor mutex-protected.
+    - L7: a closure handed to [Cisp_util.Pool.parallel_for] must not
+      transitively mutate shared state that is neither [Atomic] nor
+      mutex-protected.
     - L8: a function exported by a [.mli] must not (transitively)
       raise anything but the documented [Invalid_argument]
       convention; the diagnostic lands on the public function of the
@@ -37,7 +37,7 @@
     - L10: a function carrying [@cisp.zero_alloc] must not reach any
       heap allocation in its transitive call graph; blamed at the
       allocation's origin site, like L8.
-    - L11: a closure handed to a [Cisp_util.Pool] combinator must not
+    - L11: a closure handed to [Cisp_util.Pool.parallel_for] must not
       allocate a closure, box a float, or build a partial application
       per call — the per-iteration garbage that kills multicore
       scaling.
@@ -52,7 +52,7 @@
       in the derived acquisition graph are deadlocks-in-waiting.
     - L14: no call that may block (mutex acquisition, [Domain.join],
       [Condition.wait], IO, [Unix] syscalls) while a lock is held or
-      inside a [Cisp_util.Pool] combinator body.  The condition-wait
+      inside a [Cisp_util.Pool.parallel_for] body.  The condition-wait
       protocol — waiting on the SAME mutex you hold — is exempt.
     - L15: no float accumulation over an unordered source (raw
       [Hashtbl.fold]/[iter] outside [Cisp_util.Tbl], hand-rolled

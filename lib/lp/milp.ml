@@ -1,6 +1,8 @@
-type limits = { max_nodes : int; max_seconds : float; gap_tolerance : float }
-
-let default_limits = { max_nodes = 200_000; max_seconds = 120.0; gap_tolerance = 1e-6 }
+(* Search stops after this many branch-and-bound nodes, or once the
+   relative gap between incumbent and best bound is within
+   [gap_tolerance]. *)
+let max_nodes = 200_000
+let gap_tolerance = 1e-6
 
 type outcome = {
   status : [ `Optimal | `Feasible_gap of float | `Infeasible | `Unbounded | `No_solution ];
@@ -29,7 +31,7 @@ let fractional_var ivars x =
 
 let solve_relaxation model = Simplex.solve (Model.to_lp model ~extra:[])
 
-let solve ?(limits = default_limits) model =
+let solve ?(time_limit_s = 120.0) model =
   let ivars = List.map Model.var_index (Model.integer_vars model) in
   let start = Sys.time () in
   let nodes_explored = ref 0 in
@@ -75,7 +77,7 @@ let solve ?(limits = default_limits) model =
           if sol.objective < !incumbent_obj -. 1e-12 then push_node sol.objective (branch, sol))
       [ left; right ]
   in
-  let time_left () = Sys.time () -. start < limits.max_seconds in
+  let time_left () = Sys.time () -. start < time_limit_s in
   match solve_node [] with
   | Simplex.Infeasible ->
     { status = `Infeasible; x = None; objective = None; nodes_explored = 0; lp_solves = !lp_solves }
@@ -115,7 +117,7 @@ let solve ?(limits = default_limits) model =
     let rec loop () =
       if
         Cisp_graph.Heap.length frontier = 0
-        || !nodes_explored >= limits.max_nodes
+        || !nodes_explored >= max_nodes
         || not (time_left ())
       then ()
       else begin
@@ -146,7 +148,7 @@ let solve ?(limits = default_limits) model =
                 Float.abs (!incumbent_obj -. !best_bound)
                 /. Float.max 1e-9 (Float.abs !incumbent_obj)
             in
-            if gap > limits.gap_tolerance then loop ()
+            if gap > gap_tolerance then loop ()
           end
       end
     in
@@ -159,7 +161,7 @@ let solve ?(limits = default_limits) model =
         /. Float.max 1e-9 (Float.abs !incumbent_obj)
       in
       let status =
-        if exhausted || gap <= limits.gap_tolerance || !best_bound >= !incumbent_obj -. 1e-12
+        if exhausted || gap <= gap_tolerance || !best_bound >= !incumbent_obj -. 1e-12
         then `Optimal
         else `Feasible_gap gap
       in

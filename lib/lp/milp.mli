@@ -6,14 +6,6 @@
     terminates with [Optimal]; budget-limited runs report the best
     incumbent and the residual gap. *)
 
-type limits = {
-  max_nodes : int;
-  max_seconds : float;
-  gap_tolerance : float;   (** relative gap at which to stop *)
-}
-
-val default_limits : limits
-
 type outcome = {
   status : [ `Optimal | `Feasible_gap of float | `Infeasible | `Unbounded | `No_solution ];
   x : float array option;       (** best integral solution found *)
@@ -22,7 +14,12 @@ type outcome = {
   lp_solves : int;
 }
 
-val solve : ?limits:limits -> Model.t -> outcome
+val solve : ?time_limit_s:float -> Model.t -> outcome
+(** Search stops at [time_limit_s] seconds of processor time (default
+    120), after 200,000 nodes, or at a relative gap of 1e-6, whichever
+    comes first.  A stopped search reports its best incumbent — the
+    rounding dive plants one before the search starts whenever the
+    problem is feasible — and the residual gap. *)
 
 val solve_relaxation : Model.t -> Simplex.status
 (** Just the root LP relaxation (used by the LP-rounding baseline). *)

@@ -23,7 +23,6 @@ let add_var ?(ub = infinity) ?(integer = false) t =
 let binary t = add_var ~ub:1.0 ~integer:true t
 
 let var_index v = v
-let n_vars t = t.n
 
 let op_to_simplex = function Le -> Simplex.Le | Ge -> Simplex.Ge | Eq -> Simplex.Eq
 

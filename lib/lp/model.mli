@@ -17,7 +17,6 @@ val binary : t -> var
 (** Integer variable in \[0, 1\]. *)
 
 val var_index : var -> int
-val n_vars : t -> int
 
 type op = Le | Ge | Eq
 

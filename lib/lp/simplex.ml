@@ -114,7 +114,7 @@ let run_phase t ~allowed ~max_iters =
   in
   loop ()
 
-let solve ?max_iters (p : problem) =
+let solve (p : problem) =
   let m = List.length p.rows in
   let n = p.n_vars in
   let rows = Array.of_list p.rows in
@@ -172,9 +172,9 @@ let solve ?max_iters (p : problem) =
         t.basis.(i) <- !art_idx;
         incr art_idx))
     norm;
-  let max_iters =
-    match max_iters with Some k -> k | None -> 2000 + (200 * (m + total))
-  in
+  (* A generous bound scaled by problem size: reaching it means the
+     basis is cycling, which Bland's rule should prevent. *)
+  let max_iters = 2000 + (200 * (m + total)) in
   (* Phase 1: minimize sum of artificials.  Reduced costs = -(sum of
      rows with artificial basics). *)
   if n_art > 0 then begin
@@ -240,4 +240,4 @@ let solve ?max_iters (p : problem) =
     let objective = Array.fold_left ( +. ) 0.0 (Array.mapi (fun j v -> p.objective.(j) *. v) x) in
     Optimal { x; objective }
 
-let solve ?max_iters p = try solve ?max_iters p with Exit -> Infeasible
+let solve p = try solve p with Exit -> Infeasible

@@ -24,7 +24,7 @@ type status =
   | Infeasible
   | Unbounded
 
-val solve : ?max_iters:int -> problem -> status
-(** [max_iters] defaults to a generous bound scaled by problem size;
-    exceeding it raises [Failure] (indicates cycling, which Bland's
-    rule should prevent). *)
+val solve : problem -> status
+(** Pivots are capped at a generous bound scaled by problem size,
+    [2000 + 200 * (rows + columns)]; exceeding it raises [Failure]
+    (indicates cycling, which Bland's rule should prevent). *)

@@ -22,7 +22,7 @@ type endpoint = { position : Coord.t; ground_m : float; antenna_m : float }
    arguments or captured locals) is what lets the whole walk below run
    closure-free and allocation-free: floats handed across a
    non-flambda call boundary are boxed, floats read out of a
-   floatarray stay in registers.  Domain-private ([Cisp_util.Scratch]),
+   floatarray stay in registers.  Domain-private (a [Domain.DLS] key),
    and only ever an input to the computation — contents are
    overwritten for the sample range before each read — so reuse cannot
    leak state between pairs or domains. *)
@@ -56,7 +56,7 @@ let p_lat1 = 15
 let p_lon1 = 16
 
 let scratch_key =
-  Cisp_util.Scratch.create (fun () ->
+  Domain.DLS.new_key (fun () ->
       {
         lats = Float.Array.create 256;
         lons = Float.Array.create 256;
@@ -196,7 +196,7 @@ let rec scan_cached cache sc ~n ~lo =
    curvature bulge and is the likeliest blockage, so it is positioned
    and sampled alone before paying for the full profile. *)
 let[@cisp.zero_alloc] profile_status_cached ~params ~cache a b =
-  let sc = Cisp_util.Scratch.get scratch_key in
+  let sc = Domain.DLS.get scratch_key in
   let n = begin_profile sc ~params a b in
   n > 0
   &&

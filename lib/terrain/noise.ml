@@ -46,7 +46,7 @@ let value ~seed x y =
    small allocation per call" the dominant minor-heap source.  The
    state is dead outside a single call (written before every read), so
    domain-local reuse cannot couple calls or domains. *)
-let fbm_state = Cisp_util.Scratch.create (fun () -> Float.Array.create 4)
+let fbm_state = Domain.DLS.new_key (fun () -> Float.Array.create 4)
 
 let[@cisp.zero_alloc] fbm ~seed ~octaves ~lacunarity ~gain x y =
   if octaves <= 0 then invalid_arg "Noise.fbm: octaves <= 0";
@@ -65,7 +65,7 @@ let[@cisp.zero_alloc] fbm ~seed ~octaves ~lacunarity ~gain x y =
     (bits /. 9007199254740992.0 *. 2.0) -. 1.0
   in
   (* freq, amp, sum, norm *)
-  let st = Cisp_util.Scratch.get fbm_state in
+  let st = Domain.DLS.get fbm_state in
   Float.Array.unsafe_set st 0 1.0;
   Float.Array.unsafe_set st 1 1.0;
   Float.Array.unsafe_set st 2 0.0;

@@ -60,7 +60,6 @@ let build ?(config = default_config) ~cache ~sites ~towers () =
   (* Endpoints are pair-invariant: build them once per tower, O(towers),
      instead of once per tested pair, O(pairs). *)
   let tower_eps = Array.map tower_endpoint towers in
-  let pool = Cisp_util.Pool.get () in
   (* Tower-tower hops: each unordered pair within range tested once.
      The LOS + Fresnel walks are pure (the DEM view holds no lock),
      so feasibility is decided in parallel per source tower; edges are
@@ -71,7 +70,7 @@ let build ?(config = default_config) ~cache ~sites ~towers () =
   let n_towers = Array.length towers in
   let tower_edges = Array.make n_towers [] in
   Cisp_util.Telemetry.with_span "hops.tower_los" (fun () ->
-      Cisp_util.Pool.parallel_for pool ~n:n_towers (fun k ->
+      Cisp_util.Pool.parallel_for ~n:n_towers (fun k ->
           let tw = towers.(k) in
           let ep_k = tower_eps.(k) in
           let acc = ref [] in
@@ -104,7 +103,7 @@ let build ?(config = default_config) ~cache ~sites ~towers () =
   let site_edges = Array.make n_sites [] in
   let relaxed = { config.los_params with Los.min_range_km = 0.05 } in
   Cisp_util.Telemetry.with_span "hops.site_attach" (fun () ->
-      Cisp_util.Pool.parallel_for pool ~n:n_sites (fun i ->
+      Cisp_util.Pool.parallel_for ~n:n_sites (fun i ->
           let c = sites.(i) in
           let ep_site = site_endpoint c in
           let acc = ref [] in

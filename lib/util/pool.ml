@@ -30,19 +30,12 @@ type t = {
   mutable workers : unit Domain.t list;
 }
 
-let jobs t = t.width
-
 (* True while the current domain is executing a job body: nested
    submissions from inside a task run sequentially instead of
    deadlocking on the (busy) pool. *)
 let in_task : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
-let sequential_for n fn =
-  for i = 0 to n - 1 do
-    fn i
-  done
-
-(* Sequential execution of a whole range (width-1 pools, nested
+(* Sequential execution of a whole range (width 1, nested
    submissions, and the small-[n] short-circuit) records the same
    counter family as a parallel job — one job, one chunk spanning the
    range — so the scheduling telemetry stays coherent whichever path a
@@ -52,7 +45,9 @@ let sequential_job n fn =
     Telemetry.incr "pool.jobs.seq";
     Telemetry.add "pool.chunks" 1
   end;
-  sequential_for n fn
+  for i = 0 to n - 1 do
+    fn i
+  done
 
 let run_slice pool job =
   let saved = Domain.DLS.get in_task in
@@ -145,67 +140,58 @@ let shutdown pool =
     pool.workers <- []
   end
 
-let parallel_for ?(min_chunk = 1) pool ~n fn =
-  let min_chunk = max 1 min_chunk in
-  if n <= 0 then ()
+(* One loop on a woken pool.  Over-decompose ~8 chunks per worker so
+   a slow chunk cannot serialize the tail of the range, but never below
+   [min_chunk]: the caller's cost hint for how many indices it takes
+   before one claim of the shared counter is worth its cache-line
+   bounce. *)
+let run_job pool ~min_chunk ~n fn =
+  let chunk = max min_chunk (n / (pool.width * 8)) in
+  Mutex.lock pool.mutex;
+  if pool.stopped || Option.is_some pool.current then begin
+    (* Pool busy (submission from another domain mid-job) or already
+       replaced by a resize: run on the caller.  Same results, just
+       sequential. *)
+    Mutex.unlock pool.mutex;
+    sequential_job n fn
+  end
   else begin
-    (* Over-decompose ~8 chunks per worker so a slow chunk cannot
-       serialize the tail of the range, but never below [min_chunk]:
-       the caller's cost hint for how many indices it takes before one
-       claim of the shared counter is worth its cache-line bounce.
-       With [n <= chunk] only one chunk exists, so waking workers buys
-       zero parallelism — the submitter would claim the whole range
-       before they stir — and the loop short-circuits to the caller's
-       domain without touching the pool mutex. *)
-    let chunk = max min_chunk (n / (pool.width * 8)) in
-    if pool.width = 1 || n <= chunk || Domain.DLS.get in_task then sequential_job n fn
-    else begin
-      Mutex.lock pool.mutex;
-      if pool.stopped || Option.is_some pool.current then begin
-        (* Pool busy (submission from another domain mid-job) or already
-           torn down: run on the caller.  Same results, just sequential. *)
-        Mutex.unlock pool.mutex;
-        sequential_job n fn
-      end
-      else begin
-        let job =
-          {
-            fn;
-            n;
-            chunk;
-            next = Atomic.make 0;
-            cancelled = Atomic.make false;
-            tel_chunks = Atomic.make 0;
-            tel_busy_us = Atomic.make 0;
-            active = 0;
-            failure = None;
-          }
-        in
-        let tel = Telemetry.enabled () in
-        if tel then Telemetry.incr "pool.jobs";
-        pool.current <- Some job;
-        pool.generation <- pool.generation + 1;
-        Condition.broadcast pool.work;
-        Mutex.unlock pool.mutex;
-        run_slice pool job;
-        Mutex.lock pool.mutex;
-        while job.active > 0 do
-          Condition.wait pool.finished pool.mutex
-        done;
-        pool.current <- None;
-        Mutex.unlock pool.mutex;
-        (* One flush per job (not per domain per job): the workers only
-           touched the job-local atomics above. *)
-        if tel then begin
-          Telemetry.add "pool.chunks" (Atomic.get job.tel_chunks);
-          Telemetry.observe "pool.job_busy_s"
-            (float_of_int (Atomic.get job.tel_busy_us) /. 1e6)
-        end;
-        match job.failure with
-        | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-        | None -> ()
-      end
-    end
+    let job =
+      {
+        fn;
+        n;
+        chunk;
+        next = Atomic.make 0;
+        cancelled = Atomic.make false;
+        tel_chunks = Atomic.make 0;
+        tel_busy_us = Atomic.make 0;
+        active = 0;
+        failure = None;
+      }
+    in
+    let tel = Telemetry.enabled () in
+    if tel then Telemetry.incr "pool.jobs";
+    pool.current <- Some job;
+    pool.generation <- pool.generation + 1;
+    Condition.broadcast pool.work;
+    Mutex.unlock pool.mutex;
+    run_slice pool job;
+    Mutex.lock pool.mutex;
+    while job.active > 0 do
+      Condition.wait pool.finished pool.mutex
+    done;
+    pool.current <- None;
+    Mutex.unlock pool.mutex;
+    (* One flush per job (not per domain per job): the workers only
+       touched the job-local atomics above. *)
+    if tel then begin
+      Telemetry.add "pool.chunks" (Atomic.get job.tel_chunks);
+      Telemetry.observe "pool.job_busy_s"
+        (float_of_int (Atomic.get job.tel_busy_us) /. 1e6)
+    end;
+    match job.failure with
+    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+    | None -> ()
   end
 
 (* ---------- default pool ---------- *)
@@ -218,10 +204,9 @@ let env_jobs () =
     | Some k when k >= 1 -> Some k
     | Some _ | None -> None)
 
-(* The default pool is process-global state, and [get] is reachable
-   from inside worker closures (nested parallelism, e.g.
-   [Topology.distances_incremental]), so creation/resize must not race
-   a concurrent [get] in another domain. *)
+(* The pool is process-global state, and top-level loops may be
+   submitted from several domains at once, so creation/resize must not
+   race a concurrent [get] in another domain. *)
 let default_lock = Mutex.create ()
 let override = ref None
 let instance = ref None
@@ -252,13 +237,18 @@ let get () =
         instance := Some fresh;
         fresh)
 
-(* Default-pool submission that never consults the registry from a
-   worker: a nested call would run sequentially anyway (the [in_task]
-   guard in [parallel_for]), so short-circuiting before [get ()] is
-   behaviour-preserving and keeps pool bodies free of [default_lock]. *)
-let parallel_for_default ?min_chunk ~n fn =
-  if Domain.DLS.get in_task then sequential_job n fn
-  else parallel_for ?min_chunk (get ()) ~n fn
+(* Nested loops and loops that fit in one chunk run inline before the
+   registry is consulted: a worker body never takes [default_lock], and
+   neither does a small loop.  At width 1 every chunk would go to the
+   submitter anyway. *)
+let parallel_for ?(min_chunk = 1) ~n fn =
+  let min_chunk = max 1 min_chunk in
+  if n <= 0 then ()
+  else if n <= min_chunk || Domain.DLS.get in_task then sequential_job n fn
+  else begin
+    let pool = get () in
+    if pool.width = 1 then sequential_job n fn else run_job pool ~min_chunk ~n fn
+  end
 
 let with_default_jobs k f =
   let saved = Mutex.protect default_lock (fun () -> !override) in

@@ -143,15 +143,15 @@ let counter name =
    recorded before the recording domains were joined (or otherwise
    synchronized with the reader), the same quiesce-then-read contract
    the span table has. *)
-let series_buf : (string * float) list ref Scratch.t =
-  Scratch.create (fun () ->
+let series_buf : (string * float) list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
       let buf = ref [] in
       locked (fun () -> state.dbufs <- buf :: state.dbufs);
       buf)
 
 let observe name x =
   if !on then begin
-    let buf = Scratch.get series_buf in
+    let buf = Domain.DLS.get series_buf in
     buf := (name, x) :: !buf
   end
 

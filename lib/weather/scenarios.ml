@@ -154,7 +154,7 @@ let run ?(seed = 99) ~schemes ~hops ~(model : Routing.network_model) ~demands_gb
          purely from (seed, interval) and writes only its own row of
          [samples] and slot of [failed_per_interval], so the loop is
          bit-identical at any pool width. *)
-      Cisp_util.Pool.parallel_for (Cisp_util.Pool.get ()) ~n:intervals (fun iv ->
+      Cisp_util.Pool.parallel_for ~n:intervals (fun iv ->
           let row = Array.make (n_schemes * nc) Float.nan in
           let up, failed_here = surviving ~seed ~hops model.Routing.topology spec iv in
           failed_per_interval.(iv) <- failed_here;

@@ -39,7 +39,7 @@ let run ?(seed = 99) ?(intervals = 365) ~climate ~hops (inputs : Inputs.t) (topo
      bit-identical results at any pool width.  A trial costs roughly a
      rain-field sample plus one O(n^2) metric relaxation per surviving
      link: batch a few per claim of the pool's chunk counter. *)
-  Cisp_util.Pool.parallel_for (Cisp_util.Pool.get ()) ~min_chunk:4 ~n:intervals
+  Cisp_util.Pool.parallel_for ~min_chunk:4 ~n:intervals
     (fun interval ->
       let up, failed_here = Scenarios.surviving ~seed ~hops topo storm interval in
       (* Distances over surviving links. *)

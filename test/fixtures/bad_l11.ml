@@ -3,14 +3,14 @@
    exercise L11 alone, not L7. *)
 
 (* closure allocated on every iteration *)
-let per_iter_closure pool (arr : float array) (out : float array) =
-  Cisp_util.Pool.parallel_for pool ~n:(Array.length arr) (fun i ->
+let per_iter_closure (arr : float array) (out : float array) =
+  Cisp_util.Pool.parallel_for ~n:(Array.length arr) (fun i ->
       let f j = arr.(j) +. float_of_int i in
       out.(i) <- f i)
 
 (* a float ref boxes its contents on every store *)
-let boxes pool (out : float array) =
-  Cisp_util.Pool.parallel_for pool ~n:8 (fun i ->
+let boxes (out : float array) =
+  Cisp_util.Pool.parallel_for ~n:8 (fun i ->
       let acc = ref 0.0 in
       for j = 0 to i do
         acc := !acc +. float_of_int j
@@ -18,6 +18,6 @@ let boxes pool (out : float array) =
       out.(i) <- !acc)
 
 (* allocation-free worker: scalar state, per-slot writes *)
-let clean pool (out : float array) =
-  Cisp_util.Pool.parallel_for pool ~n:8 (fun i ->
+let clean (out : float array) =
+  Cisp_util.Pool.parallel_for ~n:8 (fun i ->
       out.(i) <- (float_of_int i *. 2.0) +. 1.0)

@@ -19,8 +19,8 @@ let join_under_lock d =
 
 (* mutex acquisition inside a pool body funnels every worker through
    one lock *)
-let lock_in_pool pool (out : float array) =
-  Cisp_util.Pool.parallel_for pool ~n:8 (fun i ->
+let lock_in_pool (out : float array) =
+  Cisp_util.Pool.parallel_for ~n:8 (fun i ->
       Mutex.protect lock (fun () -> out.(i) <- float_of_int i))
 
 (* blocking after the unlock is fine *)

@@ -1,19 +1,19 @@
 (* L7: closures handed to the pool must not mutate shared state. *)
 let total = ref 0
 
-let direct pool =
-  Cisp_util.Pool.parallel_for pool ~n:8 (fun i -> total := !total + i)
+let direct () =
+  Cisp_util.Pool.parallel_for ~n:8 (fun i -> total := !total + i)
 
-let indirect pool =
-  Cisp_util.Pool.parallel_for pool ~n:8 (fun i -> Bad_l7_helper.record i)
+let indirect () =
+  Cisp_util.Pool.parallel_for ~n:8 (fun i -> Bad_l7_helper.record i)
 
-let captured pool =
+let captured () =
   let acc = ref 0 in
-  Cisp_util.Pool.parallel_for pool ~n:8 (fun i -> acc := !acc + i);
+  Cisp_util.Pool.parallel_for ~n:8 (fun i -> acc := !acc + i);
   !acc
 
-let clean pool (arr : int array) =
+let clean (arr : int array) =
   let n = Array.length arr in
   let out = Array.make n 0 in
-  Cisp_util.Pool.parallel_for pool ~n (fun i -> out.(i) <- arr.(i) * 2);
+  Cisp_util.Pool.parallel_for ~n (fun i -> out.(i) <- arr.(i) * 2);
   out

@@ -196,6 +196,13 @@ let test_weather_width_invariant () =
 let golden_design_work =
   [ ("apsp.sources", 40); ("greedy.candidates", 28); ("greedy.links_built", 19) ]
 
+(* The pool's share of that run, pinned per width as (pool.jobs,
+   pool.jobs.seq, pool.chunks): parallel jobs, inline jobs and chunks
+   claimed.  None of them depends on timing — a job's chunk count is a
+   function of its range, its cost hint and the width — so a change to
+   how a loop dispatches shows here by how much. *)
+let golden_design_pool_work = [ (1, (0, 708, 708)); (4, (6, 702, 770)) ]
+
 let test_telemetry_bit_identity () =
   (* The telemetry layer's core contract: enabling it changes nothing.
      Same design run with telemetry off and on, at jobs 1 and 4 — the
@@ -206,16 +213,23 @@ let test_telemetry_bit_identity () =
   Fun.protect ~finally:Telemetry.reset (fun () ->
       let off1 = run_design 1 and off4 = run_design 4 in
       Telemetry.enable_metrics ();
-      let work () = List.map (fun (name, _) -> Telemetry.counter name) golden_design_work in
+      let names =
+        List.map fst golden_design_work @ [ "pool.jobs"; "pool.jobs.seq"; "pool.chunks" ]
+      in
+      let work () = List.map Telemetry.counter names in
       let on1 = run_design 1 in
       let work1 = work () in
       let on4 = run_design 4 in
       let work4 = List.map2 ( - ) (work ()) work1 in
-      List.iter2
-        (fun (name, expected) (got1, got4) ->
-          Alcotest.(check int) (name ^ " (jobs=1)") expected got1;
-          Alcotest.(check int) (name ^ " (jobs=4)") expected got4)
-        golden_design_work (List.combine work1 work4);
+      List.iter
+        (fun (width, got) ->
+          let jobs, seq, chunks = List.assoc width golden_design_pool_work in
+          let expected = List.map snd golden_design_work @ [ jobs; seq; chunks ] in
+          List.iter2
+            (fun name (expected, got) ->
+              Alcotest.(check int) (Printf.sprintf "%s (jobs=%d)" name width) expected got)
+            names (List.combine expected got))
+        [ (1, work1); (4, work4) ];
       List.iter
         (fun (label, ((t_off, s_off, g_off, _) as off), ((t_on, s_on, g_on, _) as on)) ->
           Alcotest.(check (list (pair int int)))

@@ -343,7 +343,9 @@ let suites =
     ]
 
 (* Budget-limited runs must still return a feasible incumbent (the
-   rounding dive guarantees one whenever the problem is feasible). *)
+   rounding dive guarantees one whenever the problem is feasible).  A
+   zero time limit stops the search before its first node, so the
+   incumbent checked is the dive's own. *)
 let test_milp_budget_limited_has_incumbent () =
   let rng = Cisp_util.Rng.create 99 in
   let m = Model.create () in
@@ -355,8 +357,7 @@ let test_milp_budget_limited_has_incumbent () =
     (Array.to_list (Array.mapi (fun i x -> (weights.(i), x)) xs))
     Model.Le 40.0;
   Model.set_objective m (Array.to_list (Array.mapi (fun i x -> (-.values.(i), x)) xs));
-  let limits = { Milp.default_limits with Milp.max_nodes = 3 } in
-  let r = Milp.solve ~limits m in
+  let r = Milp.solve ~time_limit_s:0.0 m in
   (match r.Milp.x with
   | Some x ->
     (* incumbent is feasible and integral *)

@@ -62,7 +62,7 @@ let test_parallel_merge () =
     with_clean (fun () ->
         Telemetry.enable_metrics ();
         Pool.with_default_jobs width (fun () ->
-            Pool.parallel_for (Pool.get ()) ~n:1000 (fun i ->
+            Pool.parallel_for ~n:1000 (fun i ->
                 Telemetry.incr "t.par";
                 Telemetry.add "t.par" (i mod 3);
                 Telemetry.observe "t.par_s" (float_of_int (i mod 7))));
@@ -82,7 +82,7 @@ let test_stress_jobs8 () =
   with_clean (fun () ->
       Telemetry.enable_metrics ();
       Pool.with_default_jobs 8 (fun () ->
-          Pool.parallel_for (Pool.get ()) ~n (fun i ->
+          Pool.parallel_for ~n (fun i ->
               Telemetry.incr "t.stress";
               Telemetry.add "t.stress.sum" i;
               Telemetry.observe "t.stress_s" (float_of_int (i mod 16))));

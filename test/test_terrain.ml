@@ -230,13 +230,10 @@ let test_cache_width_invariance () =
      makes domains query common cells concurrently. *)
   let n = 2000 in
   let sweep jobs =
-    let pool = Cisp_util.Pool.create ~jobs in
-    Fun.protect
-      ~finally:(fun () -> Cisp_util.Pool.shutdown pool)
-      (fun () ->
+    Cisp_util.Pool.with_default_jobs jobs (fun () ->
         let cache = Dem_cache.create us in
         let surface = Array.make n nan and ground = Array.make n nan in
-        Cisp_util.Pool.parallel_for pool ~n (fun i ->
+        Cisp_util.Pool.parallel_for ~n (fun i ->
             let f = float_of_int (i mod 1900) /. 1900.0 in
             let lat = 30.0 +. (15.0 *. f) in
             let lon = -110.0 +. (30.0 *. Float.rem (f *. 37.0) 1.0) in
@@ -265,13 +262,10 @@ let test_cache_telemetry_stress () =
     Cisp_util.Telemetry.reset ();
     Cisp_util.Telemetry.enable_metrics ();
     Fun.protect ~finally:Cisp_util.Telemetry.reset (fun () ->
-        let pool = Cisp_util.Pool.create ~jobs in
-        Fun.protect
-          ~finally:(fun () -> Cisp_util.Pool.shutdown pool)
-          (fun () ->
+        Cisp_util.Pool.with_default_jobs jobs (fun () ->
             let cache = Dem_cache.create us in
             let heights = Array.make n nan in
-            Cisp_util.Pool.parallel_for pool ~n (fun i ->
+            Cisp_util.Pool.parallel_for ~n (fun i ->
                 let f = float_of_int (i mod 997) /. 997.0 in
                 let lat = 30.0 +. (15.0 *. f) in
                 let lon = -110.0 +. (30.0 *. Float.rem (f *. 37.0) 1.0) in
