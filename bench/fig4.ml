@@ -63,7 +63,9 @@ let run_b ctx =
       Cisp_graph.Graph.remove_edges work (fun u e ->
           not (Hashtbl.mem used u || Hashtbl.mem used e.Cisp_graph.Graph.dst))
     in
-    let paths = Cisp_graph.Multipath.successive hops.Hops.graph ~src:i ~dst:j ~k:rounds ~remove in
+    let paths =
+      Cisp_graph.Multipath.successive (Hops.force_graph hops) ~src:i ~dst:j ~k:rounds ~remove
+    in
     Printf.printf "%-8s %-12s %-10s\n" "round" "length km" "stretch";
     List.iteri
       (fun k (d, _) -> Printf.printf "%-8d %-12.0f %-10.3f\n" (k + 1) d (d /. geo))

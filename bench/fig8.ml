@@ -11,6 +11,8 @@ let run ctx =
     else Scenario.europe_config
   in
   let a, secs = Ctx.time (fun () -> Scenario.artifacts ~config ()) in
+  (* The feasible-hop count is the whole graph's. *)
+  ignore (Cisp_towers.Hops.force_graph a.Scenario.hops);
   Printf.printf "sites=%d towers=%d feasible hops=%d (%.1fs)\n"
     (Array.length a.Scenario.sites) (List.length a.Scenario.towers)
     a.Scenario.hops.Cisp_towers.Hops.feasible_hops secs;

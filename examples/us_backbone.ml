@@ -14,6 +14,8 @@ let () =
   let config = { Design.Scenario.default_config with n_sites = Some n_sites } in
   Printf.printf "building artifacts (terrain, %d-center tower registry, fiber)...\n%!" n_sites;
   let a = Design.Scenario.artifacts ~config () in
+  (* The feasible-hop count is the whole graph's. *)
+  ignore (Towers.Hops.force_graph a.Design.Scenario.hops);
   Printf.printf "  towers: %d culled, %d feasible hops, fiber inflation %.2fx\n%!"
     (List.length a.Design.Scenario.towers)
     a.Design.Scenario.hops.Towers.Hops.feasible_hops

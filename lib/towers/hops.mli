@@ -1,11 +1,27 @@
 (** Step 1 of the cISP design (paper §3.1, §4): feasible tower-tower
     hops and shortest city-city microwave links.
 
-    Builds a graph whose nodes are the sites (population centers)
-    followed by the culled towers, with an edge for every pair that
-    passes the line-of-sight + range test, then extracts for each pair
-    of sites the shortest "link": its length [m_ij] (latency input to
-    step 2) and its tower count (cost input [c_ij]).
+    The hop graph's nodes are the sites (population centers) followed
+    by the culled towers.  {!build} only lists the candidate edges:
+    every tower pair within hop range and every site-tower pair within
+    a site's attach radius, each with its great-circle length and one
+    verdict (untested, feasible or blocked).  A pair outside
+    {!Cisp_rf.Los}'s range is blocked from its distance alone; every
+    other verdict comes from {!Cisp_rf.Los.feasible_cached}, the
+    line-of-sight + Fresnel test, run the first time some reader needs
+    the edge.
+
+    {!all_links} reads the graph only through site-to-site shortest
+    paths, so it tests only the edges on the paths it returns (LazySP:
+    search with untested edges counted as feasible, test the edges on
+    the paths found, repair the subtrees under the blocked ones,
+    repeat).  Whole-graph readers call {!force_graph}, which tests
+    every remaining candidate and returns the graph of all feasible
+    edges.
+
+    Verdicts are written into [t], so neither {!all_links} nor
+    {!force_graph} may run concurrently with another call on the same
+    [t].  Each parallelizes its own LOS tests on the domain pool.
 
     A site's own antenna stands 80 m above its ground, and a site
     reaches the towers within 40 km of it (the paper observes every
@@ -19,14 +35,19 @@ type config = {
 
 val default_config : config
 
-type t = {
+type candidates
+(** The candidate edges, their lengths and their verdicts. *)
+
+type t = private {
   config : config;
   sites : Cisp_data.City.t array;
   towers : Tower.t array;
-  graph : Cisp_graph.Graph.t;
-      (** node ids: [0 .. n_sites-1] are sites, [n_sites + k] is tower [k] *)
   n_sites : int;
-  feasible_hops : int;          (** tower-tower edges that passed the check *)
+      (** node ids: [0 .. n_sites-1] are sites, [n_sites + k] is tower [k] *)
+  mutable feasible_hops : int;
+      (** tower-tower edges found feasible so far; after {!force_graph},
+          every feasible tower-tower edge *)
+  candidates : candidates;
 }
 
 val build :
@@ -35,6 +56,13 @@ val build :
   sites:Cisp_data.City.t list ->
   towers:Tower.t list ->
   unit -> t
+(** Lists the candidate edges; tests none. *)
+
+val force_graph : t -> Cisp_graph.Graph.t
+(** Tests every candidate not tested yet (on the domain pool) and
+    returns a fresh graph of the feasible edges, inserted in candidate
+    order: tower pairs by lower tower index, then site attachments by
+    site, each in grid order. *)
 
 val tower_node : t -> int -> int
 (** Graph node id of tower index [k]. *)
@@ -59,5 +87,8 @@ val hops_of_link : link -> (int * int) list
 
 val all_links : t -> link option array array
 (** [all_links t].(i).(j) for all site pairs (symmetric up to path
-    direction, diagonal [None]).  One Dijkstra per site over the
-    tower graph, run on the domain pool. *)
+    direction, diagonal [None]): the shortest path over the feasible
+    edges, the one Dijkstra finds on {!force_graph}'s graph unless two
+    paths tie exactly.  One lazy search per source site, in index
+    order; each round's LOS tests run on the domain pool, so the tests
+    made and the results are the same at every width. *)

@@ -48,12 +48,13 @@ let create ~hops ~src ~dst =
   Hashtbl.replace node_of dst 1;
   Array.iteri (fun k reg -> Hashtbl.replace node_of (Hops.tower_node hops reg) (k + 2)) sub_tower;
   (* Pull the relevant edges out of the full hop graph once. *)
+  let graph = Hops.force_graph hops in
   let edges = ref [] in
   (* fixed node order so the subgraph's edge order (and any
      equal-length tie-breaks downstream) is reproducible *)
   Cisp_util.Tbl.iter_sorted ~compare:Int.compare
     (fun old_node sub_node ->
-      Graph.iter_succ hops.Hops.graph old_node (fun e ->
+      Graph.iter_succ graph old_node (fun e ->
           match Hashtbl.find_opt node_of e.Graph.dst with
           | Some sub_dst when sub_node < sub_dst ->
             edges := (sub_node, sub_dst, e.Graph.weight) :: !edges

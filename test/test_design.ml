@@ -315,24 +315,18 @@ let registry_around ~lat ~lon =
     Cisp_data.City.make (Printf.sprintf "R%d" k) ~lat ~lon:(lon +. float_of_int k)
       ~population:1000
   in
-  let sites = [| site 0; site 1 |] in
-  let mid = Cisp_geo.Geodesy.midpoint sites.(0).Cisp_data.City.coord sites.(1).Cisp_data.City.coord in
+  let s0 = site 0 and s1 = site 1 in
+  let mid = Cisp_geo.Geodesy.midpoint s0.Cisp_data.City.coord s1.Cisp_data.City.coord in
   let towers =
-    Array.init 8 (fun id ->
+    List.init 8 (fun id ->
         Cisp_towers.Tower.make ~id
           ~position:
             (Cisp_geo.Geodesy.destination mid ~bearing_deg:(45.0 *. float_of_int id)
                ~distance_km:2.0)
           ~height_m:100.0 ~source:Cisp_towers.Tower.Fcc)
   in
-  {
-    Cisp_towers.Hops.config = Cisp_towers.Hops.default_config;
-    sites;
-    towers;
-    graph = Cisp_graph.Graph.create 10;
-    n_sites = 2;
-    feasible_hops = 0;
-  }
+  let cache = Cisp_terrain.Dem_cache.create (Cisp_terrain.Dem.create ~seed:3 Cisp_terrain.Dem.Flat) in
+  Cisp_towers.Hops.build ~cache ~sites:[ s0; s1 ] ~towers ()
 
 let test_capacity_spare_per_registry () =
   (* Same tower and site counts, 2,000 km apart: each registry's spare
@@ -600,6 +594,40 @@ let test_stretch_monotone_in_budget () =
        (0, s0)
        [ 15; 30; 45; 60; 90; 120; 180; 240; 480 ])
 
+let test_stretch_70km_tracks_100km () =
+  (* Fig 4(a)'s other half: with 70 km hops stretch also never rises
+     with budget, never drops below the 100 km stretch at the same
+     budget, and ends close to it. *)
+  let stretch inputs budget = Topology.stretch_of (Scenario.design inputs ~budget) in
+  let inputs100 = Lazy.force europe8_inputs in
+  let inputs70 =
+    Scenario.population_inputs
+      (Scenario.artifacts ~config:{ europe8 with Scenario.max_range_km = 70.0 } ())
+  in
+  let last =
+    List.fold_left
+      (fun prev budget ->
+        let s70 = stretch inputs70 budget and s100 = stretch inputs100 budget in
+        (match prev with
+        | Some (prev_budget, prev70) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "70 km: stretch %.6f at budget %d <= %.6f at %d" s70 budget prev70
+               prev_budget)
+            true (s70 <= prev70)
+        | None -> ());
+        Alcotest.(check bool)
+          (Printf.sprintf "budget %d: 70 km stretch %.6f >= 100 km %.6f" budget s70 s100)
+          true (s70 >= s100);
+        Some (budget, s70))
+      None
+      (List.init 33 (fun k -> 15 * k))
+  in
+  match last with
+  | Some (budget, s70) ->
+    check_float 0.01 (Printf.sprintf "budget %d: 70 km ends near 100 km" budget)
+      (stretch inputs100 budget) s70
+  | None -> Alcotest.fail "no budget"
+
 (* What every degenerate design input must give: no exception, a
    finite stretch >= 1 and a finite cost/GB >= 0. *)
 let check_defined label ~stretch ~cost_per_gb =
@@ -627,8 +655,9 @@ let test_degenerate_short_range () =
   (* A hop range below Los's minimum hop length: no tower pair is in
      range, so no MW link exists. *)
   let config = { europe8 with Scenario.max_range_km = 0.5 } in
-  Alcotest.(check int) "no feasible hop" 0
-    (Scenario.artifacts ~config ()).Scenario.hops.Cisp_towers.Hops.feasible_hops;
+  let hops = (Scenario.artifacts ~config ()).Scenario.hops in
+  ignore (Cisp_towers.Hops.force_graph hops);
+  Alcotest.(check int) "no feasible hop" 0 hops.Cisp_towers.Hops.feasible_hops;
   check_fiber_only "range 0.5 km" (Scenario.full_run ~config ~budget:120 ~aggregate_gbps:100.0 ())
 
 let test_degenerate_everything_culled () =
@@ -750,6 +779,7 @@ let scenario_suite =
   ( "design.scenario",
     [
       Alcotest.test_case "fig 4a stretch monotone in budget" `Quick test_stretch_monotone_in_budget;
+      Alcotest.test_case "fig 4a 70 km tracks 100 km" `Quick test_stretch_70km_tracks_100km;
       Alcotest.test_case "zero and negative budget" `Quick test_degenerate_budget;
       Alcotest.test_case "range below min_range_km" `Quick test_degenerate_short_range;
       Alcotest.test_case "everything culled" `Quick test_degenerate_everything_culled;

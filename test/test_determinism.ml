@@ -1,5 +1,5 @@
 (* Parallel determinism regression (the pool's core contract): the
-   whole design pipeline — APSP inputs, greedy + local search, export,
+   whole design pipeline — MW link inputs, greedy + local search, export,
    weather — must be bit-identical at every pool width.  Runs the
    small Europe scenario at widths 1, 2, 4 and 8 and compares outputs
    structurally (floats bitwise, via polymorphic equality: no NaNs in
@@ -22,8 +22,8 @@ let bits f = Int64.bits_of_float f
 let run_design width =
   Pool.with_default_jobs width (fun () ->
       let a = Lazy.force artifacts in
-      (* Recomputed per call: exercises the pooled per-source Dijkstra
-         APSP that builds [Inputs.mw_km]. *)
+      (* Recomputed per call: exercises [Hops.all_links], the search
+         that builds [Inputs.mw_km]. *)
       let inputs = Scenario.population_inputs a in
       let topo = Scenario.design inputs ~budget in
       let spare = Capacity.spare_from_registry a.Scenario.hops in
@@ -194,14 +194,16 @@ let test_weather_width_invariant () =
    meant to alter the work edits these, so its diff shows by how
    much. *)
 let golden_design_work =
-  [ ("apsp.sources", 40); ("greedy.candidates", 28); ("greedy.links_built", 19) ]
+  [ ("apsp.sources", 32); ("greedy.candidates", 28); ("greedy.links_built", 19) ]
 
 (* The pool's share of that run, pinned per width as (pool.jobs,
    pool.jobs.seq, pool.chunks): parallel jobs, inline jobs and chunks
    claimed.  None of them depends on timing — a job's chunk count is a
    function of its range, its cost hint and the width — so a change to
-   how a loop dispatches shows here by how much. *)
-let golden_design_pool_work = [ (1, (0, 708, 708)); (4, (6, 702, 770)) ]
+   how a loop dispatches shows here by how much.  [Hops.all_links] adds
+   none: [off1] already searched the memoized fixture, so the later
+   searches find every path edge tested. *)
+let golden_design_pool_work = [ (1, (0, 707, 707)); (4, (5, 702, 762)) ]
 
 let test_telemetry_bit_identity () =
   (* The telemetry layer's core contract: enabling it changes nothing.
@@ -360,70 +362,102 @@ let test_scenario_suite_golden () =
         (b1 = scenario_bits rw))
     [ 2; 4; 8 ]
 
-(* MD5 over the tower hop graph: the feasible tower-tower hop count and
-   every edge (node, dst, weight bits) in adjacency order.  The design
-   fingerprint only sees shortest paths; this one sees every LOS
-   verdict of the sweep. *)
+(* MD5 over the tower hop graph, every verdict forced: the feasible
+   tower-tower hop count and every edge (node, dst, weight bits) in
+   adjacency order.  The design fingerprint only sees shortest paths;
+   this one sees every LOS verdict. *)
 let hop_graph_fingerprint (h : Hops.t) =
   let module G = Cisp_graph.Graph in
+  let graph = Hops.force_graph h in
   let b = Buffer.create 65536 in
   Printf.bprintf b "feasible %d\n" h.Hops.feasible_hops;
-  for u = 0 to G.node_count h.Hops.graph - 1 do
-    G.iter_succ h.Hops.graph u (fun e ->
-        Printf.bprintf b "%d %d %Ld\n" u e.G.dst (bits e.G.weight))
+  for u = 0 to G.node_count graph - 1 do
+    G.iter_succ graph u (fun e -> Printf.bprintf b "%d %d %Ld\n" u e.G.dst (bits e.G.weight))
   done;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-(* Checked-in hop-graph fingerprint of the 8-site Europe fixture's
-   tower sweep at jobs=1. *)
+(* Checked-in hop-graph fingerprint of the 8-site Europe fixture at
+   jobs=1. *)
 let golden_hop_graph_fingerprint = "46934bba79370be361fcaa91f342dc57"
 
-(* Work of that sweep, pinned exactly: the DEM evaluations and LOS
-   tests of one cold build.  A change meant to alter the work edits
-   these, so its diff shows by how much. *)
+(* Work of one cold build, pinned exactly.  A change meant to alter
+   the work edits these, so its diff shows by how much.  The lazy
+   [all_links]: LOS tests, DEM evaluations (the node endpoints'
+   included) and search settles.  Then every verdict forced: all DEM
+   evaluations and LOS tests (the pairs out of range are blocked by
+   their distance, untested). *)
+let golden_search_los_tests = 15_734
+let golden_search_dem_evaluations = 265_237
+let golden_search_settles = 476_780
 let golden_sweep_dem_evaluations = 14_879_779
-let golden_sweep_los_tests = 566_655
+let golden_sweep_los_tests = 566_584
+
+type cold_run = {
+  links : Hops.link option array array;
+  search : int * int * int;  (* LOS tests, DEM evaluations, settles *)
+  feasible : int;
+  fingerprint : string;
+  sweep : int * int;  (* DEM evaluations, LOS tests *)
+}
 
 let test_los_sweep_width_invariant () =
-  (* Rebuild the tower hop graph from a fresh [Dem_cache] at several
-     pool widths: covers the LOS + Fresnel sweep and the cell-centre
-     terrain sampling.  The hop graph must match the golden digest at
-     jobs=1 and be identical at every other width, and every width
-     must make the same DEM evaluations. *)
+  (* Build the tower hop graph from a fresh [Dem_cache] at several
+     pool widths, search it lazily, then force every verdict: covers
+     the lazy search, the LOS + Fresnel test and the cell-centre
+     terrain sampling.  The forced graph must match the golden digest
+     at jobs=1, and every width must give the same links, graph and
+     work. *)
   let a = Lazy.force artifacts in
-  let build w =
-    Pool.with_default_jobs w (fun () ->
-        let cache = Cisp_terrain.Dem_cache.create a.Scenario.dem in
-        let h =
-          Hops.build ~config:a.Scenario.hops.Hops.config ~cache
-            ~sites:(Array.to_list a.Scenario.sites)
-            ~towers:(Array.to_list a.Scenario.hops.Hops.towers)
-            ()
-        in
-        ( h.Hops.feasible_hops,
-          Hops.all_links h,
-          hop_graph_fingerprint h,
-          snd (Cisp_terrain.Dem_cache.stats cache) ))
-  in
   let module Telemetry = Cisp_util.Telemetry in
-  Telemetry.reset ();
-  let (f1, l1, fp1, ev1), los_tests =
-    Fun.protect ~finally:Telemetry.reset (fun () ->
-        Telemetry.enable_metrics ();
-        let r = build 1 in
-        (r, Telemetry.counter "hops.los_tests"))
+  let run w =
+    Pool.with_default_jobs w (fun () ->
+        Telemetry.reset ();
+        Fun.protect ~finally:Telemetry.reset (fun () ->
+            Telemetry.enable_metrics ();
+            let cache = Cisp_terrain.Dem_cache.create a.Scenario.dem in
+            let evaluations () = snd (Cisp_terrain.Dem_cache.stats cache) in
+            let h =
+              Hops.build ~config:a.Scenario.hops.Hops.config ~cache
+                ~sites:(Array.to_list a.Scenario.sites) ~towers:a.Scenario.towers ()
+            in
+            let links = Hops.all_links h in
+            let search =
+              ( Telemetry.counter "hops.los_tests",
+                evaluations (),
+                Telemetry.counter "hops.search.settles" )
+            in
+            let fingerprint = hop_graph_fingerprint h in
+            {
+              links;
+              search;
+              feasible = h.Hops.feasible_hops;
+              fingerprint;
+              sweep = (evaluations (), Telemetry.counter "hops.los_tests");
+            }))
   in
+  let r1 = run 1 in
+  let search_tests, search_evaluations, settles = r1.search in
+  Alcotest.(check int) "lazy search LOS tests (jobs=1)" golden_search_los_tests search_tests;
+  Alcotest.(check int) "lazy search DEM evaluations (jobs=1)" golden_search_dem_evaluations
+    search_evaluations;
+  Alcotest.(check int) "lazy search settles (jobs=1)" golden_search_settles settles;
   Alcotest.(check string) "golden hop-graph fingerprint (jobs=1)"
-    golden_hop_graph_fingerprint fp1;
-  Alcotest.(check int) "DEM evaluations (jobs=1)" golden_sweep_dem_evaluations ev1;
-  Alcotest.(check int) "LOS tests (jobs=1)" golden_sweep_los_tests los_tests;
+    golden_hop_graph_fingerprint r1.fingerprint;
+  Alcotest.(check int) "DEM evaluations (jobs=1)" golden_sweep_dem_evaluations (fst r1.sweep);
+  Alcotest.(check int) "LOS tests (jobs=1)" golden_sweep_los_tests (snd r1.sweep);
   List.iter
     (fun w ->
-      let fw, lw, fpw, evw = build w in
-      Alcotest.(check int) (Printf.sprintf "feasible hops, jobs=1 vs %d" w) f1 fw;
-      Alcotest.(check bool) (Printf.sprintf "MW links, jobs=1 vs %d" w) true (l1 = lw);
-      Alcotest.(check string) (Printf.sprintf "hop-graph fingerprint, jobs=1 vs %d" w) fp1 fpw;
-      Alcotest.(check int) (Printf.sprintf "DEM evaluations, jobs=1 vs %d" w) ev1 evw)
+      let rw = run w in
+      let label fmt = Printf.sprintf fmt w in
+      Alcotest.(check bool) (label "MW links, jobs=1 vs %d") true (r1.links = rw.links);
+      Alcotest.(check (triple int int int))
+        (label "lazy search tests, evaluations and settles, jobs=1 vs %d")
+        r1.search rw.search;
+      Alcotest.(check int) (label "feasible hops, jobs=1 vs %d") r1.feasible rw.feasible;
+      Alcotest.(check string) (label "hop-graph fingerprint, jobs=1 vs %d") r1.fingerprint
+        rw.fingerprint;
+      Alcotest.(check (pair int int)) (label "DEM evaluations and LOS tests, jobs=1 vs %d")
+        r1.sweep rw.sweep)
     [ 2; 4; 8 ]
 
 let suites =

@@ -26,8 +26,9 @@ let test_artifacts_shape () =
   let artifacts = Lazy.force artifacts in
   Alcotest.(check int) "four sites" 4 (Array.length artifacts.Scenario.sites);
   Alcotest.(check bool) "towers generated" true (List.length artifacts.Scenario.towers > 100);
-  Alcotest.(check bool) "hops found" true
-    (artifacts.Scenario.hops.Cisp_towers.Hops.feasible_hops > 100)
+  let hops = artifacts.Scenario.hops in
+  ignore (Cisp_towers.Hops.force_graph hops);
+  Alcotest.(check bool) "hops found" true (hops.Cisp_towers.Hops.feasible_hops > 100)
 
 let test_inputs_consistent () =
   let inputs = Lazy.force inputs in

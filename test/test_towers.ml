@@ -58,17 +58,18 @@ let test_culling_subset () =
       Alcotest.(check bool) "culled is subset" true (List.mem t.id ids))
     culled
 
-(* Lazy so the LOS sweep runs inside the first test that needs it,
-   not at module init of every run of the test binary. *)
+(* Lazy so the candidate listing runs inside the first test that
+   needs it, not at module init of every run of the test binary. *)
 let hops = lazy (Hops.build ~cache ~sites ~towers:culled ())
 let links = lazy (Hops.all_links (Lazy.force hops))
 
 let test_hops_graph_shape () =
   let hops = Lazy.force hops in
+  let graph = Hops.force_graph hops in
   Alcotest.(check int) "site nodes first" 3 hops.n_sites;
   Alcotest.(check bool) "has feasible hops" true (hops.feasible_hops > 0);
   Alcotest.(check int) "graph size" (3 + List.length culled)
-    (Cisp_graph.Graph.node_count hops.graph)
+    (Cisp_graph.Graph.node_count graph)
 
 let test_hops_link_properties () =
   match (Lazy.force links).(0).(1) with
@@ -126,13 +127,17 @@ let test_all_links_matrix () =
   | Some a, Some b -> Alcotest.(check (float 1e-6)) "matrix symmetric" a.distance_km b.distance_km
   | _ -> Alcotest.fail "missing 0-2"
 
+(* Every verdict forced: the feasible-hop count is the whole
+   graph's. *)
+let forced h =
+  ignore (Hops.force_graph h);
+  h
+
+let forced_build ~config = forced (Hops.build ~config ~cache ~sites ~towers:culled ())
+
 let test_height_fraction_reduces_feasibility () =
-  let hops = Lazy.force hops in
-  let restricted =
-    Hops.build
-      ~config:{ Hops.default_config with height_fraction = 0.45 }
-      ~cache ~sites ~towers:culled ()
-  in
+  let hops = forced (Lazy.force hops) in
+  let restricted = forced_build ~config:{ Hops.default_config with height_fraction = 0.45 } in
   Alcotest.(check bool)
     (Printf.sprintf "fewer hops with 0.45 height (%d vs %d)" restricted.feasible_hops
        hops.feasible_hops)
@@ -140,18 +145,59 @@ let test_height_fraction_reduces_feasibility () =
     (restricted.feasible_hops < hops.feasible_hops)
 
 let test_shorter_range_reduces_feasibility () =
-  let hops = Lazy.force hops in
+  let hops = forced (Lazy.force hops) in
   let restricted =
-    Hops.build
+    forced_build
       ~config:
         {
           Hops.default_config with
           los_params = { Cisp_rf.Los.default_params with max_range_km = 60.0 };
         }
-      ~cache ~sites ~towers:culled ()
   in
   Alcotest.(check bool) "fewer hops with 60km range" true
     (restricted.feasible_hops < hops.feasible_hops)
+
+(* A link matrix with every float by its bits. *)
+let link_bits m =
+  Array.map
+    (Array.map
+       (Option.map (fun (l : Hops.link) ->
+            ( l.src,
+              l.dst,
+              Int64.bits_of_float l.distance_km,
+              Int64.bits_of_float l.geodesic_km,
+              l.node_path,
+              l.tower_count ))))
+    m
+
+(* [all_links] on a fresh build, which tests only the edges on the
+   paths it returns, must equal [all_links] once every verdict is
+   forced, when the search is one Dijkstra over the forced graph; and
+   a second call on the fresh build must return the same matrix.
+   [other] is a build of the same inputs, forced after [fresh] is
+   searched; it may be [fresh] itself. *)
+let check_lazy_equals_forced label fresh other =
+  let first = link_bits (Hops.all_links fresh) in
+  let second = link_bits (Hops.all_links fresh) in
+  Alcotest.(check bool) (label ^ ": second call, same matrix") true (first = second);
+  let other = forced other in
+  Alcotest.(check bool) (label ^ ": lazy equals forced") true
+    (first = link_bits (Hops.all_links other))
+
+let test_lazy_equals_forced () =
+  check_lazy_equals_forced "towers fixture"
+    (Hops.build ~cache ~sites ~towers:culled ())
+    (Lazy.force hops);
+  let a =
+    Cisp_design.Scenario.artifacts
+      ~config:{ Cisp_design.Scenario.europe_config with n_sites = Some 8 }
+      ()
+  in
+  let europe8 =
+    Hops.build ~config:a.hops.config ~cache:a.cache ~sites:(Array.to_list a.sites)
+      ~towers:a.towers ()
+  in
+  check_lazy_equals_forced "Europe-8 fixture" europe8 europe8
 
 let test_usable_height () =
   let t = Tower.make ~id:0 ~position:(coord ~lat:40.0 ~lon:(-100.0)) ~height_m:200.0 ~source:Tower.Fcc in
@@ -178,6 +224,7 @@ let suites =
         Alcotest.test_case "all links matrix" `Quick test_all_links_matrix;
         Alcotest.test_case "height fraction restricts" `Quick test_height_fraction_reduces_feasibility;
         Alcotest.test_case "range restricts" `Quick test_shorter_range_reduces_feasibility;
+        Alcotest.test_case "lazy equals forced" `Quick test_lazy_equals_forced;
         Alcotest.test_case "usable height" `Quick test_usable_height;
       ] );
   ]

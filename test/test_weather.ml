@@ -91,9 +91,9 @@ let year_fixture () =
   (inputs, topo)
 
 (* A hops structure is needed for node positions and the tower list;
-   reuse the towers fixture approach with a flat DEM.  Building it runs
-   a full LOS sweep, so every case shares one lazy build: the sweep and
-   the cases only read it. *)
+   reuse the towers fixture approach with a flat DEM.  Building it lists
+   the candidate hops and tests none; every case shares one lazy build
+   and only reads it. *)
 let fixture =
   lazy
     (let inputs, topo = year_fixture () in
