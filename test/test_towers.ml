@@ -199,6 +199,28 @@ let test_lazy_equals_forced () =
   in
   check_lazy_equals_forced "Europe-8 fixture" europe8 europe8
 
+(* Fig 4(b)'s tower-disjoint rounds on the forced graph: each round
+   removes every edge at a tower the path it found used.  Each round's
+   length (by its bits) and node path, pinned: the one golden on a
+   [force_graph] reader besides the hop-graph fingerprint. *)
+let test_fig4b_disjoint_golden () =
+  let h = Lazy.force hops in
+  let remove work (_, path) =
+    let used v = Hops.is_tower_node h v && List.mem v path in
+    Cisp_graph.Graph.remove_edges work (fun u e -> not (used u || used e.Cisp_graph.Graph.dst))
+  in
+  let rounds =
+    Cisp_graph.Multipath.successive (Hops.force_graph h) ~src:0 ~dst:1 ~k:8 ~remove
+  in
+  let buf = Buffer.create 1024 in
+  List.iter
+    (fun (d, path) ->
+      Printf.bprintf buf "%Ld %s\n" (Int64.bits_of_float d)
+        (String.concat " " (List.map string_of_int path)))
+    rounds;
+  Alcotest.(check string) "rounds" "76a1528128086b70492f8b6154f28aa2"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let test_usable_height () =
   let t = Tower.make ~id:0 ~position:(coord ~lat:40.0 ~lon:(-100.0)) ~height_m:200.0 ~source:Tower.Fcc in
   Alcotest.(check (float 1e-9)) "fraction" 130.0 (Tower.usable_height_m t ~fraction:0.65)
@@ -225,6 +247,7 @@ let suites =
         Alcotest.test_case "height fraction restricts" `Quick test_height_fraction_reduces_feasibility;
         Alcotest.test_case "range restricts" `Quick test_shorter_range_reduces_feasibility;
         Alcotest.test_case "lazy equals forced" `Quick test_lazy_equals_forced;
+        Alcotest.test_case "fig 4b disjoint golden" `Quick test_fig4b_disjoint_golden;
         Alcotest.test_case "usable height" `Quick test_usable_height;
       ] );
   ]
