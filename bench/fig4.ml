@@ -4,6 +4,7 @@
 
 open Cisp_design
 module Hops = Cisp_towers.Hops
+module Graph = Cisp_graph.Graph
 
 let run_a ctx =
   Ctx.section "Fig 4(a): network stretch vs tower budget";
@@ -55,13 +56,20 @@ let run_b ctx =
       inputs.Inputs.sites.(i).Cisp_data.City.name
       inputs.Inputs.sites.(j).Cisp_data.City.name geo fiber_stretch;
     let rounds = if ctx.Ctx.quick then 8 else 20 in
-    (* Each round deletes the towers the found path used; sites (the
-       two ends among them) stay. *)
-    let remove work (_, path) =
-      let used = Hashtbl.create 64 in
-      List.iter (fun v -> if Hops.is_tower_node hops v then Hashtbl.replace used v ()) path;
-      Cisp_graph.Graph.remove_edges work (fun u e ->
-          not (Hashtbl.mem used u || Hashtbl.mem used e.Cisp_graph.Graph.dst))
+    (* Each round removes every edge at a tower the found path used;
+       sites (the two ends among them) stay. *)
+    let remove (work : Graph.t) edges =
+      let remove_at v =
+        if Hops.is_tower_node hops v then
+          for a = work.first.(v) to work.first.(v + 1) - 1 do
+            Graph.remove work work.arc_edge.(a)
+          done
+      in
+      List.iter
+        (fun e ->
+          remove_at work.edge_u.(e);
+          remove_at work.edge_v.(e))
+        edges
     in
     let paths =
       Cisp_graph.Multipath.successive (Hops.force_graph hops) ~src:i ~dst:j ~k:rounds ~remove

@@ -1,6 +1,6 @@
 (* The paper's headline scenario: a ~1.05x-stretch backbone across the
    US population centers (Fig 3), on a reduced site count so the
-   example runs in ~30 s:
+   example runs in ~10 s:
 
      dune exec examples/us_backbone.exe            # 40 centers
      SITES=112 dune exec examples/us_backbone.exe  # full scale *)

@@ -8,3 +8,7 @@ type t = {
 
 val make : string -> lat:float -> lon:float -> population:int -> t
 val compare_population_desc : t -> t -> int
+
+val geodesic_matrix : t array -> float array array
+(** Great-circle distance between every pair of cities, in km; zero
+    on the diagonal. *)

@@ -1,4 +1,3 @@
-module Geodesy = Cisp_geo.Geodesy
 module Hops = Cisp_towers.Hops
 module City = Cisp_data.City
 
@@ -13,18 +12,6 @@ type t = {
 }
 
 let n_sites t = Array.length t.sites
-
-let geodesic_matrix sites =
-  let n = Array.length sites in
-  let d = Array.make_matrix n n 0.0 in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      let g = Geodesy.distance_km sites.(i).City.coord sites.(j).City.coord in
-      d.(i).(j) <- g;
-      d.(j).(i) <- g
-    done
-  done;
-  d
 
 let of_hops ~hops ~fiber ~traffic =
   let sites = hops.Hops.sites in
@@ -43,7 +30,7 @@ let of_hops ~hops ~fiber ~traffic =
   done;
   {
     sites;
-    geodesic_km = geodesic_matrix sites;
+    geodesic_km = City.geodesic_matrix sites;
     mw_km;
     mw_cost;
     mw_links = links;
@@ -53,7 +40,7 @@ let of_hops ~hops ~fiber ~traffic =
 
 let synthetic ~sites ~mw_stretch ~mw_cost_per_km ~fiber_stretch ~traffic =
   let n = Array.length sites in
-  let geodesic_km = geodesic_matrix sites in
+  let geodesic_km = City.geodesic_matrix sites in
   let mw_km = Array.make_matrix n n infinity in
   let mw_cost = Array.make_matrix n n 0 in
   let fiber_km = Array.make_matrix n n 0.0 in

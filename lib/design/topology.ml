@@ -183,8 +183,11 @@ let edges t =
 
 let routes t ~demands =
   let n = Inputs.n_sites t.inputs in
-  let g = Graph.create n in
-  Array.iter (fun (i, j) -> Graph.add_undirected g i j (hop_km t i j)) (edges t);
+  let es = edges t in
+  let g =
+    Graph.of_edges ~n (Array.map fst es) (Array.map snd es)
+      (Array.map (fun (i, j) -> hop_km t i j) es)
+  in
   let commodities =
     List.filter
       (fun (_, targets) -> not (List.is_empty targets))

@@ -1,5 +1,4 @@
 module Rng = Cisp_util.Rng
-module Geodesy = Cisp_geo.Geodesy
 module Graph = Cisp_graph.Graph
 module Dijkstra = Cisp_graph.Dijkstra
 module City = Cisp_data.City
@@ -18,18 +17,6 @@ type t = {
   route : float array array;    (* shortest fiber route, km *)
   edge_list : (int * int * float) list;
 }
-
-let geodesic_matrix sites =
-  let n = Array.length sites in
-  let d = Array.make_matrix n n 0.0 in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      let g = Geodesy.distance_km sites.(i).City.coord sites.(j).City.coord in
-      d.(i).(j) <- g;
-      d.(j).(i) <- g
-    done
-  done;
-  d
 
 (* Monomorphic lexicographic order on candidate edges: same order as
    the polymorphic [compare] it replaces, without the runtime
@@ -76,7 +63,7 @@ let knn_edges geodesic n ~k =
 let build ?(mode = Synthetic) ~sites () =
   let sites = Array.of_list sites in
   let n = Array.length sites in
-  let geodesic = geodesic_matrix sites in
+  let geodesic = City.geodesic_matrix sites in
   match mode with
   | Assumed factor ->
     (* Route such that route * 1.5 = factor * geodesic. *)
@@ -86,18 +73,16 @@ let build ?(mode = Synthetic) ~sites () =
   | Synthetic ->
     let rng = Rng.create synthetic_seed in
     let pairs =
-      List.sort_uniq compare_edge (gabriel_edges geodesic n @ knn_edges geodesic n ~k:3)
+      Array.of_list
+        (List.sort_uniq compare_edge (gabriel_edges geodesic n @ knn_edges geodesic n ~k:3))
     in
-    let edge_list =
-      List.map
-        (fun (i, j) ->
-          let c = Rng.uniform rng circuitousness_lo circuitousness_hi in
-          (i, j, geodesic.(i).(j) *. c))
+    let km =
+      Array.map
+        (fun (i, j) -> geodesic.(i).(j) *. Rng.uniform rng circuitousness_lo circuitousness_hi)
         pairs
     in
-    let g = Graph.create n in
-    List.iter (fun (i, j, w) -> Graph.add_undirected g i j w) edge_list;
-    let route = Dijkstra.all_pairs g in
+    let route = Dijkstra.all_pairs (Graph.of_edges ~n (Array.map fst pairs) (Array.map snd pairs) km) in
+    let edge_list = Array.to_list (Array.map2 (fun (i, j) w -> (i, j, w)) pairs km) in
     { n; geodesic; route; edge_list }
 
 let route_km t i j = t.route.(i).(j)

@@ -4,11 +4,13 @@ let successive g ~src ~dst ~k ~remove =
   let rec loop remaining acc =
     if remaining = 0 then List.rev acc
     else begin
-      match Dijkstra.shortest_path work ~src ~dst with
-      | None -> List.rev acc
-      | Some found ->
-        remove work found;
+      let r = Dijkstra.run_to work ~src ~dst in
+      if Float.equal r.Dijkstra.dist.(dst) infinity then List.rev acc
+      else begin
+        let found = (r.Dijkstra.dist.(dst), Dijkstra.path r ~dst) in
+        remove work (Dijkstra.path_edges r ~dst);
         loop (remaining - 1) (found :: acc)
+      end
     end
   in
   loop k []

@@ -109,16 +109,23 @@ let isl_neighbors shell sat_id =
 let path_latency_ms shell ~t_s a b =
   let sats = positions shell ~t_s in
   let n_sats = Array.length sats in
-  let g = Graph.create (n_sats + 2) in
   let src = n_sats and dst = n_sats + 1 in
+  (* At most four ISLs per satellite and one ground link from each end
+     to each satellite. *)
+  let cap = 6 * n_sats in
+  let u = Array.make cap 0 and v = Array.make cap 0 and w = Array.make cap 0.0 in
+  let m = ref 0 in
+  let add x y d =
+    u.(!m) <- x;
+    v.(!m) <- y;
+    w.(!m) <- d;
+    incr m
+  in
   Array.iter
     (fun sat ->
       List.iter
         (fun nb ->
-          if nb > sat.sat_id then begin
-            let d = dist3 sat.position_ecef sats.(nb).position_ecef in
-            Graph.add_undirected g sat.sat_id nb d
-          end)
+          if nb > sat.sat_id then add sat.sat_id nb (dist3 sat.position_ecef sats.(nb).position_ecef))
         (isl_neighbors shell sat.sat_id))
     sats;
   let attach node ground =
@@ -127,14 +134,17 @@ let path_latency_ms shell ~t_s a b =
     Array.iter
       (fun sat ->
         if elevation_deg sat ge >= min_elevation_deg then begin
-          Graph.add_undirected g node sat.sat_id (dist3 sat.position_ecef ge);
+          add node sat.sat_id (dist3 sat.position_ecef ge);
           any := true
         end)
       sats;
     !any
   in
-  if attach src a && attach dst b then
+  if attach src a && attach dst b then begin
+    let sub x = Array.sub x 0 !m in
+    let g = Graph.of_edges ~n:(n_sats + 2) (sub u) (sub v) (sub w) in
     Option.map (fun (d, _) -> Cisp_util.Units.ms_of_km_at_c d) (Dijkstra.shortest_path g ~src ~dst)
+  end
   else None
 
 type pair_stats = {

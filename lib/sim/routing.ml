@@ -26,8 +26,6 @@ type edge_info = {
   mutable load_gbps : float;
 }
 
-let norm (i, j) = if i < j then (i, j) else (j, i)
-
 (* One edge per connected site pair, in {!Topology.edges} order, with
    the length and capacity of the medium {!Topology.rides_mw} picks. *)
 let edges_of_model m =
@@ -39,15 +37,10 @@ let edges_of_model m =
       { u = i; v = j; latency_km = Topology.hop_km m.topology i j; capacity_gbps; load_gbps = 0.0 })
     (Topology.edges m.topology)
 
+(* Edge [idx] of the graph is [edges.(idx)], at [cost]. *)
 let build_graph n edges cost =
-  let g = Graph.create n in
-  Array.iteri
-    (fun idx e ->
-      let w = cost e in
-      Graph.add_edge ~tag:idx g e.u e.v w;
-      Graph.add_edge ~tag:idx g e.v e.u w)
-    edges;
-  g
+  Graph.of_edges ~n (Array.map (fun e -> e.u) edges) (Array.map (fun e -> e.v) edges)
+    (Array.map cost edges)
 
 let edge_cost scheme e =
   let rho = Float.min 0.999 (e.load_gbps /. Float.max 1e-9 e.capacity_gbps) in
@@ -91,9 +84,6 @@ let paths m scheme ~demands_gbps =
       done
     done;
     let sorted = List.sort (fun (a, _, _) (b, _, _) -> Float.compare b a) !commodities in
-    (* The edge of each pair, for charging loads. *)
-    let by_pair : (int * int, edge_info) Hashtbl.t = Hashtbl.create 1024 in
-    Array.iter (fun e -> Hashtbl.replace by_pair (e.u, e.v) e) edges;
     (* Rebuilding the cost graph per commodity is wasteful; costs only
        drift as load accumulates, so refresh periodically. *)
     let g = ref (build_graph n edges (edge_cost scheme)) in
@@ -105,16 +95,13 @@ let paths m scheme ~demands_gbps =
           g := build_graph n edges (edge_cost scheme);
           since_refresh := 0
         end;
-        match Dijkstra.shortest_path !g ~src:s ~dst:t with
-        | None -> ()
-        | Some (_, p) ->
-          let arr = Array.of_list p in
-          Hashtbl.replace table (s, t) arr;
-          for k = 0 to Array.length arr - 2 do
-            match Hashtbl.find_opt by_pair (norm (arr.(k), arr.(k + 1))) with
-            | Some e -> e.load_gbps <- e.load_gbps +. demand
-            | None -> ()
-          done)
+        let r = Dijkstra.run_to !g ~src:s ~dst:t in
+        if r.Dijkstra.dist.(t) < infinity then begin
+          Hashtbl.replace table (s, t) (Array.of_list (Dijkstra.path r ~dst:t));
+          List.iter
+            (fun idx -> edges.(idx).load_gbps <- edges.(idx).load_gbps +. demand)
+            (Dijkstra.path_edges r ~dst:t)
+        end)
       sorted);
   table
 
@@ -140,64 +127,52 @@ type mp_path = {
 
 type multipath = { routes : mp_path array; split : float array }
 
-(* The combined MW+fiber multigraph: parallel edges per pair where
-   both media exist (MW only where {!Topology.rides_mw}), tagged
-   2*pid (MW) / 2*pid+1 (fiber) so the disjoint rounds can consume
-   one medium at a time. *)
+(* The combined MW+fiber multigraph: per pair, an MW edge where
+   {!Topology.rides_mw} and a fiber edge where fiber reaches, so the
+   disjoint rounds can consume one medium at a time; [media.(e)] is
+   edge [e]'s medium. *)
 let multigraph (topo : Topology.t) n =
-  let g = Graph.create n in
+  let cap = n * n in
+  let u = Array.make cap 0 and v = Array.make cap 0 and km = Array.make cap 0.0 in
+  let media = Array.make cap Fiber in
+  let m = ref 0 in
+  let add i j medium d =
+    u.(!m) <- i;
+    v.(!m) <- j;
+    km.(!m) <- d;
+    media.(!m) <- medium;
+    incr m
+  in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      let pid = (i * n) + j in
-      if Topology.rides_mw topo i j then
-        Graph.add_undirected ~tag:(2 * pid) g i j topo.inputs.mw_km.(i).(j);
+      if Topology.rides_mw topo i j then add i j Mw topo.inputs.mw_km.(i).(j);
       let fk = topo.inputs.fiber_km.(i).(j) in
-      if fk < infinity then Graph.add_undirected ~tag:((2 * pid) + 1) g i j fk
+      if fk < infinity then add i j Fiber fk
     done
   done;
-  g
-
-(* Media of a node path given which tagged parallel edges are still
-   alive: each hop uses MW when its MW edge exists and is un-consumed
-   (MW is only present where it is the lighter medium, so Dijkstra
-   used it), else fiber. *)
-let mp_of_nodes (topo : Topology.t) ~killed n nodes =
-  let hops = max 0 (Array.length nodes - 1) in
-  let media = Array.make hops Fiber in
-  let lat = ref 0.0 in
-  for h = 0 to hops - 1 do
-    let a = nodes.(h) and b = nodes.(h + 1) in
-    let i = min a b and j = max a b in
-    if Topology.rides_mw topo i j && not (Hashtbl.mem killed (2 * ((i * n) + j))) then begin
-      media.(h) <- Mw;
-      lat := !lat +. topo.inputs.mw_km.(i).(j)
-    end
-    else lat := !lat +. topo.inputs.fiber_km.(i).(j)
-  done;
-  { nodes; media; latency_km = !lat }
+  let sub a = Array.sub a 0 !m in
+  (Graph.of_edges ~n (sub u) (sub v) (sub km), sub media)
 
 (* Successive medium-aware edge-disjoint shortest paths for one
    commodity: each round reports the shortest surviving route, then
-   consumes exactly the parallel edges (pair, medium) it used — a
-   backup may take the fiber pair under a consumed MW edge. *)
-let disjoint_routes ~k ~src ~dst base n topo =
-  let killed : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-  let acc = ref [] in
-  let remove work (_, path) =
-    let nodes = Array.of_list path in
-    let mp = mp_of_nodes topo ~killed n nodes in
-    acc := mp :: !acc;
-    Array.iteri
-      (fun h medium ->
-        let a = nodes.(h) and b = nodes.(h + 1) in
-        let pid = (min a b * n) + max a b in
-        let tag = match medium with Mw -> 2 * pid | Fiber -> (2 * pid) + 1 in
-        Hashtbl.replace killed tag ())
-      mp.media;
-    Graph.remove_edges work (fun _ e -> not (Hashtbl.mem killed e.Graph.tag))
+   removes exactly the edges (pair, medium) it used — a backup may
+   take the fiber pair under a consumed MW edge. *)
+let disjoint_routes ~k ~src ~dst (base, media) =
+  let used = ref [] in
+  let remove work edges =
+    used := edges :: !used;
+    List.iter (Graph.remove work) edges
   in
-  ignore (Multipath.successive base ~src ~dst ~k ~remove);
-  Array.of_list (List.rev !acc)
+  let found = Multipath.successive base ~src ~dst ~k ~remove in
+  Array.of_list
+    (List.map2
+       (fun (latency_km, nodes) edges ->
+         {
+           nodes = Array.of_list nodes;
+           media = Array.of_list (List.map (fun e -> media.(e)) edges);
+           latency_km;
+         })
+       found (List.rev !used))
 
 let multipath_table m ~k ~demands_gbps =
   if k <= 0 then invalid_arg "Routing.multipath_table: k <= 0";
@@ -207,7 +182,7 @@ let multipath_table m ~k ~demands_gbps =
   for s = 0 to n - 1 do
     for t = 0 to n - 1 do
       if t <> s && demands_gbps.(s).(t) > 0.0 then begin
-        let routes = disjoint_routes ~k ~src:s ~dst:t base n m.topology in
+        let routes = disjoint_routes ~k ~src:s ~dst:t base in
         if Array.length routes > 0 then begin
           let inv = Array.map (fun p -> 1.0 /. Float.max 1e-9 p.latency_km) routes in
           let total = Array.fold_left ( +. ) 0.0 inv in

@@ -2,10 +2,11 @@
     hops and shortest city-city microwave links.
 
     The hop graph's nodes are the sites (population centers) followed
-    by the culled towers.  {!build} only lists the candidate edges:
-    every tower pair within hop range and every site-tower pair within
-    a site's attach radius, each with its great-circle length and one
-    verdict (untested, feasible or blocked).  A pair outside
+    by the culled towers.  {!build} only lists the candidate edges
+    into one {!Cisp_graph.Graph.t}: every tower pair within hop range
+    and every site-tower pair within a site's attach radius, each
+    weighted by its great-circle length, with its verdict untested.
+    A blocked edge is a removed one.  A pair outside
     {!Cisp_rf.Los}'s range is blocked from its distance alone; every
     other verdict comes from {!Cisp_rf.Los.feasible_cached}, the
     line-of-sight + Fresnel test, run the first time some reader needs
@@ -15,9 +16,10 @@
     paths, so it tests only the edges on the paths it returns (LazySP:
     search with untested edges counted as feasible, test the edges on
     the paths found, repair the subtrees under the blocked ones,
-    repeat).  Whole-graph readers call {!force_graph}, which tests
-    every remaining candidate and returns the graph of all feasible
-    edges.
+    repeat; the search and its repair are {!Cisp_graph.Dijkstra}'s).
+    Whole-graph readers call {!force_graph}, which tests every
+    remaining candidate and returns the candidate graph with every
+    blocked edge removed.
 
     Verdicts are written into [t], so neither {!all_links} nor
     {!force_graph} may run concurrently with another call on the same
@@ -60,9 +62,11 @@ val build :
 
 val force_graph : t -> Cisp_graph.Graph.t
 (** Tests every candidate not tested yet (on the domain pool) and
-    returns a fresh graph of the feasible edges, inserted in candidate
-    order: tower pairs by lower tower index, then site attachments by
-    site, each in grid order. *)
+    returns a {!Cisp_graph.Graph.copy} of the candidate graph: fresh
+    removal bytes, the blocked edges removed, so the edges left are
+    the feasible ones.  Edge ids are in candidate order: tower pairs
+    by lower tower index, then site attachments by site, each in grid
+    order. *)
 
 val tower_node : t -> int -> int
 (** Graph node id of tower index [k]. *)

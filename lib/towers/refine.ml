@@ -22,11 +22,16 @@ type t = {
      [2..] = towers; [sub_tower.(k)] is the registry index of subgraph
      node k + 2. *)
   sub_tower : int array;
-  edges : (int * int * float) list;    (* subgraph edges *)
-  n_sub : int;
+  graph : Graph.t;
+  need : float array;  (* per subgraph edge: the height fraction it asks of its towers *)
 }
 
 let swathe_km = 60.0
+
+(* Height fraction a hop of length [d] requires of both towers. *)
+let required_fraction (hops : Hops.t) d =
+  let range = hops.Hops.config.Hops.los_params.Cisp_rf.Los.max_range_km in
+  Float.min 0.8 (0.25 +. (0.5 *. d /. range))
 
 let create ~hops ~src ~dst =
   let sites = hops.Hops.sites in
@@ -49,48 +54,43 @@ let create ~hops ~src ~dst =
   Array.iteri (fun k reg -> Hashtbl.replace node_of (Hops.tower_node hops reg) (k + 2)) sub_tower;
   (* Pull the relevant edges out of the full hop graph once. *)
   let graph = Hops.force_graph hops in
-  let edges = ref [] in
+  let us = ref [] and vs = ref [] and ws = ref [] in
   (* fixed node order so the subgraph's edge order (and any
      equal-length tie-breaks downstream) is reproducible *)
   Cisp_util.Tbl.iter_sorted ~compare:Int.compare
     (fun old_node sub_node ->
-      Graph.iter_succ graph old_node (fun e ->
-          match Hashtbl.find_opt node_of e.Graph.dst with
+      for arc = graph.Graph.first.(old_node) to graph.Graph.first.(old_node + 1) - 1 do
+        if not (Graph.is_removed graph graph.Graph.arc_edge.(arc)) then
+          match Hashtbl.find_opt node_of graph.Graph.arc_dst.(arc) with
           | Some sub_dst when sub_node < sub_dst ->
-            edges := (sub_node, sub_dst, e.Graph.weight) :: !edges
-          | Some _ | None -> ()))
+            us := sub_node :: !us;
+            vs := sub_dst :: !vs;
+            ws := graph.Graph.arc_weight.(arc) :: !ws
+          | Some _ | None -> ()
+      done)
     node_of;
+  let ws = Array.of_list !ws in
   {
     hops;
     knowledge = Array.make (Array.length towers) Unknown;
     sub_tower;
-    edges = !edges;
-    n_sub = Array.length sub_tower + 2;
+    graph =
+      Graph.of_edges ~n:(Array.length sub_tower + 2) (Array.of_list !us) (Array.of_list !vs) ws;
+    need = Array.map (required_fraction hops) ws;
   }
 
 let confirm t ~tower k = t.knowledge.(tower) <- k
 
-(* Height fraction a hop of length [d] requires of both towers. *)
-let required_fraction t d =
-  let range = t.hops.Hops.config.Hops.los_params.Cisp_rf.Los.max_range_km in
-  Float.min 0.8 (0.25 +. (0.5 *. d /. range))
-
-(* Shortest path in the subgraph keeping only usable towers.
-   [usable k] decides for subgraph tower node k+2; sites always pass.
-   Heights: [height k] gives the tower's available fraction. *)
+(* Shortest path in the subgraph keeping only usable towers: one
+   removal pass over a copy drops every hop with an endpoint tower
+   that [usable k] rejects (subgraph node k+2) or whose [height k]
+   falls short of what the hop needs; sites always pass. *)
 let shortest t ~usable ~height =
-  let g = Graph.create t.n_sub in
-  List.iter
-    (fun (u, v, w) ->
-      let ok node =
-        if node < 2 then true
-        else begin
-          let k = node - 2 in
-          usable k && height k >= required_fraction t w
-        end
-      in
-      if ok u && ok v then Graph.add_undirected g u v w)
-    t.edges;
+  let g = Graph.copy t.graph in
+  let ok node e = node < 2 || (usable (node - 2) && height (node - 2) >= t.need.(e)) in
+  for e = 0 to Graph.edge_count g - 1 do
+    if not (ok g.Graph.edge_u.(e) e && ok g.Graph.edge_v.(e) e) then Graph.remove g e
+  done;
   match Dijkstra.shortest_path g ~src:0 ~dst:1 with
   | None -> None
   | Some (d, path) ->

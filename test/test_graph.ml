@@ -49,15 +49,18 @@ let prop_heap_sorts =
 
 (* ---------- Graph / Dijkstra ---------- *)
 
+(* A graph from (u, v, weight) triples, edge ids in list order. *)
+let of_list n es =
+  let es = Array.of_list es in
+  Graph.of_edges ~n
+    (Array.map (fun (u, _, _) -> u) es)
+    (Array.map (fun (_, v, _) -> v) es)
+    (Array.map (fun (_, _, w) -> w) es)
+
 (*   0 --1-- 1 --1-- 2
      |               |
      +------10-------+   *)
-let diamond () =
-  let g = Graph.create 3 in
-  Graph.add_undirected g 0 1 1.0;
-  Graph.add_undirected g 1 2 1.0;
-  Graph.add_undirected g 0 2 10.0;
-  g
+let diamond () = of_list 3 [ (0, 1, 1.0); (1, 2, 1.0); (0, 2, 10.0) ]
 
 let test_dijkstra_basic () =
   let g = diamond () in
@@ -66,8 +69,7 @@ let test_dijkstra_basic () =
   Alcotest.(check (list int)) "path" [ 0; 1; 2 ] (Dijkstra.path r ~dst:2)
 
 let test_dijkstra_unreachable () =
-  let g = Graph.create 3 in
-  Graph.add_undirected g 0 1 1.0;
+  let g = of_list 3 [ (0, 1, 1.0) ] in
   let r = Dijkstra.run g ~src:0 in
   Alcotest.(check bool) "unreachable" true (r.dist.(2) = infinity);
   Alcotest.(check (list int)) "no path" [] (Dijkstra.path r ~dst:2);
@@ -90,52 +92,126 @@ let test_all_pairs () =
 
 let test_graph_remove_edges () =
   let g = diamond () in
-  Graph.remove_edges g (fun u e -> not ((u = 0 && e.Graph.dst = 1) || (u = 1 && e.Graph.dst = 0)));
+  Graph.remove g 0;
   let r = Dijkstra.run g ~src:0 in
-  check_float 1e-9 "reroutes over long edge" 10.0 r.dist.(2)
+  check_float 1e-9 "reroutes over long edge" 10.0 r.dist.(2);
+  Alcotest.(check (list int)) "over edge 2" [ 2 ] (Dijkstra.path_edges r ~dst:2)
 
-let test_graph_tags () =
-  let g = Graph.create 2 in
-  Graph.add_edge ~tag:42 g 0 1 1.0;
-  match Graph.succ g 0 with
-  | [ e ] -> Alcotest.(check int) "tag" 42 e.Graph.tag
-  | _ -> Alcotest.fail "expected one edge"
+(* Edge ids are the order [of_edges] was given: a parallel pair of
+   edges stays two edges, and a path names the one it took. *)
+let test_graph_edge_ids () =
+  let g = of_list 2 [ (0, 1, 3.0); (1, 0, 1.0) ] in
+  Alcotest.(check int) "edges" 2 (Graph.edge_count g);
+  Alcotest.(check (list int)) "lighter of the pair" [ 1 ]
+    (Dijkstra.path_edges (Dijkstra.run g ~src:0) ~dst:1);
+  Graph.remove g 1;
+  Alcotest.(check (list int)) "the other" [ 0 ]
+    (Dijkstra.path_edges (Dijkstra.run g ~src:1) ~dst:0)
+
+(* The tie rule every golden rests on: a node's arcs are relaxed in
+   decreasing edge id and a distance improves only strictly, so of two
+   equal-length routes Dijkstra keeps the one relaxed first. *)
+let test_dijkstra_tie_rule () =
+  let parallel = of_list 2 [ (0, 1, 1.0); (0, 1, 1.0) ] in
+  Alcotest.(check (list int)) "parallel edges: higher id" [ 1 ]
+    (Dijkstra.path_edges (Dijkstra.run parallel ~src:0) ~dst:1);
+  (* 0-1-3 and 0-2-3, all hops 1: node 2's arc from 0 is relaxed
+     first, so 2 settles first and reaches 3 first. *)
+  let square = of_list 4 [ (0, 1, 1.0); (1, 3, 1.0); (0, 2, 1.0); (2, 3, 1.0) ] in
+  let r = Dijkstra.run square ~src:0 in
+  Alcotest.(check (list int)) "square: route over the higher ids" [ 0; 2; 3 ]
+    (Dijkstra.path r ~dst:3);
+  Alcotest.(check (list int)) "square: its edges" [ 2; 3 ] (Dijkstra.path_edges r ~dst:3)
+
+(* Random weighted edges between distinct nodes: [edges] draws,
+   self-loops dropped. *)
+let random_edges seed ~n ~edges =
+  let rng = Cisp_util.Rng.create seed in
+  let es = ref [] in
+  for _ = 1 to edges do
+    let u = Cisp_util.Rng.int rng n and v = Cisp_util.Rng.int rng n in
+    if u <> v then es := (u, v, Cisp_util.Rng.uniform rng 1.0 10.0) :: !es
+  done;
+  List.rev !es
 
 (* Random graph: dijkstra distance <= length of any sampled random walk. *)
 let prop_dijkstra_lower_bound =
   QCheck.Test.make ~name:"dijkstra is a lower bound over random walks" ~count:100
     QCheck.small_int
     (fun seed ->
-      let rng = Cisp_util.Rng.create seed in
-      let n = 12 in
-      let g = Graph.create n in
-      for _ = 1 to 30 do
-        let u = Cisp_util.Rng.int rng n and v = Cisp_util.Rng.int rng n in
-        if u <> v then Graph.add_undirected g u v (Cisp_util.Rng.uniform rng 1.0 10.0)
-      done;
+      let g = of_list 12 (random_edges seed ~n:12 ~edges:30) in
+      let rng = Cisp_util.Rng.create (seed + 1) in
       let r = Dijkstra.run g ~src:0 in
       (* random walk from 0 of up to 8 steps *)
       let rec walk u len steps =
-        if steps = 0 then true
+        let degree = g.first.(u + 1) - g.first.(u) in
+        if steps = 0 || degree = 0 then true
         else begin
-          match Graph.succ g u with
-          | [] -> true
-          | edges ->
-            let e = List.nth edges (Cisp_util.Rng.int rng (List.length edges)) in
-            let len = len +. e.Graph.weight in
-            r.dist.(e.Graph.dst) <= len +. 1e-9 && walk e.Graph.dst len (steps - 1)
+          let a = g.first.(u) + Cisp_util.Rng.int rng degree in
+          let len = len +. g.arc_weight.(a) in
+          r.dist.(g.arc_dst.(a)) <= len +. 1e-9 && walk g.arc_dst.(a) len (steps - 1)
         end
       in
       walk 0 0.0 8)
 
+(* Every node's distance by its bits and its node path. *)
+let search_bits g ~src =
+  let r = Dijkstra.run g ~src in
+  Array.init (Graph.node_count g) (fun v ->
+      (Int64.bits_of_float r.dist.(v), Dijkstra.path r ~dst:v))
+
+let prop_removed_equals_absent =
+  QCheck.Test.make ~name:"removed edges search as absent ones" ~count:200 QCheck.small_int
+    (fun seed ->
+      let rng = Cisp_util.Rng.create (seed + 9000) in
+      let es = random_edges seed ~n:10 ~edges:25 in
+      let gone = List.map (fun _ -> Cisp_util.Rng.int rng 3 = 0) es in
+      let g = of_list 10 es in
+      List.iteri (fun e drop -> if drop then Graph.remove g e) gone;
+      let kept = List.filteri (fun e _ -> not (List.nth gone e)) es in
+      let src = Cisp_util.Rng.int rng 10 in
+      search_bits g ~src = search_bits (of_list 10 kept) ~src)
+
+(* Random weights are distinct, so no two paths tie and a repaired
+   tree must carry a fresh search's distances bit for bit. *)
+let prop_repair_equals_fresh =
+  QCheck.Test.make ~name:"repair after removing tree edges equals a fresh search" ~count:200
+    QCheck.small_int
+    (fun seed ->
+      let rng = Cisp_util.Rng.create (seed + 10_000) in
+      let n = 14 in
+      let g = of_list n (random_edges (seed + 11_000) ~n ~edges:40) in
+      let t = Dijkstra.create g in
+      Dijkstra.search t ~src:0;
+      let fresh () = Array.map Int64.bits_of_float (Dijkstra.run g ~src:0).dist in
+      (* Three rounds, each removing the tree edge into some settled
+         nodes, then repairing. *)
+      List.for_all
+        (fun _ ->
+          for v = 1 to n - 1 do
+            if t.via.(v) >= 0 && Cisp_util.Rng.int rng 3 = 0 then Graph.remove g t.via.(v)
+          done;
+          Dijkstra.repair t;
+          Array.map Int64.bits_of_float t.dist = fresh ())
+        [ 1; 2; 3 ])
+
 (* ---------- Successive disjoint paths (Fig 4b) ---------- *)
 
-(* Fig 4(b)'s removal policy: each round drops the found path's
-   interior nodes that are not [protected]. *)
+(* Fig 4(b)'s removal policy: each round removes every edge at the
+   found path's nodes that are not an end nor [protected]. *)
 let successive g ~src ~dst ~rounds ~protected =
-  let remove work (_, path) =
-    let dead v = v <> src && v <> dst && (not (protected v)) && List.mem v path in
-    Graph.remove_edges work (fun u e -> not (dead u || dead e.Graph.dst))
+  let remove (work : Graph.t) edges =
+    let remove_at v =
+      if v <> src && v <> dst && not (protected v) then
+        for a = work.first.(v) to work.first.(v + 1) - 1 do
+          Graph.remove work work.arc_edge.(a)
+        done
+    in
+    List.iter
+      (fun e ->
+        remove_at work.edge_u.(e);
+        remove_at work.edge_v.(e))
+      edges
   in
   Multipath.successive g ~src ~dst ~k:rounds ~remove
 
@@ -143,25 +219,19 @@ let test_disjoint_successive () =
   (* Two parallel 2-hop routes and one 3-hop route: each round takes
      the cheapest survivor, and the search stops once [dst] is cut
      off, short of [k]. *)
-  let g = Graph.create 6 in
-  Graph.add_undirected g 0 1 1.0;
-  Graph.add_undirected g 1 5 1.0;
-  Graph.add_undirected g 0 2 2.0;
-  Graph.add_undirected g 2 5 2.0;
-  Graph.add_undirected g 0 3 2.0;
-  Graph.add_undirected g 3 4 2.0;
-  Graph.add_undirected g 4 5 2.0;
+  let g =
+    of_list 6
+      [
+        (0, 1, 1.0); (1, 5, 1.0); (0, 2, 2.0); (2, 5, 2.0); (0, 3, 2.0); (3, 4, 2.0); (4, 5, 2.0);
+      ]
+  in
   let rounds = successive g ~src:0 ~dst:5 ~rounds:5 ~protected:(fun _ -> false) in
   Alcotest.(check (list (list int))) "paths" [ [ 0; 1; 5 ]; [ 0; 2; 5 ]; [ 0; 3; 4; 5 ] ]
     (List.map snd rounds);
   Alcotest.(check (list (float 1e-9))) "lengths grow" [ 2.0; 4.0; 6.0 ] (List.map fst rounds)
 
 let test_disjoint_protected () =
-  let g = Graph.create 4 in
-  Graph.add_undirected g 0 1 1.0;
-  Graph.add_undirected g 1 3 1.0;
-  Graph.add_undirected g 0 2 5.0;
-  Graph.add_undirected g 2 3 5.0;
+  let g = of_list 4 [ (0, 1, 1.0); (1, 3, 1.0); (0, 2, 5.0); (2, 3, 5.0) ] in
   (* protecting node 1 keeps the cheap route available forever *)
   let rounds = successive g ~src:0 ~dst:3 ~rounds:3 ~protected:(fun v -> v = 1) in
   Alcotest.(check int) "all rounds available" 3 (List.length rounds);
@@ -169,9 +239,9 @@ let test_disjoint_protected () =
 
 let test_disjoint_preserves_input () =
   let g = diamond () in
-  let before = Graph.edge_count g in
   ignore (successive g ~src:0 ~dst:2 ~rounds:3 ~protected:(fun _ -> false));
-  Alcotest.(check int) "input untouched" before (Graph.edge_count g)
+  Alcotest.(check bool) "input untouched" true
+    (List.for_all (fun e -> not (Graph.is_removed g e)) (List.init (Graph.edge_count g) Fun.id))
 
 let suites =
   [
@@ -189,8 +259,11 @@ let suites =
         Alcotest.test_case "early exit" `Quick test_dijkstra_early_exit;
         Alcotest.test_case "all pairs" `Quick test_all_pairs;
         Alcotest.test_case "remove edges" `Quick test_graph_remove_edges;
-        Alcotest.test_case "edge tags" `Quick test_graph_tags;
+        Alcotest.test_case "edge ids" `Quick test_graph_edge_ids;
+        Alcotest.test_case "tie rule" `Quick test_dijkstra_tie_rule;
         QCheck_alcotest.to_alcotest prop_dijkstra_lower_bound;
+        QCheck_alcotest.to_alcotest prop_removed_equals_absent;
+        QCheck_alcotest.to_alcotest prop_repair_equals_fresh;
       ] );
     ( "graph.disjoint",
       [
@@ -202,14 +275,7 @@ let suites =
 
 (* ---------- deeper properties ---------- *)
 
-let random_graph seed ~n ~edges =
-  let rng = Cisp_util.Rng.create seed in
-  let g = Graph.create n in
-  for _ = 1 to edges do
-    let u = Cisp_util.Rng.int rng n and v = Cisp_util.Rng.int rng n in
-    if u <> v then Graph.add_undirected g u v (Cisp_util.Rng.uniform rng 1.0 10.0)
-  done;
-  g
+let random_graph seed ~n ~edges = of_list n (random_edges seed ~n ~edges)
 
 let prop_disjoint_lengths_nondecreasing =
   QCheck.Test.make ~name:"successive disjoint paths never get shorter" ~count:100
@@ -251,9 +317,8 @@ let prop_successive_preserves_input =
     QCheck.small_int
     (fun seed ->
       let g = random_graph (seed + 6000) ~n:9 ~edges:20 in
-      let snapshot g =
-        List.init 9 (fun u ->
-            List.map (fun (e : Graph.edge) -> (e.dst, e.weight, e.tag)) (Graph.succ g u))
+      let snapshot (g : Graph.t) =
+        (Bytes.to_string g.removed, g.first, g.arc_dst, g.arc_edge, g.arc_weight)
       in
       let before = snapshot g in
       ignore (successive g ~src:0 ~dst:8 ~rounds:4 ~protected:(fun _ -> false));

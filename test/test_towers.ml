@@ -204,10 +204,20 @@ let test_lazy_equals_forced () =
    length (by its bits) and node path, pinned: the one golden on a
    [force_graph] reader besides the hop-graph fingerprint. *)
 let test_fig4b_disjoint_golden () =
+  let module G = Cisp_graph.Graph in
   let h = Lazy.force hops in
-  let remove work (_, path) =
-    let used v = Hops.is_tower_node h v && List.mem v path in
-    Cisp_graph.Graph.remove_edges work (fun u e -> not (used u || used e.Cisp_graph.Graph.dst))
+  let remove (work : G.t) edges =
+    let remove_at v =
+      if Hops.is_tower_node h v then
+        for a = work.first.(v) to work.first.(v + 1) - 1 do
+          G.remove work work.arc_edge.(a)
+        done
+    in
+    List.iter
+      (fun e ->
+        remove_at work.edge_u.(e);
+        remove_at work.edge_v.(e))
+      edges
   in
   let rounds =
     Cisp_graph.Multipath.successive (Hops.force_graph h) ~src:0 ~dst:1 ~k:8 ~remove
