@@ -52,7 +52,7 @@ let run ctx =
   let seed = Greedy.design inputs ~budget:budget_full in
   let polished =
     Local_search.improve inputs ~budget:budget_full
-      ~candidates:(Greedy.candidate_set inputs ~budget:budget_full ~inflation:2.0)
+      ~candidates:(Greedy.candidate_set inputs ~budget:budget_full)
       seed
   in
   Printf.printf "greedy alone      : %.4f\n" (Topology.stretch_of seed);

@@ -27,7 +27,7 @@ let run ctx =
     (fun n ->
       let inputs = subset_inputs ctx n in
       let budget = budget_per_site * n in
-      let candidates = Greedy.candidate_set inputs ~budget ~inflation:2.0 in
+      let candidates = Greedy.candidate_set inputs ~budget in
       let (topo, stats), secs =
         Ctx.time (fun () -> Ilp.design ~time_limit_s:ilp_cap inputs ~budget ~candidates)
       in
@@ -59,7 +59,7 @@ let run ctx =
         let budget = budget_per_site * n in
         let heur = Scenario.design inputs ~budget in
         let rounded =
-          let candidates = Greedy.candidate_set inputs ~budget ~inflation:2.0 in
+          let candidates = Greedy.candidate_set inputs ~budget in
           match Lp_rounding.design inputs ~budget ~candidates with
           | Some t -> t
           | None -> Topology.empty inputs

@@ -15,7 +15,7 @@ let () =
         (Apps.Gaming.frame_time_ms Apps.Gaming.Thin_speculative_cisp ~one_way_ms:l))
     [ 10.0; 30.0; 60.0; 90.0; 120.0 ];
   (* Sessions with jitter and imperfect speculation. *)
-  let params = { Apps.Gaming.default_params with Apps.Gaming.speculation_coverage = 0.9 } in
+  let params = { Apps.Gaming.speculation_coverage = 0.9 } in
   let s =
     Apps.Gaming.simulate_session ~params Apps.Gaming.Thin_speculative_cisp ~one_way_ms:60.0
       ~inputs:20_000

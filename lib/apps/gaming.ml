@@ -1,36 +1,34 @@
-type params = {
-  server_tick_ms : float;
-  render_ms : float;
-  speculation_coverage : float;
-  cisp_latency_factor : float;
-}
+type params = { speculation_coverage : float }
 
-let default_params =
-  {
-    server_tick_ms = 8.0;
-    render_ms = 12.0;
-    speculation_coverage = 1.0;  (* Pacman: all 4 directions speculated *)
-    cisp_latency_factor = 1.0 /. 3.0;
-  }
+(* Pacman: all 4 directions speculated. *)
+let default_params = { speculation_coverage = 1.0 }
+
+(* The model's constants (gaming.mli): per-frame processing, cISP's
+   latency relative to the Internet's (paper §7), and the session RNG
+   seed. *)
+let server_tick_ms = 8.0
+let render_ms = 12.0
+let cisp_latency_factor = 1.0 /. 3.0
+let session_seed = 5
 
 type mode = Thin_conventional | Thin_speculative_cisp | Fat_conventional | Fat_cisp
 
 let frame_time_ms ?(params = default_params) mode ~one_way_ms =
-  let proc = params.server_tick_ms +. params.render_ms in
+  let proc = server_tick_ms +. render_ms in
   match mode with
   | Thin_conventional -> (2.0 *. one_way_ms) +. proc
   | Thin_speculative_cisp ->
-    let fast = 2.0 *. one_way_ms *. params.cisp_latency_factor in
+    let fast = 2.0 *. one_way_ms *. cisp_latency_factor in
     let slow = 2.0 *. one_way_ms in
     (* Misses fall back to a conventional round trip for the frame. *)
     (params.speculation_coverage *. fast)
     +. ((1.0 -. params.speculation_coverage) *. slow)
     +. proc
   | Fat_conventional -> (2.0 *. one_way_ms) +. proc
-  | Fat_cisp -> (2.0 *. one_way_ms *. params.cisp_latency_factor) +. proc
+  | Fat_cisp -> (2.0 *. one_way_ms *. cisp_latency_factor) +. proc
 
-let simulate_session ?(params = default_params) ?(seed = 5) mode ~one_way_ms ~inputs =
-  let rng = Cisp_util.Rng.create seed in
+let simulate_session ?(params = default_params) mode ~one_way_ms ~inputs =
+  let rng = Cisp_util.Rng.create session_seed in
   let samples =
     Array.init inputs (fun _ ->
         (* jitter on processing and network *)
@@ -40,7 +38,7 @@ let simulate_session ?(params = default_params) ?(seed = 5) mode ~one_way_ms ~in
           match mode with
           | Thin_speculative_cisp when miss ->
             frame_time_ms ~params Thin_conventional ~one_way_ms
-          | m -> frame_time_ms ~params:{ params with speculation_coverage = 1.0 } m ~one_way_ms
+          | m -> frame_time_ms ~params:{ speculation_coverage = 1.0 } m ~one_way_ms
         in
         base *. jitter)
   in

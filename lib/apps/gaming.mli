@@ -5,16 +5,19 @@
     the paper's speculative scheme pre-sends the frames for every
     possible input over fiber and flips between them with a tiny
     confirmation message over cISP, so the user-visible frame time
-    tracks the cISP RTT instead of the fiber RTT. *)
+    tracks the cISP RTT instead of the fiber RTT.
+
+    Constants of the model: every frame pays 20 ms of processing (an
+    8 ms server tick plus 12 ms of client decode and render), and
+    cISP's one-way latency is 1/3 of the conventional network's (paper
+    §7: near-c latency against the Internet's ~3x inflation). *)
 
 type params = {
-  server_tick_ms : float;     (** game-state update interval *)
-  render_ms : float;          (** client decode + render *)
   speculation_coverage : float;  (** fraction of inputs pre-computed *)
-  cisp_latency_factor : float;   (** cISP one-way vs conventional; 1/3 *)
 }
 
 val default_params : params
+(** Full coverage (Pacman: all 4 directions speculated). *)
 
 type mode =
   | Thin_conventional      (** input -> server -> frame over the Internet *)
@@ -27,7 +30,6 @@ val frame_time_ms : ?params:params -> mode -> one_way_ms:float -> float
     network's one-way latency is [one_way_ms]. *)
 
 val simulate_session :
-  ?params:params -> ?seed:int -> mode -> one_way_ms:float -> inputs:int ->
-  Cisp_util.Stats.summary
+  ?params:params -> mode -> one_way_ms:float -> inputs:int -> Cisp_util.Stats.summary
 (** Monte-Carlo session: per-input frame times including jitter and
-    speculation misses. *)
+    speculation misses, drawn from a fixed RNG seed (5). *)

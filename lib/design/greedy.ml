@@ -119,6 +119,9 @@ let design_ordered ?(rule = Per_cost) (inputs : Inputs.t) ~budget =
 
 let design ?rule inputs ~budget = fst (design_ordered ?rule inputs ~budget)
 
-let candidate_set ?rule inputs ~budget ~inflation =
-  let inflated = int_of_float (Float.ceil (float_of_int budget *. inflation)) in
-  snd (design_ordered ?rule inputs ~budget:inflated)
+(* Paper §3.2: the candidate set is what greedy selects at twice the
+   budget. *)
+let candidate_inflation = 2
+
+let candidate_set inputs ~budget =
+  snd (design_ordered inputs ~budget:(candidate_inflation * budget))

@@ -22,10 +22,10 @@ val design : ?rule:rule -> Inputs.t -> budget:int -> Topology.t
 (** Greedy selection within [budget] towers.  Default rule
     [Per_cost]. *)
 
-val candidate_set : ?rule:rule -> Inputs.t -> budget:int -> inflation:float -> (int * int) list
-(** The paper's pruning step: run greedy at [inflation x budget] and
-    return every link it selected, as candidates for exact/local
-    optimization. *)
+val candidate_set : Inputs.t -> budget:int -> (int * int) list
+(** The paper's pruning step (§3.2): run greedy, with the default
+    rule, at twice [budget] and return every link it selected, in
+    selection order, as candidates for exact/local optimization. *)
 
 (** {2 Internals shared with {!Local_search}} *)
 

@@ -92,7 +92,7 @@ let population_inputs a =
 let design (inputs : Inputs.t) ~budget =
   (* One greedy run at the paper's 2x-inflated budget yields both the
      candidate set and (as its affordable prefix) the seed design. *)
-  let _, order = Greedy.design_ordered inputs ~budget:(2 * budget) in
+  let order = Greedy.candidate_set inputs ~budget in
   let seed =
     List.fold_left
       (fun topo (i, j) ->

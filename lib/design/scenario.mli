@@ -3,10 +3,13 @@
     Assembles the full cISP pipeline of the paper: synthetic terrain,
     tower registry, culling, hop feasibility (step 1), fiber network,
     traffic model, topology design (step 2), and capacity planning
-    (step 3).  Heavy artifacts (the hop graph takes ~20 s at the
-    112-center US scale) are memoized per configuration so benchmarks
-    can share them.  The terrain and the tower registry come from
-    fixed seeds (42 and 7), and a run is costed at {!Cost.default}. *)
+    (step 3).  Heavy artifacts are memoized per configuration so
+    benchmarks can share them; the hop graph keeps the line-of-sight
+    verdicts its searches found (the first
+    {!Cisp_towers.Hops.all_links} at the 112-center US scale takes
+    ~5 s: a median of 5.5 s over 20 release runs at [-j 2] on 2
+    vCPUs).  The terrain and the tower registry come from fixed seeds
+    (42 and 7), and a run is costed at {!Cost.default}. *)
 
 type region =
   | Us

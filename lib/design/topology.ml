@@ -69,38 +69,28 @@ let remove t pair =
     }
   end
 
-(* One row relaxation is ~n flops over contiguous floats — far cheaper
-   than a claim of the pool's shared chunk counter.  Batch enough rows
-   per claim that each costs on the order of a few thousand flops;
-   small matrices fall back to sequential via the pool's short-circuit
-   rather than spinning every worker on chunk = 1 (up to 64 sites the
-   whole matrix is one chunk, so every pass runs inline). *)
-let row_chunk n = max 8 (4096 / max 1 n)
-
 (* Metric closure of the complete fiber mesh.  Fiber route matrices
    are already shortest paths over the conduit graph, hence metric;
    one Floyd-Warshall pass guards against non-metric synthetic
-   inputs.  For a fixed pivot [k] the row updates are independent
-   (row [k] itself is a fixed point of pass [k]: the candidate
+   inputs.  Row [k] is a fixed point of pass [k] (the candidate
    d(k,k) + d(k,j) can never beat d(k,j) with non-negative
-   distances), so each pass parallelizes over [i] without changing
-   any comparison or store order within a row. *)
+   distances), so reading the pivot row while updating the others is
+   exact. *)
 let fiber_baseline (inputs : Inputs.t) =
   let n = Inputs.n_sites inputs in
   let d = Array.map Array.copy inputs.fiber_km in
-  let pass k i =
-    let dik = d.(i).(k) in
-    if dik < infinity then begin
-      let row = d.(i) and pivot = d.(k) in
-      for j = 0 to n - 1 do
-        let alt = dik +. pivot.(j) in
-        if alt < row.(j) then row.(j) <- alt
-      done
-    end
-  in
-  let min_chunk = row_chunk n in
   for k = 0 to n - 1 do
-    Cisp_util.Pool.parallel_for ~min_chunk ~n (pass k)
+    let pivot = d.(k) in
+    for i = 0 to n - 1 do
+      let dik = d.(i).(k) in
+      if dik < infinity then begin
+        let row = d.(i) in
+        for j = 0 to n - 1 do
+          let alt = dik +. pivot.(j) in
+          if alt < row.(j) then row.(j) <- alt
+        done
+      end
+    done
   done;
   d
 
@@ -112,18 +102,17 @@ let distances_incremental (inputs : Inputs.t) d (i, j) =
   let w = inputs.mw_km.(i).(j) in
   if not (w < infinity) then invalid_arg "Topology.distances_incremental: non-finite link length";
   let out = Array.map Array.copy d in
-  let relax s =
+  let di = d.(i) and dj = d.(j) in
+  for s = 0 to n - 1 do
     let dsi = d.(s).(i) and dsj = d.(s).(j) in
     let row = out.(s) in
     for t = 0 to n - 1 do
-      let via_ij = dsi +. w +. d.(j).(t) in
-      let via_ji = dsj +. w +. d.(i).(t) in
+      let via_ij = dsi +. w +. dj.(t) in
+      let via_ji = dsj +. w +. di.(t) in
       let alt = Float.min via_ij via_ji in
       if alt < row.(t) then row.(t) <- alt
     done
-  in
-  (* Rows of [out] are written independently; [d] is only read. *)
-  Cisp_util.Pool.parallel_for ~min_chunk:(row_chunk n) ~n relax;
+  done;
   out
 
 let distances t =

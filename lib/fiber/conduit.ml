@@ -15,7 +15,6 @@ type t = {
   n : int;
   geodesic : float array array;
   route : float array array;    (* shortest fiber route, km *)
-  edge_list : (int * int * float) list;
 }
 
 (* Monomorphic lexicographic order on candidate edges: same order as
@@ -69,7 +68,7 @@ let build ?(mode = Synthetic) ~sites () =
     (* Route such that route * 1.5 = factor * geodesic. *)
     let route_factor = factor /. Cisp_util.Units.fiber_latency_factor in
     let route = Array.map (Array.map (fun g -> g *. route_factor)) geodesic in
-    { n; geodesic; route; edge_list = [] }
+    { n; geodesic; route }
   | Synthetic ->
     let rng = Rng.create synthetic_seed in
     let pairs =
@@ -82,8 +81,7 @@ let build ?(mode = Synthetic) ~sites () =
         pairs
     in
     let route = Dijkstra.all_pairs (Graph.of_edges ~n (Array.map fst pairs) (Array.map snd pairs) km) in
-    let edge_list = Array.to_list (Array.map2 (fun (i, j) w -> (i, j, w)) pairs km) in
-    { n; geodesic; route; edge_list }
+    { n; geodesic; route }
 
 let route_km t i j = t.route.(i).(j)
 
@@ -103,5 +101,3 @@ let mean_latency_inflation t =
     done
   done;
   if !count = 0 then 0.0 else !acc /. float_of_int !count
-
-let edges t = t.edge_list

@@ -44,6 +44,3 @@ val latency_matrix : t -> float array array
 val mean_latency_inflation : t -> float
 (** Mean over site pairs of [latency_km / geodesic] — should be ~1.9
     for the synthetic US network (paper: 1.93). *)
-
-val edges : t -> (int * int * float) list
-(** Conduit segments as (site, site, route km) — for visualization. *)

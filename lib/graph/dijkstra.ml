@@ -154,10 +154,8 @@ let all_pairs_results g ~sources =
       Cisp_util.Telemetry.add "apsp.sources" n;
       let out = Array.make n (create g) in
       (* One source is a whole Dijkstra — thousands of heap operations
-         — so the finest (default) chunk wins: a claim of the shared
-         counter is noise next to the work it buys, and coarser chunks
-         would only worsen load balance across sources of uneven
-         degree. *)
+         — so a claim of the pool's shared counter is noise next to the
+         work it buys. *)
       Cisp_util.Pool.parallel_for ~n (fun k -> out.(k) <- run g ~src:sources.(k));
       out)
 

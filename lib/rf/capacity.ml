@@ -1,9 +1,5 @@
 let hop_gbps = 1.0
 
-let shannon_gbps ~bandwidth_mhz ~snr_db =
-  let snr = 10.0 ** (snr_db /. 10.0) in
-  bandwidth_mhz *. 1e6 *. (log (1.0 +. snr) /. log 2.0) /. 1e9
-
 let qam_bits_per_symbol m =
   if m < 4 then invalid_arg "qam_bits_per_symbol: m < 4";
   let rec log2 acc n =

@@ -8,9 +8,6 @@
 val hop_gbps : float
 (** Design data rate of one bidirectional MW hop: 1 Gbps. *)
 
-val shannon_gbps : bandwidth_mhz:float -> snr_db:float -> float
-(** Shannon bound for reference. *)
-
 val qam_bits_per_symbol : int -> int
 (** [qam_bits_per_symbol m] for m-QAM (m a power of 4): log2 m.
     Raises [Invalid_argument] if [m] < 4 or not a power of two. *)

@@ -7,40 +7,32 @@ module City = Cisp_data.City
 
 type config = {
   seed : int;
-  city_towers_per_100k : float;
-  city_radius_km : float;
   corridor_spacing_km : float;
-  corridor_max_km : float;
-  corridor_jitter_km : float;
   background_count : int;
-  min_height_m : float;
-  max_height_m : float;
 }
 
-let default_config =
-  {
-    seed = 7;
-    city_towers_per_100k = Units.towers_per_100k;
-    city_radius_km = 30.0;
-    corridor_spacing_km = 20.0;
-    corridor_max_km = 1200.0;
-    corridor_jitter_km = 3.0;
-    background_count = 7000;
-    min_height_m = 50.0;
-    max_height_m = 350.0;
-  }
+let default_config = { seed = 7; corridor_spacing_km = 20.0; background_count = 7000 }
+
+(* The generator's constants (synth.mli lists them): the spread of a
+   city cluster, the corridors' reach and lateral scatter, and the
+   height clamp around the FCC registry's mix (paper §4). *)
+let city_radius_km = 30.0
+let corridor_max_km = 1200.0
+let corridor_jitter_km = 3.0
+let min_height_m = 50.0
+let max_height_m = 350.0
 
 (* Heights: lognormal body with a clamp; taller structures are rarer.
    Mountainous ground reduces achievable height a bit (harder siting)
    but high ground elevation compensates in line-of-sight terms. *)
-let sample_height ?(median = 120.0) ?(tall_frac = 0.12) cfg rng =
+let sample_height ?(median = 120.0) ?(tall_frac = 0.12) rng =
   (* Mixture: ordinary towers around the median, plus the tall
      broadcast-mast tail visible in the FCC registry (250 m+). *)
   let h =
-    if Rng.float rng 1.0 < tall_frac then Rng.uniform rng 250.0 cfg.max_height_m
+    if Rng.float rng 1.0 < tall_frac then Rng.uniform rng 250.0 max_height_m
     else Rng.lognormal rng (log median) 0.5
   in
-  Float.max cfg.min_height_m (Float.min cfg.max_height_m h)
+  Float.max min_height_m (Float.min max_height_m h)
 
 let random_point_near rng center ~radius_km =
   let bearing = Rng.float rng 360.0 in
@@ -58,23 +50,23 @@ let high_point dem rng sample_fn =
   done;
   !best
 
-let city_cluster cfg rng dem (city : City.t) =
+let city_cluster rng dem (city : City.t) =
   let count =
-    let base = float_of_int city.population /. 100_000.0 *. cfg.city_towers_per_100k in
+    let base = float_of_int city.population /. 100_000.0 *. Units.towers_per_100k in
     max 6 (int_of_float (Float.ceil base))
   in
   (* Cap the very largest metros: the paper randomly subsamples dense
      cells anyway, so extra towers there only burn compute. *)
   let count = min count 80 in
   List.init count (fun _ ->
-      let p = high_point dem rng (fun rng -> random_point_near rng city.coord ~radius_km:cfg.city_radius_km) in
+      let p = high_point dem rng (fun rng -> random_point_near rng city.coord ~radius_km:city_radius_km) in
       let rugged = Dem.ruggedness dem p in
-      let h = sample_height cfg rng *. (if rugged > 600.0 then 0.8 else 1.0) in
+      let h = sample_height rng *. (if rugged > 600.0 then 0.8 else 1.0) in
       (p, h, Tower.City))
 
 let corridor_towers cfg rng dem (a : City.t) (b : City.t) =
   let d = Geodesy.distance_km a.coord b.coord in
-  if d > cfg.corridor_max_km || d < 60.0 then []
+  if d > corridor_max_km || d < 60.0 then []
   else begin
     let n = int_of_float (d /. cfg.corridor_spacing_km) in
     List.concat
@@ -84,14 +76,14 @@ let corridor_towers cfg rng dem (a : City.t) (b : City.t) =
            let p =
              high_point dem rng (fun rng ->
                  let bearing = Rng.float rng 360.0 in
-                 let off = Rng.float rng cfg.corridor_jitter_km in
+                 let off = Rng.float rng corridor_jitter_km in
                  Geodesy.destination on_path ~bearing_deg:bearing ~distance_km:off)
            in
            (* Rugged terrain thins corridors out. *)
            let rugged = Dem.ruggedness dem p in
            let keep_prob = if rugged > 900.0 then 0.55 else 0.95 in
            if Rng.float rng 1.0 < keep_prob then
-             [ (p, sample_height ~median:160.0 ~tall_frac:0.18 cfg rng, Tower.Fcc) ]
+             [ (p, sample_height ~median:160.0 ~tall_frac:0.18 rng, Tower.Fcc) ]
            else []))
   end
 
@@ -103,13 +95,13 @@ let background cfg dem rng (bbox : Coord.bbox) =
             let lon = Rng.uniform rng bbox.min_lon bbox.max_lon in
             Coord.make ~lat ~lon)
       in
-      (p, sample_height cfg rng, Tower.Rental))
+      (p, sample_height rng, Tower.Rental))
 
 let generate ?(config = default_config) ~dem ~sites () =
   let rng = Rng.create config.seed in
   let cities = Array.of_list sites in
   let clusters =
-    Array.to_list cities |> List.concat_map (fun c -> city_cluster config rng dem c)
+    Array.to_list cities |> List.concat_map (fun c -> city_cluster rng dem c)
   in
   (* Corridors follow a highway-like graph: each city is joined to its
      nearest neighbours, not to every other city. *)

@@ -12,21 +12,27 @@
     - a uniform rural background over the bounding box.
 
     Heights follow the mix seen in the FCC data: most structures are
-    50-150 m, with a tall tail up to ~300 m. *)
+    50-150 m, with a tall tail up to ~300 m.
+
+    Constants of the generator: a city cluster holds
+    {!Cisp_util.Units.towers_per_100k} towers per 100,000 inhabitants
+    (at least 6, at most 80) within 30 km of the center; corridors
+    join each city to its 8 nearest neighbours when they are 60 to
+    1,200 km apart, with towers scattered up to 3 km off the geodesic;
+    heights are clamped to 50-350 m. *)
 
 type config = {
   seed : int;
-  city_towers_per_100k : float;  (** cluster size scaling *)
-  city_radius_km : float;        (** cluster spread around the center *)
-  corridor_spacing_km : float;   (** mean spacing of corridor towers *)
-  corridor_max_km : float;       (** only corridors shorter than this *)
-  corridor_jitter_km : float;    (** lateral scatter off the geodesic *)
+  corridor_spacing_km : float;
+      (** mean spacing of corridor towers.  No caller sets it; it
+          keeps the record wider than the two fields callers set, so
+          that e2ebench's [{ default_config with seed; background_count }]
+          is not a useless-[with] error (warning 23). *)
   background_count : int;        (** uniform rural towers *)
-  min_height_m : float;
-  max_height_m : float;
 }
 
 val default_config : config
+(** Seed 7, corridor towers every 20 km, 7,000 rural towers. *)
 
 val generate :
   ?config:config -> dem:Cisp_terrain.Dem.t -> sites:Cisp_data.City.t list ->

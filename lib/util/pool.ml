@@ -36,10 +36,10 @@ type t = {
 let in_task : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
 (* Sequential execution of a whole range (width 1, nested
-   submissions, and the small-[n] short-circuit) records the same
-   counter family as a parallel job — one job, one chunk spanning the
-   range — so the scheduling telemetry stays coherent whichever path a
-   loop takes. *)
+   submissions, a single index, a busy pool) records the same counter
+   family as a parallel job — one job, one chunk spanning the range —
+   so the scheduling telemetry stays coherent whichever path a loop
+   takes. *)
 let sequential_job n fn =
   if Telemetry.enabled () then begin
     Telemetry.incr "pool.jobs.seq";
@@ -141,12 +141,9 @@ let shutdown pool =
   end
 
 (* One loop on a woken pool.  Over-decompose ~8 chunks per worker so
-   a slow chunk cannot serialize the tail of the range, but never below
-   [min_chunk]: the caller's cost hint for how many indices it takes
-   before one claim of the shared counter is worth its cache-line
-   bounce. *)
-let run_job pool ~min_chunk ~n fn =
-  let chunk = max min_chunk (n / (pool.width * 8)) in
+   a slow chunk cannot serialize the tail of the range. *)
+let run_job pool ~n fn =
+  let chunk = max 1 (n / (pool.width * 8)) in
   Mutex.lock pool.mutex;
   if pool.stopped || Option.is_some pool.current then begin
     (* Pool busy (submission from another domain mid-job) or already
@@ -237,17 +234,15 @@ let get () =
         instance := Some fresh;
         fresh)
 
-(* Nested loops and loops that fit in one chunk run inline before the
-   registry is consulted: a worker body never takes [default_lock], and
-   neither does a small loop.  At width 1 every chunk would go to the
-   submitter anyway. *)
-let parallel_for ?(min_chunk = 1) ~n fn =
-  let min_chunk = max 1 min_chunk in
+(* Nested loops and single-index loops run inline before the registry
+   is consulted: a worker body never takes [default_lock].  At width 1
+   every chunk would go to the submitter anyway. *)
+let parallel_for ~n fn =
   if n <= 0 then ()
-  else if n <= min_chunk || Domain.DLS.get in_task then sequential_job n fn
+  else if n = 1 || Domain.DLS.get in_task then sequential_job n fn
   else begin
     let pool = get () in
-    if pool.width = 1 then sequential_job n fn else run_job pool ~min_chunk ~n fn
+    if pool.width = 1 then sequential_job n fn else run_job pool ~n fn
   end
 
 let with_default_jobs k f =

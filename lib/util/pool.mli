@@ -30,23 +30,21 @@ val with_default_jobs : int -> (unit -> 'a) -> 'a
     the only way a test sets a width: the determinism tests run the
     same pipeline under several. *)
 
-val parallel_for : ?min_chunk:int -> n:int -> (int -> unit) -> unit
+val parallel_for : n:int -> (int -> unit) -> unit
 (** [parallel_for ~n f] runs [f 0 .. f (n-1)], each index exactly
     once, in parallel.  The body must only write state owned by its
     own index.  An exception raised by any [f i] cancels the remaining
     chunks and is re-raised (with its backtrace) in the caller.
 
-    [min_chunk] (default 1, clamped to at least 1) is a cost hint: the
-    smallest number of indices worth one claim of the shared chunk
-    counter.  Give cheap bodies a large [min_chunk] so workers do not
-    spin on the atomic; leave it at 1 for bodies whose per-index cost
-    dwarfs a claim (an APSP source, a weather trial batch).
+    Workers and the caller claim chunks of [max 1 (n / (width * 8))]
+    indices from a shared counter.  The loop runs inline on the
+    calling domain, without waking a worker or consulting the pool,
+    when [n <= 1] and when it is nested: issued from inside another
+    loop's body, at any depth.  So no worker ever takes the pool's
+    registry lock.  At width 1, and for a loop submitted from another
+    domain while the pool is busy, it runs inline too.  Chunking
+    affects scheduling only, never results.
 
-    The loop runs inline on the calling domain, without waking a
-    worker or consulting the pool, when the whole range fits in one
-    chunk ([n <= min_chunk]) — the submitter would claim every chunk
-    before the workers stir — and when it is nested: issued from
-    inside another loop's body, at any depth.  So no worker and no
-    small loop ever takes the pool's registry lock.  A loop submitted
-    from another domain while the pool is busy runs inline too.
-    Chunking affects scheduling only, never results. *)
+    A wake-up of the pool costs far more than a cheap index: a body
+    of a few thousand flops or less (one row of an O(n{^2}) matrix
+    update at a few hundred sites) belongs in a plain [for] loop. *)

@@ -36,10 +36,8 @@ let run ?(seed = 99) ?(intervals = 365) ~climate ~hops (inputs : Inputs.t) (topo
      function of (seed, interval) ({!Scenarios.surviving}), and it
      writes only its own row of [samples] and slot of
      [failed_per_interval], so the trials run in parallel with
-     bit-identical results at any pool width.  A trial costs roughly a
-     rain-field sample plus one O(n^2) metric relaxation per surviving
-     link: batch a few per claim of the pool's chunk counter. *)
-  Cisp_util.Pool.parallel_for ~min_chunk:4 ~n:intervals
+     bit-identical results at any pool width. *)
+  Cisp_util.Pool.parallel_for ~n:intervals
     (fun interval ->
       let up, failed_here = Scenarios.surviving ~seed ~hops topo storm interval in
       (* Distances over surviving links. *)

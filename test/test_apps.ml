@@ -70,17 +70,18 @@ let test_gaming_linear_in_latency () =
   check_float 1e-9 "slope 2x one-way" 100.0 (f 100.0 -. f 50.0)
 
 let test_gaming_coverage_zero_equals_conventional () =
-  let params = { Gaming.default_params with Gaming.speculation_coverage = 0.0 } in
+  let params = { Gaming.speculation_coverage = 0.0 } in
   check_float 1e-9 "no speculation = conventional"
     (Gaming.frame_time_ms Gaming.Thin_conventional ~one_way_ms:40.0)
     (Gaming.frame_time_ms ~params Gaming.Thin_speculative_cisp ~one_way_ms:40.0)
 
 let test_gaming_fat_client_ratio () =
-  (* Network part shrinks exactly by the cISP factor. *)
-  let params = { Gaming.default_params with Gaming.server_tick_ms = 0.0; render_ms = 0.0 } in
-  let conv = Gaming.frame_time_ms ~params Gaming.Fat_conventional ~one_way_ms:60.0 in
-  let cisp = Gaming.frame_time_ms ~params Gaming.Fat_cisp ~one_way_ms:60.0 in
-  check_float 1e-9 "3x reduction" 3.0 (conv /. cisp)
+  (* Network part shrinks exactly by the cISP factor.  Each mode's
+     processing term is its frame time at zero latency. *)
+  let network mode =
+    Gaming.frame_time_ms mode ~one_way_ms:60.0 -. Gaming.frame_time_ms mode ~one_way_ms:0.0
+  in
+  check_float 1e-9 "3x reduction" 3.0 (network Gaming.Fat_conventional /. network Gaming.Fat_cisp)
 
 let test_gaming_session_stats () =
   let s = Gaming.simulate_session Gaming.Thin_speculative_cisp ~one_way_ms:50.0 ~inputs:5000 in

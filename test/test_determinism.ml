@@ -199,11 +199,11 @@ let golden_design_work =
 (* The pool's share of that run, pinned per width as (pool.jobs,
    pool.jobs.seq, pool.chunks): parallel jobs, inline jobs and chunks
    claimed.  None of them depends on timing — a job's chunk count is a
-   function of its range, its cost hint and the width — so a change to
+   function of its range and the width — so a change to
    how a loop dispatches shows here by how much.  [Hops.all_links] adds
    none: [off1] already searched the memoized fixture, so the later
    searches find every path edge tested. *)
-let golden_design_pool_work = [ (1, (0, 707, 707)); (4, (5, 702, 762)) ]
+let golden_design_pool_work = [ (1, (0, 5, 5)); (4, (5, 0, 60)) ]
 
 let test_telemetry_bit_identity () =
   (* The telemetry layer's core contract: enabling it changes nothing.

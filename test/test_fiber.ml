@@ -64,11 +64,6 @@ let test_deterministic () =
   Alcotest.(check (float 1e-9)) "same seed same routes" (Conduit.route_km net 0 4)
     (Conduit.route_km again 0 4)
 
-let test_edges_exposed () =
-  Alcotest.(check bool) "synthetic mode has edges" true (Conduit.edges net <> []);
-  let a = Conduit.build ~mode:(Conduit.Assumed 1.9) ~sites () in
-  Alcotest.(check (list (triple int int (float 0.0)))) "assumed mode has none" [] (Conduit.edges a)
-
 let suites =
   [
     ( "fiber.conduit",
@@ -81,6 +76,5 @@ let suites =
         Alcotest.test_case "US inflation band" `Slow test_inflation_band;
         Alcotest.test_case "assumed mode" `Quick test_assumed_mode;
         Alcotest.test_case "deterministic" `Quick test_deterministic;
-        Alcotest.test_case "edges exposed" `Quick test_edges_exposed;
       ] );
   ]

@@ -100,9 +100,9 @@ let test_for_resizes () =
 (* ---------- short-circuit vs parallel telemetry ---------- *)
 
 let test_short_circuit_telemetry () =
-  (* The small-[n] short-circuit must record the same counter family
-     as a real parallel job — one job, all indices run — so scheduling
-     telemetry stays coherent whichever path a loop takes. *)
+  (* The inline path must record the same counter family as a real
+     parallel job — one job, all indices run — so scheduling telemetry
+     stays coherent whichever path a loop takes. *)
   let observe f =
     Telemetry.reset ();
     Telemetry.enable_metrics ();
@@ -118,17 +118,15 @@ let test_short_circuit_telemetry () =
     stats
   in
   Pool.with_default_jobs 4 (fun () ->
-      (* min_chunk covers the whole range: short-circuits on the caller. *)
+      (* A single index short-circuits on the caller. *)
       let seq_hits, seq_par_jobs, seq_seq_jobs, seq_chunks =
-        observe (fun hits ->
-            Pool.parallel_for ~min_chunk:64 ~n:32 (fun _ -> Atomic.incr hits))
+        observe (fun hits -> Pool.parallel_for ~n:1 (fun _ -> Atomic.incr hits))
       in
-      (* Same range through the parallel path (chunk = 1 at width 4). *)
+      (* The parallel path (chunk = 1 at width 4). *)
       let par_hits, par_par_jobs, par_seq_jobs, par_chunks =
-        observe (fun hits ->
-            Pool.parallel_for ~min_chunk:1 ~n:32 (fun _ -> Atomic.incr hits))
+        observe (fun hits -> Pool.parallel_for ~n:32 (fun _ -> Atomic.incr hits))
       in
-      Alcotest.(check int) "short-circuit runs every index" 32 seq_hits;
+      Alcotest.(check int) "short-circuit runs every index" 1 seq_hits;
       Alcotest.(check int) "parallel runs every index" 32 par_hits;
       Alcotest.(check int) "short-circuit: one sequential job" 1 seq_seq_jobs;
       Alcotest.(check int) "short-circuit: no parallel job" 0 seq_par_jobs;

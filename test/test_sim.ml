@@ -277,9 +277,10 @@ let test_tcp_faster_on_faster_path () =
 
 (* A short Fig 6 run: ten 10 Gbps senders start 100 KB flows through
    node M into a 100 Mbps bottleneck, Poisson arrivals at 70% load for
-   1 s.  MD5 over every flow completion time and the bottleneck queue
-   sampled each millisecond, in event order, floats by their bits. *)
-let fig6_fingerprint ~pacing =
+   1 s.  Returns the MD5 over every flow completion time and the
+   bottleneck queue sampled each millisecond, in event order, floats by
+   their bits; with the queue samples (bytes) and the FCTs (s). *)
+let fig6_run ~pacing =
   let n_src = 10 in
   let m = n_src and d = n_src + 1 in
   let eng = Engine.create () in
@@ -292,6 +293,7 @@ let fig6_fingerprint ~pacing =
   let rate = 0.7 *. 0.1e9 /. (100_000.0 *. 8.0) in
   let duration = 1.0 in
   let b = Buffer.create 8192 in
+  let queue = ref [] and fcts = ref [] in
   let next_id = ref 1000 in
   let rec arrivals t =
     if t < duration then begin
@@ -302,6 +304,7 @@ let fig6_fingerprint ~pacing =
           let cfg = { (Tcp.default_config ~ack_delay_s:0.010) with Tcp.pacing } in
           Tcp.start_flow net cfg ~flow_id:!next_id ~route:[| s; m; d |] ~size_bytes:100_000
             ~at:start ~on_complete:(fun finish ->
+              fcts := (finish -. start) :: !fcts;
               Printf.bprintf b "fct %Ld\n" (Int64.bits_of_float (finish -. start))));
       arrivals (t +. Cisp_util.Rng.exponential rng rate)
     end
@@ -310,18 +313,35 @@ let fig6_fingerprint ~pacing =
   let rec sampler t =
     if t < duration then
       Engine.schedule eng ~at:t (fun () ->
-          Printf.bprintf b "q %d\n" (Net.queue_bytes net ~src:m ~dst:d);
+          let q = Net.queue_bytes net ~src:m ~dst:d in
+          queue := float_of_int q :: !queue;
+          Printf.bprintf b "q %d\n" q;
           sampler (t +. 0.001))
   in
   sampler 0.001;
   Engine.run eng ~until:(duration +. 2.0);
-  Digest.to_hex (Digest.string (Buffer.contents b))
+  ( Digest.to_hex (Digest.string (Buffer.contents b)),
+    Array.of_list !queue,
+    Array.of_list !fcts )
 
+(* The digests pin the run; the claim is the paper's Fig 6: pacing
+   cuts the median bottleneck queue while the median flow completion
+   time moves by less than 5%. *)
 let test_tcp_fig6_golden () =
-  Alcotest.(check string) "unpaced" "2cb054bddfb09f826045557c40b0450f"
-    (fig6_fingerprint ~pacing:false);
-  Alcotest.(check string) "paced" "d4e6ad1981d30f28c328b4783f2216c1"
-    (fig6_fingerprint ~pacing:true)
+  let digest, queue, fcts = fig6_run ~pacing:false in
+  let paced_digest, paced_queue, paced_fcts = fig6_run ~pacing:true in
+  Alcotest.(check string) "unpaced" "2cb054bddfb09f826045557c40b0450f" digest;
+  Alcotest.(check string) "paced" "d4e6ad1981d30f28c328b4783f2216c1" paced_digest;
+  let median = Cisp_util.Stats.median in
+  let q = median queue and paced_q = median paced_queue in
+  Alcotest.(check bool)
+    (Printf.sprintf "paced median queue %.0f B < unpaced %.0f B" paced_q q)
+    true (paced_q < q);
+  let fct = median fcts and paced_fct = median paced_fcts in
+  Alcotest.(check bool)
+    (Printf.sprintf "median FCT %.1f -> %.1f ms moves < 5%%" (fct *. 1e3) (paced_fct *. 1e3))
+    true
+    (Float.abs (paced_fct -. fct) < 0.05 *. fct)
 
 (* ---------- Routing ---------- *)
 
